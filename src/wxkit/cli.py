@@ -35,6 +35,14 @@ class UsageError(Exception):
     pass
 
 
+class InputEncodingError(Exception):
+    """An input file that is not text in the expected encoding."""
+
+    def __init__(self, path: str, exc: UnicodeDecodeError):
+        super().__init__(f"{path}: not {exc.encoding} text "
+                         f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -43,8 +51,11 @@ class _Parser(argparse.ArgumentParser):
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(path, exc) from None
 
 
 def _write_output(path: str, text: str) -> None:
@@ -390,6 +401,8 @@ def cmd_simulate(args) -> int:
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        except UnicodeDecodeError as exc:
+            raise InputEncodingError(args.config, exc) from None
     if args.seed is not None:
         obj["seed"] = args.seed
     if args.duration_s is not None:
@@ -506,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except InputEncodingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:
         return EXIT_IO

@@ -110,7 +110,10 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
         raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {expected})")
 
     sid = struct.unpack(">H", data[2:4])[0]
-    station = StationId(protocol, sid & 0x3FFF, sid >> 14)
+    try:
+        station = StationId(protocol, sid & 0x3FFF, sid >> 14)
+    except ValueError as exc:
+        raise PayloadError(str(exc)) from None
     seq = struct.unpack(">H", data[4:6])[0]
     try:
         flags = ValidityFlags.from_byte(data[6])
@@ -157,7 +160,9 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
 MHDR_UNCONFIRMED_UP = 0x40
 FRAME_OVERHEAD = 13      # MHDR + FHDR + FPort + MIC around a non-empty payload
 MAX_FRM_PAYLOAD = 222
+MAX_PHY_PAYLOAD = 255    # the LoRa PHY length field is one byte
 FCNT_RESYNC_WINDOW = 16
+_AES_CACHE_MAX = 4       # NwkSKey and AppSKey, plus one reassignment of each
 
 
 def _parse_key(value: bytes | str, length: int, name: str) -> bytes:
@@ -168,11 +173,30 @@ def _parse_key(value: bytes | str, length: int, name: str) -> bytes:
     return bytes(value)
 
 
+class _AesContexts:
+    """Reusable AES contexts for one key: an ECB encryptor that is never
+    finalized (ECB over whole blocks carries no state between updates) and
+    a keyed CMAC template that each MIC copies."""
+
+    __slots__ = ("ecb", "cmac")
+
+    def __init__(self, key: bytes):
+        aes = algorithms.AES(key)
+        self.ecb = Cipher(aes, modes.ECB()).encryptor()
+        self.cmac = _cmac.CMAC(aes)
+
+
 @dataclass
 class AbpSession:
     """Statically provisioned session state. ``fcnt_up`` is the next uplink
     counter on the device side, or the next expected counter on the server
-    side. Single writer only; no concurrent mutation contract."""
+    side.
+
+    The session keeps its keyed AES contexts in a small cache keyed by the
+    key bytes, so assigning a new ``nwk_skey`` or ``app_skey`` takes effect
+    on the next frame. The cache is not a field: it stays out of ``repr``
+    and ``==``. The contexts are reused across calls, so a session has a
+    single writer: no two threads may build or parse with it at once."""
 
     dev_addr: bytes
     nwk_skey: bytes = field(repr=False, default=b"\x00" * 16)
@@ -188,42 +212,41 @@ class AbpSession:
             raise ValueError(f"fport {self.fport} outside application range 1..223")
         if not 0 <= self.fcnt_up < 2**32:
             raise ValueError("fcnt_up must be a 32-bit counter")
+        self._aes_cache: dict[bytes, _AesContexts] = {}
 
     @classmethod
     def from_hex(cls, dev_addr: str, nwk_skey: str, app_skey: str, **kw) -> "AbpSession":
         return cls(bytes.fromhex(dev_addr), bytes.fromhex(nwk_skey), bytes.fromhex(app_skey), **kw)
 
-
-def _aes_encrypt_block(key: bytes, block: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return enc.update(block) + enc.finalize()
-
-
-def _aes_cmac(key: bytes, message: bytes) -> bytes:
-    c = _cmac.CMAC(algorithms.AES(key))
-    c.update(message)
-    return c.finalize()
+    def _aes(self, key: bytes) -> _AesContexts:
+        ctx = self._aes_cache.get(key)
+        if ctx is None:
+            if len(self._aes_cache) >= _AES_CACHE_MAX:
+                self._aes_cache.clear()
+            ctx = self._aes_cache[key] = _AesContexts(key)
+        return ctx
 
 
-def _crypto_block(first: int, dev_addr_le: bytes, fcnt32: int, index: int) -> bytes:
-    return bytes([first, 0, 0, 0, 0, 0x00]) + dev_addr_le + struct.pack("<I", fcnt32) + bytes([0, index])
+def _block_head(first: int, dev_addr_le: bytes, fcnt32: int) -> bytes:
+    """The first 15 bytes of the A_i and B_0 blocks; the last byte is the
+    block index or the message length."""
+    return bytes([first, 0, 0, 0, 0, 0x00]) + dev_addr_le + struct.pack("<I", fcnt32) + b"\x00"
 
 
-def _keystream_xor(app_skey: bytes, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:
-    """FRMPayload encryption: XOR with AES-encrypted counter blocks. The
-    operation is its own inverse."""
-    out = bytearray()
-    for i in range(0, len(data), 16):
-        block = _crypto_block(0x01, dev_addr_le, fcnt32, i // 16 + 1)
-        s = _aes_encrypt_block(app_skey, block)
-        chunk = data[i:i + 16]
-        out += bytes(a ^ b for a, b in zip(chunk, s))
-    return bytes(out)
+def _keystream_xor(aes: _AesContexts, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:
+    """FRMPayload encryption: XOR with AES-encrypted counter blocks, all
+    encrypted in one call. The operation is its own inverse."""
+    n = len(data)
+    head = _block_head(0x01, dev_addr_le, fcnt32)
+    blocks = b"".join([head + bytes((i,)) for i in range(1, (n + 15) // 16 + 1)])
+    keystream = aes.ecb.update(blocks)[:n]
+    return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
-def _mic(nwk_skey: bytes, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
-    b0 = _crypto_block(0x49, dev_addr_le, fcnt32, len(msg))
-    return _aes_cmac(nwk_skey, b0 + msg)[:4]
+def _mic(aes: _AesContexts, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
+    c = aes.cmac.copy()
+    c.update(_block_head(0x49, dev_addr_le, fcnt32) + bytes((len(msg),)) + msg)
+    return c.finalize()[:4]
 
 
 def frame_build(session: AbpSession, payload: bytes) -> bytes:
@@ -241,8 +264,8 @@ def frame_build(session: AbpSession, payload: bytes) -> bytes:
     msg = bytes([MHDR_UNCONFIRMED_UP]) + dev_addr_le + b"\x00" + struct.pack("<H", fcnt32 & 0xFFFF)
     if payload:
         msg += bytes([session.fport])
-        msg += _keystream_xor(session.app_skey, dev_addr_le, fcnt32, payload)
-    mic = _mic(session.nwk_skey, dev_addr_le, fcnt32, msg)
+        msg += _keystream_xor(session._aes(session.app_skey), dev_addr_le, fcnt32, payload)
+    mic = _mic(session._aes(session.nwk_skey), dev_addr_le, fcnt32, msg)
     session.fcnt_up += 1
     return msg + mic
 
@@ -255,16 +278,22 @@ def frame_parse(
     """Verify and decrypt an uplink frame.
 
     The 16-bit counter in the frame is rolled forward from ``expected_fcnt``
-    (default: the session counter); frames more than 16 counts ahead, or not
-    strictly advancing, are rejected before the MIC is even checked. The MIC
-    is verified before any decryption.
+    (default: the session counter); frames more than 16 counts ahead, not
+    strictly advancing, or past the 32-bit counter space are rejected before
+    the MIC is even checked, as are frames from another DevAddr. The MIC is
+    verified before any decryption.
     """
-    if len(data) < 12:
-        raise FrameError(f"frame of {len(data)} bytes is shorter than the 12-byte minimum")
+    if not 12 <= len(data) <= MAX_PHY_PAYLOAD:
+        raise FrameError(f"frame of {len(data)} bytes is outside 12..{MAX_PHY_PAYLOAD} bytes")
     if data[0] != MHDR_UNCONFIRMED_UP:
         raise UnsupportedMhdrError(f"MHDR {data[0]:#04x} is not an unconfirmed uplink")
     if data[5] & 0x0F:
         raise FrameError("frames with FOpts are not supported")
+    dev_addr_le = session.dev_addr[::-1]
+    if data[1:5] != dev_addr_le:
+        raise FrameError(
+            f"DevAddr {data[4:0:-1].hex()} is not this session's {session.dev_addr.hex()}"
+        )
     fcnt16 = struct.unpack("<H", data[6:8])[0]
 
     expected = session.fcnt_up if expected_fcnt is None else expected_fcnt
@@ -275,16 +304,17 @@ def frame_parse(
         raise CounterError(
             f"counter {fcnt16} outside resync window [{expected}, {expected + FCNT_RESYNC_WINDOW}]"
         )
+    if fcnt32 >= 2**32:
+        raise CounterError(f"counter {fcnt16} rolls past the 32-bit counter space")
 
-    dev_addr_le = session.dev_addr[::-1]
     msg, mic = data[:-4], data[-4:]
-    if _mic(session.nwk_skey, dev_addr_le, fcnt32, msg) != mic:
+    if _mic(session._aes(session.nwk_skey), dev_addr_le, fcnt32, msg) != mic:
         raise MicMismatchError("MIC verification failed")
     if len(msg) == 8:
         return b"", fcnt32
     frm = msg[9:]
     key = session.app_skey if msg[8] != 0 else session.nwk_skey
-    return _keystream_xor(key, dev_addr_le, fcnt32, frm), fcnt32
+    return _keystream_xor(session._aes(key), dev_addr_le, fcnt32, frm), fcnt32
 
 
 # ---------------------------------------------------------------------------

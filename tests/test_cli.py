@@ -153,6 +153,26 @@ def test_frame_missing_keys_is_validation_error(capsys, monkeypatch):
     assert "WXKIT_" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decode", "--protocol", "a5n1"],
+    ["decode", "--protocol", "lcw", "--format", "hex"],
+    ["payload"],
+    ["payload", "--decode"],
+    ["frame", *KEY_ARGS],
+    ["frame", "--parse", *KEY_ARGS],
+    ["simulate", "--config"],
+])
+def test_input_file_not_text_is_validation_error(argv, tmp_path, capsys):
+    # valid UTF-8 but not ASCII on the first line, not UTF-8 on the second
+    path = tmp_path / "input.txt"
+    path.write_bytes("0102 # café\n".encode() + b"\xff\n")
+    code, out, err = run_cli(capsys, [*argv, str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 # ---------------------------------------------------------------------------
 # airtime / battery
 

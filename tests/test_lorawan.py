@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lorawan_oracle import OracleError, aes_block, parse_uplink
 from lorawan_oracle import cmac as oracle_cmac
-from lorawan_oracle import parse_uplink
 from wxkit.core import Protocol, StationId, ValidityFlags, WeatherRecord
 from wxkit.lorawan import (
+    MAX_FRM_PAYLOAD,
     AbpSession,
     CounterError,
+    FrameError,
     MicMismatchError,
     PayloadError,
     PayloadMeta,
@@ -101,6 +103,10 @@ def test_payload_decode_errors():
     hum[9] = 201
     with pytest.raises(PayloadError):
         payload_decode(bytes(hum))
+    lcw = bytearray(payload_encode(full_record(LCW_STATION).replace(board_temp_c=0.0)))
+    lcw[2] |= 0x40                                     # channel 1 on an LCW station
+    with pytest.raises(PayloadError):
+        payload_decode(bytes(lcw))
 
 
 def test_payload_encode_range_errors():
@@ -239,6 +245,104 @@ def test_frame_parse_against_independent_oracle():
     assert parsed["fcnt"] == 0
     assert parsed["fport"] == 42
     assert parsed["dev_addr"] == bytes.fromhex(KEYS["dev_addr"])
+
+
+def test_long_lived_session_against_independent_oracle():
+    # one device session and one server session carry their AES contexts
+    # across every frame; the oracle keys its own on each call
+    rng = random.Random(3)
+    nwk, app = bytes.fromhex(KEYS["nwk_skey"]), bytes.fromhex(KEYS["app_skey"])
+    device, server = fresh_session(fport=7), fresh_session()
+    for i in range(333):
+        payload = rng.randbytes(1 + i % MAX_FRM_PAYLOAD)
+        frame = frame_build(device, payload)
+        parsed = parse_uplink(frame, nwk, app)
+        assert (parsed["payload"], parsed["fcnt"], parsed["fport"]) == (payload, i, 7)
+        assert frame_parse(frame, server) == (payload, i)
+        server.fcnt_up = i + 1
+
+
+def test_session_key_reassignment_takes_effect():
+    old_nwk = bytes.fromhex(KEYS["nwk_skey"])
+    new_nwk, new_app = bytes(range(16)), bytes(range(16, 32))
+    payload = payload_encode(full_record())
+    device, server = fresh_session(), fresh_session()
+    assert frame_parse(frame_build(device, payload), server) == (payload, 0)
+    server.fcnt_up = 1
+
+    device.app_skey = new_app
+    frame = frame_build(device, payload)
+    assert parse_uplink(frame, old_nwk, new_app)["payload"] == payload
+    assert frame_parse(frame, server)[0] != payload     # server still has the old AppSKey
+    server.app_skey = new_app
+    assert frame_parse(frame, server) == (payload, 1)
+    server.fcnt_up = 2
+
+    device.nwk_skey = new_nwk
+    frame = frame_build(device, payload)
+    assert parse_uplink(frame, new_nwk, new_app)["payload"] == payload
+    with pytest.raises(OracleError):
+        parse_uplink(frame, old_nwk, new_app)
+    with pytest.raises(MicMismatchError):
+        frame_parse(frame, server)
+    server.nwk_skey = new_nwk
+    assert frame_parse(frame, server) == (payload, 2)
+
+
+def test_session_cache_stays_out_of_eq_and_repr():
+    used = fresh_session()
+    frame_parse(frame_build(fresh_session(), b"\x01"), used)
+    assert used == fresh_session()
+    assert repr(used) == repr(fresh_session())
+
+
+def test_frame_parse_fport0_decrypts_with_nwk_skey():
+    nwk = bytes.fromhex(KEYS["nwk_skey"])
+    dev_addr_le = bytes.fromhex(KEYS["dev_addr"])[::-1]
+    fcnt = 5
+    plain = bytes(range(1, 21))                         # spans two keystream blocks
+    enc = bytearray()
+    for i in range(0, len(plain), 16):
+        a = (bytes([0x01, 0, 0, 0, 0, 0]) + dev_addr_le
+             + fcnt.to_bytes(4, "little") + bytes([0, i // 16 + 1]))
+        enc += bytes(x ^ y for x, y in zip(plain[i:i + 16], aes_block(nwk, a)))
+    msg = (bytes([0x40]) + dev_addr_le + b"\x00" + fcnt.to_bytes(2, "little")
+           + b"\x00" + bytes(enc))
+    b0 = (bytes([0x49, 0, 0, 0, 0, 0]) + dev_addr_le
+          + fcnt.to_bytes(4, "little") + bytes([0, len(msg)]))
+    frame = msg + oracle_cmac(nwk, b0 + msg)[:4]
+
+    # an application frame first, so the session has contexts for both keys
+    server = fresh_session(fcnt_up=4)
+    app_frame = frame_build(fresh_session(fcnt_up=4), b"\x09" * 20)
+    assert frame_parse(app_frame, server) == (b"\x09" * 20, 4)
+    server.fcnt_up = 5
+    assert frame_parse(frame, server) == (plain, fcnt)
+
+
+def test_frame_parse_counter_rollover_is_counter_error():
+    frame = frame_build(fresh_session(fcnt_up=0x10000), b"\x01\x02")   # 16-bit counter 0
+    with pytest.raises(CounterError):
+        frame_parse(frame, fresh_session(fcnt_up=0xFFFFFFFF))
+
+
+def test_frame_parse_rejects_foreign_dev_addr():
+    foreign = AbpSession.from_hex("26011158", KEYS["nwk_skey"], KEYS["app_skey"])
+    frame = frame_build(foreign, b"\x01\x02")
+    with pytest.raises(FrameError) as info:
+        frame_parse(frame, fresh_session())
+    assert not isinstance(info.value, MicMismatchError)
+    assert "DevAddr" in str(info.value)
+
+
+def test_frame_parse_rejects_oversized_frame():
+    # longer than a LoRa PHY payload can be; the MIC's B0 block has a
+    # one-byte length field that such a frame would overflow
+    frame = frame_build(fresh_session(), bytes(MAX_FRM_PAYLOAD))
+    for size in (256, 300):
+        too_long = frame[:9] + bytes(size - len(frame)) + frame[9:]
+        with pytest.raises(FrameError):
+            frame_parse(too_long, fresh_session())
 
 
 def test_oracle_cmac_rfc4493_vectors():
