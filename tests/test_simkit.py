@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -217,6 +218,28 @@ def test_determinism_byte_identical():
     assert a == b
     c = run(dataclasses.replace(cfg, seed=cfg.seed + 1)).to_jsonl()
     assert a != c
+
+
+# Pinned traces: a refactor that keeps behaviour keeps these bytes. A change
+# that alters a trace on purpose updates the hash and says why in CHANGES.md.
+GOLDEN_TRACES = [
+    ({"duration_s": 86_400.0, "seed": 7,
+      "station": {"protocol": "a5n1"},
+      "channel": {"frame_loss_p": 0.1, "bit_flip_q": 1e-3},
+      "transponder": {"t_cycle_s": 300},
+      "gateway": {"uplink_loss_p": 0.05}},
+     "55d929178d50f37e4432f2696dee7dc83ae2e25508e3b6ef08893f913b65792f"),
+    ({"duration_s": 86_400.0, "seed": 3,
+      "station": {"protocol": "lcw", "id": 42, "channel": 0},
+      "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
+     "75c2c692ca2486d656c4921d0be45272bfca142531a04bd7f45cb35b7ff4951f"),
+]
+
+
+@pytest.mark.parametrize("obj,sha256", GOLDEN_TRACES, ids=["a5n1_lossy", "lcw_lopy4"])
+def test_golden_trace(obj, sha256):
+    trace = run(SimConfig.from_dict(obj)).to_jsonl()
+    assert hashlib.sha256(trace.encode()).hexdigest() == sha256
 
 
 def test_ledger_matches_closed_form_at_300s():
