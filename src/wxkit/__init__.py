@@ -23,12 +23,12 @@ from .rfdecode import (
 )
 from .lorawan import (
     AbpSession,
+    DutyCycleGovernor,
     RadioParams,
     airtime,
     duty_cycle_wait,
     frame_build,
     frame_parse,
-    governor_check,
     payload_decode,
     payload_encode,
 )

@@ -103,11 +103,7 @@ def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, 
 def cmd_decode(args) -> int:
     protocol = Protocol.from_label(args.protocol)
     nbits = 64 if protocol is Protocol.A5N1 else 52
-    try:
-        text = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    text = _read_input(args.input)
     try:
         candidates = _candidate_bits(text, args.format, protocol)
     except ValueError as exc:
@@ -126,11 +122,7 @@ def cmd_decode(args) -> int:
             print(f"{origin}: {exc}", file=sys.stderr)
             continue
         lines.append(json.dumps(record_to_obj(record)))
-    try:
-        _write_output(args.output, "".join(line + "\n" for line in lines))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(args.output, "".join(line + "\n" for line in lines))
     return EXIT_OK if lines else EXIT_NO_DATA
 
 
@@ -173,11 +165,7 @@ def cmd_encode(args) -> int:
         text = bits + "\n"
     else:
         text = hexstr + "\n"
-    try:
-        _write_output(args.output, text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(args.output, text)
     return EXIT_OK
 
 
@@ -185,11 +173,7 @@ def cmd_encode(args) -> int:
 # payload / frame
 
 def cmd_payload(args) -> int:
-    try:
-        text = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    text = _read_input(args.input)
     lines = []
     count = 0
     for lineno, line in _data_lines(text):
@@ -209,13 +193,10 @@ def cmd_payload(args) -> int:
                 record = record_from_obj(obj)
                 lines.append(lorawan.payload_encode(record, meta).hex())
             count += 1
-        except (lorawan.FrameError, ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # a wrongly typed JSON field surfaces as TypeError or AttributeError
             print(f"line {lineno}: {exc}", file=sys.stderr)
-    try:
-        _write_output(args.output, "".join(line + "\n" for line in lines))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(args.output, "".join(line + "\n" for line in lines))
     return EXIT_OK if count else EXIT_NO_DATA
 
 
@@ -241,11 +222,7 @@ def cmd_frame(args) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        text = _read_input(args.input)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    text = _read_input(args.input)
     lines = []
     count = 0
     for lineno, line in _data_lines(text):
@@ -265,11 +242,7 @@ def cmd_frame(args) -> int:
             count += 1
         except lorawan.FrameError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
-    try:
-        _write_output(args.output, "".join(line + "\n" for line in lines))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_output(args.output, "".join(line + "\n" for line in lines))
     return EXIT_OK if count else EXIT_NO_DATA
 
 
@@ -395,9 +368,6 @@ def cmd_simulate(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         except json.JSONDecodeError as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
@@ -419,12 +389,8 @@ def cmd_simulate(args) -> int:
 
     trace = simkit.run(config)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="ascii") as fh:
-                fh.write(trace.to_jsonl())
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(trace.to_jsonl())
     print(json.dumps(trace.summary, sort_keys=True))
     if not trace.ok:
         for v in trace.summary["violations"]:
@@ -524,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:
+        return EXIT_IO
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -37,6 +37,7 @@ class StationMismatchError(ValueError):
 
 
 MAX_STATION_ID = 0x3FFF  # 14-bit id space
+MAX_LCW_STATION_ID = 0x7F  # an lcw frame carries 7 id bits
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,11 @@ class StationId:
             raise ValueError(f"station id {self.id} does not fit 14 bits")
         if not 0 <= self.channel <= 3:
             raise ValueError(f"channel {self.channel} does not fit 2 bits")
-        if self.protocol is Protocol.LCW and self.channel != 0:
-            raise ValueError("lcw stations use channel 0 only")
+        if self.protocol is Protocol.LCW:
+            if self.channel != 0:
+                raise ValueError("lcw stations use channel 0 only")
+            if self.id > MAX_LCW_STATION_ID:
+                raise ValueError(f"lcw station id {self.id} does not fit 7 bits")
 
 
 # Bit positions in the single-byte wire form. Bit 7 is reserved and must be 0.

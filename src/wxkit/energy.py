@@ -52,6 +52,16 @@ class EnergyProfile:
     def sleep_power_uw(self) -> float:
         return self.i_sleep_ua * self.supply_v
 
+    @property
+    def shr_power_uw(self) -> float:
+        """Receiver draw in uW; needs the component detail."""
+        return self.detail.i_shr_ma * 1000.0 * self.supply_v
+
+    @property
+    def tx_power_uw(self) -> float:
+        """Radio-TX draw in uW; needs the component detail."""
+        return self.detail.i_tx_ma * 1000.0 * self.supply_v
+
 
 def cycle_energy(profile: EnergyProfile, t_cycle_s: float) -> float:
     """Energy per cycle in uWh: the active lump plus sleep for the rest."""
@@ -91,8 +101,8 @@ def fit_component_power(
     e_active = profile.e_active_uwh if measured_e_active_uwh is None else measured_e_active_uwh
     t_shr = d.t_shr_s if t_shr_s is None else t_shr_s
     t_tx = d.t_tx_s if t_tx_s is None else t_tx_s
-    e_shr = d.i_shr_ma * 1000.0 * profile.supply_v * t_shr / HOUR_S
-    e_tx = d.i_tx_ma * 1000.0 * profile.supply_v * t_tx / HOUR_S
+    e_shr = profile.shr_power_uw * t_shr / HOUR_S
+    e_tx = profile.tx_power_uw * t_tx / HOUR_S
     residual = e_active - e_shr - e_tx
     if residual < 0:
         raise EnergyModelError(

@@ -194,9 +194,12 @@ class AbpSession:
 
     The session keeps its keyed AES contexts in a small cache keyed by the
     key bytes, so assigning a new ``nwk_skey`` or ``app_skey`` takes effect
-    on the next frame. The cache is not a field: it stays out of ``repr``
-    and ``==``. The contexts are reused across calls, so a session has a
-    single writer: no two threads may build or parse with it at once."""
+    on the next frame. A new key is checked as the constructor checks it:
+    a hex string is accepted, and a key that is not 16 bytes makes
+    ``frame_build`` and ``frame_parse`` raise ``ValueError``. The cache is
+    not a field: it stays out of ``repr`` and ``==``. The contexts are
+    reused across calls, so a session has a single writer: no two threads
+    may build or parse with it at once."""
 
     dev_addr: bytes
     nwk_skey: bytes = field(repr=False, default=b"\x00" * 16)
@@ -221,9 +224,10 @@ class AbpSession:
     def _aes(self, key: bytes) -> _AesContexts:
         ctx = self._aes_cache.get(key)
         if ctx is None:
+            raw = _parse_key(key, 16, "session key")
             if len(self._aes_cache) >= _AES_CACHE_MAX:
                 self._aes_cache.clear()
-            ctx = self._aes_cache[key] = _AesContexts(key)
+            ctx = self._aes_cache[key] = _AesContexts(raw)
         return ctx
 
 
@@ -378,35 +382,23 @@ def duty_cycle_wait(t_air: float, duty_limit: float) -> float:
     return t_air * (1.0 / duty_limit - 1.0)
 
 
-def governor_check(
-    last_tx_end: float,
-    t_air: float,
-    now: float,
-    duty_limit: float = 0.01,
-) -> tuple[bool, float]:
-    """Whether a transmission is permitted now, and the earliest time one is.
-
-    ``t_air`` is the airtime of the previous transmission (the one ending at
-    ``last_tx_end``), which sets the required silence.
-    """
-    next_allowed = last_tx_end + duty_cycle_wait(t_air, duty_limit)
-    return now >= next_allowed, next_allowed
-
-
 class DutyCycleGovernor:
     """Single sub-band transmit governor. Single writer."""
 
     def __init__(self, duty_limit: float = 0.01):
-        if not 0 < duty_limit <= 1:
-            raise ValueError(f"duty limit {duty_limit} outside (0, 1]")
+        duty_cycle_wait(1.0, duty_limit)   # raises for a limit outside (0, 1]
         self.duty_limit = duty_limit
         self._last_tx_end: float | None = None
         self._last_t_air = 0.0
 
     def check(self, now: float) -> tuple[bool, float]:
+        """Whether a transmission is permitted now, and the earliest time
+        one is. The airtime of the last transmission sets the silence that
+        must follow it."""
         if self._last_tx_end is None:
             return True, now
-        return governor_check(self._last_tx_end, self._last_t_air, now, self.duty_limit)
+        next_allowed = self._last_tx_end + duty_cycle_wait(self._last_t_air, self.duty_limit)
+        return now >= next_allowed, next_allowed
 
     def note_transmission(self, tx_end: float, t_air: float) -> None:
         self._last_tx_end = tx_end

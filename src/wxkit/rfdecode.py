@@ -267,20 +267,24 @@ def _even_parity_ok(byte: int) -> bool:
 
 @dataclass(frozen=True)
 class A5N1Frame:
-    """Validated 8-byte frame. Construction re-checks the integrity rules."""
+    """Validated 8-byte frame. Construction runs the integrity checks:
+    checksum first, then per-byte parity on bytes 2..6, then the message
+    type. Every failure raises a typed DecodeError."""
 
     data: bytes
 
     def __post_init__(self):
-        if len(self.data) != 8:
+        data = self.data
+        if len(data) != 8:
             raise ValueError("a5n1 frame must be exactly 8 bytes")
-        if self.data[7] != _a5n1_checksum(self.data):
-            raise ChecksumError("byte checksum mismatch")
+        checksum = _a5n1_checksum(data)
+        if data[7] != checksum:
+            raise ChecksumError(f"checksum {data[7]:#04x} != computed {checksum:#04x}")
         for i in range(2, 7):
-            if not _even_parity_ok(self.data[i]):
+            if not _even_parity_ok(data[i]):
                 raise ParityError(i)
-        if self.data[2] & 0x3F not in A5N1_MESSAGE_TYPES:
-            raise UnknownMessageTypeError(f"message type {self.data[2] & 0x3F:#04x}")
+        if data[2] & 0x3F not in A5N1_MESSAGE_TYPES:
+            raise UnknownMessageTypeError(f"message type {data[2] & 0x3F:#04x}")
 
     @property
     def channel(self) -> int:
@@ -323,29 +327,17 @@ def c_to_f(deg_c: float) -> float:
 def decode_a5n1(bits: str) -> tuple[A5N1Frame, WeatherRecord]:
     """Validate a 64-bit string and extract the partial weather record.
 
-    Checksum is verified first, then per-byte parity on bytes 2..6, then
-    the message type. Every failure raises a typed DecodeError.
+    The integrity checks are those of ``A5N1Frame``.
     """
     if len(bits) != 64:
         raise ValueError(f"expected 64 bits, got {len(bits)}")
-    data = bits_to_bytes(bits)
-    if data[7] != _a5n1_checksum(data):
-        raise ChecksumError(
-            f"checksum {data[7]:#04x} != computed {_a5n1_checksum(data):#04x}"
-        )
-    for i in range(2, 7):
-        if not _even_parity_ok(data[i]):
-            raise ParityError(i)
-    msg_type = data[2] & 0x3F
-    if msg_type not in A5N1_MESSAGE_TYPES:
-        raise UnknownMessageTypeError(f"message type {msg_type:#04x}")
-
-    frame = A5N1Frame(data)
+    frame = A5N1Frame(bits_to_bytes(bits))
+    data = frame.data
     station = StationId(Protocol.A5N1, frame.station_id, frame.channel)
     wind_raw = data[3] & 0x7F
     wind_kph = 0.0 if wind_raw == 0 else _WIND_SLOPE * wind_raw + 1.0
 
-    if msg_type == A5N1_MSG_WIND_DIR_RAIN:
+    if frame.message_type == A5N1_MSG_WIND_DIR_RAIN:
         dir_code = data[4] & 0x0F
         counter = (data[5] & 0x7F) << 7 | (data[6] & 0x7F)
         record = WeatherRecord.build(
@@ -497,7 +489,9 @@ class LcwQuantity(enum.IntEnum):
 
 @dataclass(frozen=True)
 class LCWFrame:
-    """Validated 13-nibble frame."""
+    """Validated 13-nibble frame. Construction runs the integrity checks
+    in order: sync nibble, checksum, digit repeat, BCD digits, quantity
+    type. Every failure raises a typed DecodeError."""
 
     nibbles: tuple[int, ...]
 
@@ -507,10 +501,15 @@ class LCWFrame:
             raise ValueError("lcw frame must be 13 nibbles")
         if n[0] != LCW_SYNC_NIBBLE:
             raise SyncError(f"sync nibble {n[0]:#x} != 0x9")
-        if n[12] != sum(n[:12]) % 16:
-            raise ChecksumError("nibble checksum mismatch")
+        checksum = sum(n[:12]) % 16
+        if n[12] != checksum:
+            raise ChecksumError(f"checksum {n[12]:#x} != computed {checksum:#x}")
         if n[10] != n[4] or n[11] != n[5]:
-            raise DigitRepeatError("repeated digits disagree")
+            raise DigitRepeatError(
+                f"repeat nibbles {n[10]:#x}{n[11]:#x} != digits {n[4]:#x}{n[5]:#x}"
+            )
+        if any(d > 9 for d in n[4:7]):
+            raise BcdError(f"non-BCD digit in value nibbles {n[4]:#x}{n[5]:#x}{n[6]:#x}")
         if n[1] not in tuple(LcwQuantity):
             raise UnknownMessageTypeError(f"quantity type {n[1]:#x}")
 
@@ -543,26 +542,13 @@ def nibbles_to_bits(nibbles: tuple[int, ...]) -> str:
 def decode_lcw(bits: str) -> tuple[LCWFrame, WeatherRecord]:
     """Validate a 52-bit string and extract the single reported quantity.
 
-    Checks run in order: sync nibble, checksum, digit repeat, BCD digits,
-    quantity type, value range. Every failure raises a typed DecodeError.
+    The integrity checks are those of ``LCWFrame``; a wind direction code
+    above 15 then raises ValueRangeError.
     """
     if len(bits) != 52:
         raise ValueError(f"expected 52 bits, got {len(bits)}")
-    n = bits_to_nibbles(bits)
-    if n[0] != LCW_SYNC_NIBBLE:
-        raise SyncError(f"sync nibble {n[0]:#x} != 0x9")
-    if n[12] != sum(n[:12]) % 16:
-        raise ChecksumError(f"checksum {n[12]:#x} != computed {sum(n[:12]) % 16:#x}")
-    if n[10] != n[4] or n[11] != n[5]:
-        raise DigitRepeatError(
-            f"repeat nibbles {n[10]:#x}{n[11]:#x} != digits {n[4]:#x}{n[5]:#x}"
-        )
-    if any(d > 9 for d in n[4:7]):
-        raise BcdError(f"non-BCD digit in value nibbles {n[4]:#x}{n[5]:#x}{n[6]:#x}")
-    if n[1] not in tuple(LcwQuantity):
-        raise UnknownMessageTypeError(f"quantity type {n[1]:#x}")
-
-    frame = LCWFrame(n)
+    frame = LCWFrame(bits_to_nibbles(bits))
+    n = frame.nibbles
     value = n[4] * 100 + n[5] * 10 + n[6]
     station = StationId(Protocol.LCW, frame.station_id, 0)
     common = dict(sensor_battery_ok=frame.battery_ok)
@@ -613,8 +599,6 @@ def build_lcw_frame(
     """
     if station.protocol is not Protocol.LCW:
         raise ValueError("station protocol must be LCW")
-    if station.id > 0x7F:
-        raise ValueRangeError(f"lcw station id {station.id} exceeds 7 bits")
     v = _lcw_value(quantity, value)
     d = (v // 100, v // 10 % 10, v % 10)
     n = [

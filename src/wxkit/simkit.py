@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -27,9 +28,8 @@ from .core import (
     merge_partial,
     record_to_obj,
 )
-from .rfdecode import LcwQuantity
-
-HOUR_S = 3600.0
+from .energy import HOUR_S
+from .rfdecode import _DIR_STEP_DEG, _LCW_RAIN_MM_PER_COUNT, _RAIN_MM_PER_TIP, LcwQuantity
 
 
 class SimConfigError(ValueError):
@@ -104,18 +104,23 @@ class SimConfig:
     barometer: BarometerSpec = BarometerSpec()
 
     def validate(self) -> list[str]:
-        """All problems at once, so the CLI can report them together."""
+        """All problems at once, so the CLI can report them together. The
+        rules of the station, session, radio, governor and energy model are
+        checked by building those objects, one problem per object."""
         problems = []
-        if self.duration_s <= 0:
-            problems.append("duration_s must be positive")
+
+        def check(label, build, *args, **kw):
+            try:
+                build(*args, **kw)
+            except ValueError as exc:
+                problems.append(f"{label}: {exc}")
+
+        if not 0 < self.duration_s < math.inf:
+            problems.append("duration_s must be positive and finite")
         st, ch, tr, gw = self.station, self.channel, self.transponder, self.gateway
-        if st.emission_period_s <= 0:
-            problems.append("station.emission_period_s must be positive")
-        max_id = 0x7F if st.protocol is Protocol.LCW else 0x3FFF
-        if not 0 <= st.id <= max_id:
-            problems.append(f"station.id {st.id} outside 0..{max_id}")
-        if not 0 <= st.channel <= (0 if st.protocol is Protocol.LCW else 3):
-            problems.append(f"station.channel {st.channel} invalid for {st.protocol.label}")
+        if not 0 < st.emission_period_s < math.inf:
+            problems.append("station.emission_period_s must be positive and finite")
+        check("station", StationId, st.protocol, st.id, st.channel)
         for name, p in (("channel.frame_loss_p", ch.frame_loss_p),
                         ("channel.bit_flip_q", ch.bit_flip_q),
                         ("gateway.uplink_loss_p", gw.uplink_loss_p)):
@@ -125,30 +130,17 @@ class SimConfig:
         if profile is None:
             problems.append(f"transponder.profile {tr.profile!r} unknown "
                             f"(have {sorted(energy_mod.PROFILES)})")
-        elif tr.t_cycle_s < profile.t_active_s:
-            problems.append(f"transponder.t_cycle_s {tr.t_cycle_s} shorter than "
-                            f"the platform active phase {profile.t_active_s}")
+        else:
+            check("transponder.t_cycle_s", energy_mod.cycle_energy, profile, tr.t_cycle_s)
         if not 0 < tr.t_cycle_s <= 65535:
             problems.append("transponder.t_cycle_s must be in (0, 65535]")
-        if tr.rx_timeout_s <= 0:
-            problems.append("transponder.rx_timeout_s must be positive")
-        if not 0 < tr.duty_limit <= 1:
-            problems.append("transponder.duty_limit outside (0, 1]")
-        for name, key, length in (("dev_addr", tr.dev_addr, 4),
-                                  ("nwk_skey", tr.nwk_skey, 16),
-                                  ("app_skey", tr.app_skey, 16)):
-            try:
-                if len(bytes.fromhex(key)) != length:
-                    raise ValueError
-            except ValueError:
-                problems.append(f"transponder.{name} must be {length} bytes of hex")
-        if not 1 <= tr.fport <= 223:
-            problems.append(f"transponder.fport {tr.fport} outside 1..223")
-        try:
-            lorawan.RadioParams(sf=tr.sf, bandwidth_hz=tr.bandwidth_hz,
-                                coding_rate=tr.coding_rate)
-        except ValueError as exc:
-            problems.append(f"transponder radio settings: {exc}")
+        if not 0 < tr.rx_timeout_s < math.inf:
+            problems.append("transponder.rx_timeout_s must be positive and finite")
+        check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
+        check("transponder session", lorawan.AbpSession.from_hex,
+              tr.dev_addr, tr.nwk_skey, tr.app_skey, fport=tr.fport)
+        check("transponder radio settings", lorawan.RadioParams,
+              sf=tr.sf, bandwidth_hz=tr.bandwidth_hz, coding_rate=tr.coding_rate)
         return problems
 
     @classmethod
@@ -235,8 +227,8 @@ class _Emitter:
                 frame = rfdecode.build_a5n1_frame(
                     self.station, rfdecode.A5N1_MSG_WIND_DIR_RAIN,
                     wind_kph=self.wind_kph,
-                    wind_dir_deg=self.dir_code * 22.5,
-                    rain_mm=self.rain_tips * 0.254,
+                    wind_dir_deg=self.dir_code * _DIR_STEP_DEG,
+                    rain_mm=self.rain_tips * _RAIN_MM_PER_TIP,
                 )
                 label = "0x31"
             else:
@@ -253,9 +245,9 @@ class _Emitter:
             value = {
                 LcwQuantity.TEMP: self.temp_c,
                 LcwQuantity.HUMIDITY: self.humidity,
-                LcwQuantity.RAIN: min(999, round(self.rain_tips / 4)) * 0.518,
+                LcwQuantity.RAIN: min(999, round(self.rain_tips / 4)) * _LCW_RAIN_MM_PER_COUNT,
                 LcwQuantity.WIND_SPEED: self.wind_kph / 3.6,
-                LcwQuantity.WIND_DIR: self.dir_code * 22.5,
+                LcwQuantity.WIND_DIR: self.dir_code * _DIR_STEP_DEG,
             }[quantity]
             nibbles = rfdecode.build_lcw_frame(quantity, value, self.station)
             bits = rfdecode.nibbles_to_bits(nibbles)
@@ -488,9 +480,8 @@ class Transponder:
         the receiver can stay on long enough that its share alone exceeds
         the lump; then the residual floors at zero and physics wins."""
         p = self.profile
-        d = p.detail
-        shr_uw = d.i_shr_ma * 1000.0 * p.supply_v
-        tx_uw = d.i_tx_ma * 1000.0 * p.supply_v
+        shr_uw = p.shr_power_uw
+        tx_uw = p.tx_power_uw
         ledger: dict[str, float] = {}
         e_shr = e_tx = others_s = 0.0
         for state, dur in self.state_time.items():
@@ -533,13 +524,13 @@ class Transponder:
                 "uwh": self.profile.sleep_power_uw * sleep_s / HOUR_S,
                 "sleep_s": sleep_s}))
         if self.state_time:
-            p, d = self.profile, self.profile.detail
+            p = self.profile
             rates = {}
             for state, dur in self.state_time.items():
                 if state in SHR_ON_STATES:
-                    rates[state.value] = d.i_shr_ma * 1000.0 * p.supply_v * dur / HOUR_S
+                    rates[state.value] = p.shr_power_uw * dur / HOUR_S
                 elif state is State.TRANSMIT:
-                    rates[state.value] = d.i_tx_ma * 1000.0 * p.supply_v * dur / HOUR_S
+                    rates[state.value] = p.tx_power_uw * dur / HOUR_S
                 else:
                     rates[state.value] = energy_mod.fit_component_power(p) * dur / HOUR_S
             actions.append(("trace", {

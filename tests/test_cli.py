@@ -3,6 +3,8 @@ import json
 import pytest
 
 from wxkit.cli import main
+from wxkit.core import Protocol, StationId
+from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, build_a5n1_frame
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -99,6 +101,25 @@ RECORD_LINE = json.dumps({
 })
 
 
+def _record_with(**changes) -> str:
+    return json.dumps({**json.loads(RECORD_LINE), **changes})
+
+
+@pytest.mark.parametrize("bad", [
+    _record_with(station={"protocol": "a5n1", "id": "7", "channel": 0}),
+    _record_with(frames_received="x"),
+    _record_with(station={"protocol": 5, "id": 7}),
+    _record_with(station={"protocol": "lcw", "id": 128}),
+    "[1]",
+], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object"])
+def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
+    code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n{RECORD_LINE}\n",
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    assert len(out.split()) == 1            # the second record is still encoded
+    assert err.startswith("line 1: ") and err.count("\n") == 1
+
+
 def test_payload_roundtrip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["payload"], stdin=RECORD_LINE + "\n",
                            monkeypatch=monkeypatch)
@@ -168,6 +189,39 @@ def test_input_file_not_text_is_validation_error(argv, tmp_path, capsys):
     path.write_bytes("0102 # café\n".encode() + b"\xff\n")
     code, out, err = run_cli(capsys, [*argv, str(path)])
     assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--protocol", "a5n1"],
+    ["payload"],
+    ["frame", *KEY_ARGS],
+    ["simulate", "--config"],
+])
+def test_missing_input_file_exits_1(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, [*argv, str(tmp_path / "missing.txt")])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+A5N1_HEX = build_a5n1_frame(StationId(Protocol.A5N1, 7, 0), A5N1_MSG_TEMP_HUMIDITY).hex()
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["decode", "--protocol", "a5n1", "--format", "hex", "-o"], A5N1_HEX + "\n"),
+    (["encode", "--protocol", "a5n1", "--id", "7", "-o"], ""),
+    (["payload", "-o"], RECORD_LINE + "\n"),
+    (["frame", *KEY_ARGS, "-o"], "0102\n"),
+    (["simulate", "--duration-s", "3600", "--out"], ""),
+], ids=["decode", "encode", "payload", "frame", "simulate"])
+def test_unwritable_output_exits_1(argv, stdin, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "no-such-dir" / "out.txt"
+    code, out, err = run_cli(capsys, [*argv, str(path)], stdin=stdin,
+                             monkeypatch=monkeypatch)
+    assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
@@ -271,6 +325,28 @@ def test_simulate_config_errors_listed_together(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
     assert code == 3
     assert err.count("config error:") >= 3
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", [
+    "duration_s",
+    "station.emission_period_s",
+    "transponder.rx_timeout_s",
+    "transponder.t_cycle_s",
+])
+def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
+    obj = {"duration_s": 3600}
+    *parents, key = field.split(".")
+    target = obj
+    for name in parents:
+        target = target.setdefault(name, {})
+    target[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))          # NaN and Infinity as Python's json writes them
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("config error: ")
 
 
 def test_simulate_loss_statistics(tmp_path, capsys):

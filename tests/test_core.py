@@ -24,6 +24,8 @@ def test_station_id_invariants():
         StationId(Protocol.A5N1, 1, 4)
     with pytest.raises(ValueError):
         StationId(Protocol.LCW, 1, 1)
+    with pytest.raises(ValueError):
+        StationId(Protocol.LCW, 128, 0)
     StationId(Protocol.LCW, 127, 0)
 
 

@@ -11,6 +11,7 @@ from wxkit.lorawan import (
     MAX_FRM_PAYLOAD,
     AbpSession,
     CounterError,
+    DutyCycleGovernor,
     FrameError,
     MicMismatchError,
     PayloadError,
@@ -21,7 +22,6 @@ from wxkit.lorawan import (
     duty_cycle_wait,
     frame_build,
     frame_parse,
-    governor_check,
     payload_decode,
     payload_encode,
 )
@@ -287,6 +287,15 @@ def test_session_key_reassignment_takes_effect():
         frame_parse(frame, server)
     server.nwk_skey = new_nwk
     assert frame_parse(frame, server) == (payload, 2)
+    server.fcnt_up = 3
+
+    # a new key is checked as the constructor checks it
+    device.app_skey = new_app.hex()
+    assert frame_parse(frame_build(device, payload), server) == (payload, 3)
+    device.nwk_skey = bytes(5)
+    with pytest.raises(ValueError, match="16 bytes"):
+        frame_build(device, payload)
+    assert device.fcnt_up == 4
 
 
 def test_session_cache_stays_out_of_eq_and_repr():
@@ -424,11 +433,17 @@ def test_duty_cycle_wait_values():
         duty_cycle_wait(0.1, 0.0)
 
 
+def governor_after(tx_end: float, t_air: float) -> DutyCycleGovernor:
+    gov = DutyCycleGovernor(0.01)
+    gov.note_transmission(tx_end, t_air)
+    return gov
+
+
 def test_governor_check():
-    allowed, next_allowed = governor_check(10.0, 0.287744, 10.0 + 28.0)
+    allowed, next_allowed = governor_after(10.0, 0.287744).check(10.0 + 28.0)
     assert not allowed
     assert next_allowed == pytest.approx(38.486656)
-    allowed, _ = governor_check(10.0, 0.287744, 10.0 + 29.0)
+    allowed, _ = governor_after(10.0, 0.287744).check(10.0 + 29.0)
     assert allowed
 
 
@@ -436,5 +451,5 @@ def test_five_minute_interval_is_legal():
     # the 289 ms / 5 min operating point sits far below the 1% cap
     duty = 0.287744 / 300.0
     assert duty < 0.001
-    allowed, _ = governor_check(0.0, 0.287744, 300.0)
+    allowed, _ = governor_after(0.0, 0.287744).check(300.0)
     assert allowed

@@ -338,6 +338,16 @@ def test_config_validation_collects_everything():
         run(cfg)
 
 
+def test_config_validation_reports_one_problem_per_object():
+    cfg = SimConfig(
+        station=StationSpec(protocol=Protocol.LCW, id=200, channel=0),
+        transponder=TransponderSpec(app_skey="00", fport=0, sf=6, duty_limit=1.5),
+    )
+    labels = [p.split(":")[0] for p in cfg.validate()]
+    assert labels == ["station", "transponder.duty_limit", "transponder session",
+                      "transponder radio settings"]
+
+
 def test_config_dict_roundtrip():
     cfg = SimConfig.from_dict({
         "duration_s": 3600,
