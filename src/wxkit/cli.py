@@ -373,6 +373,9 @@ def cmd_simulate(args) -> int:
             return EXIT_VALIDATION
         except UnicodeDecodeError as exc:
             raise InputEncodingError(args.config, exc) from None
+    if not isinstance(obj, dict):
+        print(f"config error: config must be a JSON object, not {obj!r}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.seed is not None:
         obj["seed"] = args.seed
     if args.duration_s is not None:

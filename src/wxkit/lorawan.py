@@ -222,7 +222,11 @@ class AbpSession:
         return cls(bytes.fromhex(dev_addr), bytes.fromhex(nwk_skey), bytes.fromhex(app_skey), **kw)
 
     def _aes(self, key: bytes) -> _AesContexts:
-        ctx = self._aes_cache.get(key)
+        try:
+            ctx = self._aes_cache.get(key)
+        except TypeError:       # a bytearray is unhashable: look it up by value
+            key = bytes(key)
+            ctx = self._aes_cache.get(key)
         if ctx is None:
             raw = _parse_key(key, 16, "session key")
             if len(self._aes_cache) >= _AES_CACHE_MAX:

@@ -4,15 +4,15 @@ receive/repack/transmit state machine with an energy ledger and duty-cycle
 governor, and a gateway/server endpoint that verifies and decodes uplinks.
 
 Determinism contract: one seeded ``random.Random`` drives every stochastic
-decision, events are processed in (time, insertion order), and identical
-(config, seed) pairs produce byte-identical traces.
+decision, and identical (config, seed) pairs produce byte-identical traces.
+Time advances on two clocks, the next emission and the transponder's one
+wake timer; when both fall at the same time, the emission goes first.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import heapq
 import json
 import math
 import random
@@ -93,6 +93,32 @@ class BarometerSpec:
     temp_noise_c: float = 0.0
 
 
+# The values a config field accepts, by its annotation; a bool is not a number.
+_FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+                "str": (str, "a string"), "Protocol": (Protocol, "'a5n1' or 'lcw'")}
+
+
+def _mistyped(prefix: str, spec) -> list[str]:
+    """One problem for each field of ``spec`` whose value has the wrong type."""
+    problems = []
+    for f in dataclasses.fields(spec):
+        if f.type in _FIELD_TYPES:
+            types, what = _FIELD_TYPES[f.type]
+            value = getattr(spec, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                problems.append(f"{prefix}{f.name} must be {what}, not {value!r}")
+    return problems
+
+
+def _protocol(label):
+    if isinstance(label, str):
+        try:
+            return Protocol.from_label(label)
+        except ValueError:
+            pass
+    return label
+
+
 @dataclass(frozen=True)
 class SimConfig:
     duration_s: float = 86_400.0
@@ -104,10 +130,19 @@ class SimConfig:
     barometer: BarometerSpec = BarometerSpec()
 
     def validate(self) -> list[str]:
-        """All problems at once, so the CLI can report them together. The
-        rules of the station, session, radio, governor and energy model are
-        checked by building those objects, one problem per object."""
-        problems = []
+        """All problems at once, so the CLI can report them together. A
+        wrongly typed field is one problem, and the other rules of its object
+        are skipped. The rules of the station, session, radio, governor and
+        energy model are checked by building those objects, one problem per
+        object."""
+        st, ch, tr, gw = self.station, self.channel, self.transponder, self.gateway
+        problems, typed = [], set()
+        for prefix, spec in (("", self), ("station.", st), ("channel.", ch),
+                             ("transponder.", tr), ("gateway.", gw), ("barometer.", self.barometer)):
+            mistyped = _mistyped(prefix, spec)
+            problems += mistyped
+            if not mistyped:
+                typed.add(prefix)
 
         def check(label, build, *args, **kw):
             try:
@@ -115,17 +150,19 @@ class SimConfig:
             except ValueError as exc:
                 problems.append(f"{label}: {exc}")
 
-        if not 0 < self.duration_s < math.inf:
+        if "" in typed and not 0 < self.duration_s < math.inf:
             problems.append("duration_s must be positive and finite")
-        st, ch, tr, gw = self.station, self.channel, self.transponder, self.gateway
-        if not 0 < st.emission_period_s < math.inf:
-            problems.append("station.emission_period_s must be positive and finite")
-        check("station", StationId, st.protocol, st.id, st.channel)
-        for name, p in (("channel.frame_loss_p", ch.frame_loss_p),
-                        ("channel.bit_flip_q", ch.bit_flip_q),
-                        ("gateway.uplink_loss_p", gw.uplink_loss_p)):
-            if not 0 <= p <= 1:
-                problems.append(f"{name} {p} outside [0, 1]")
+        if "station." in typed:
+            if not 0 < st.emission_period_s < math.inf:
+                problems.append("station.emission_period_s must be positive and finite")
+            check("station", StationId, st.protocol, st.id, st.channel)
+        for prefix, name, p in (("channel.", "frame_loss_p", ch.frame_loss_p),
+                                ("channel.", "bit_flip_q", ch.bit_flip_q),
+                                ("gateway.", "uplink_loss_p", gw.uplink_loss_p)):
+            if prefix in typed and not 0 <= p <= 1:
+                problems.append(f"{prefix}{name} {p} outside [0, 1]")
+        if "transponder." not in typed:
+            return problems
         profile = energy_mod.PROFILES.get(tr.profile)
         if profile is None:
             problems.append(f"transponder.profile {tr.profile!r} unknown "
@@ -145,8 +182,13 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
+        """Numbers and known protocol labels are converted; any other value
+        is kept as it is, for ``validate`` to report against its field."""
         def sub(spec_cls, key, **convert):
-            raw = dict(obj.get(key, {}))
+            raw = obj.get(key, {})
+            if not isinstance(raw, dict):
+                raise SimConfigError([f"{key} must be an object, not {raw!r}"])
+            raw = dict(raw)
             for k, fn in convert.items():
                 if k in raw:
                     raw[k] = fn(raw[k])
@@ -160,10 +202,11 @@ class SimConfig:
                ("duration_s", "seed", "station", "channel", "transponder", "gateway", "barometer")}
         if top:
             raise SimConfigError([f"unknown config option(s): {sorted(top)}"])
+        duration_s = obj.get("duration_s", 86_400.0)
         return cls(
-            duration_s=float(obj.get("duration_s", 86_400.0)),
-            seed=int(obj.get("seed", 1)),
-            station=sub(StationSpec, "station", protocol=Protocol.from_label),
+            duration_s=float(duration_s) if type(duration_s) in (int, float) else duration_s,
+            seed=obj.get("seed", 1),
+            station=sub(StationSpec, "station", protocol=_protocol),
             channel=sub(ChannelSpec, "channel"),
             transponder=sub(TransponderSpec, "transponder"),
             gateway=sub(GatewaySpec, "gateway"),
@@ -281,25 +324,25 @@ READ_BARO_S = 0.2
 BUILD_TX_S = 0.2
 
 
-@dataclass(frozen=True)
-class WakeEvent:
-    t: float
-    epoch: int
-
-
-@dataclass(frozen=True)
-class FrameEvent:
-    t: float
-    bits: str
+@dataclass(frozen=True, slots=True)
+class Uplink:
+    """A frame the transponder has just finished transmitting."""
+    frame: bytes
+    t_air: float
+    record: dict
 
 
 class Transponder:
     """Receive two sensor messages, read the barometer, repack, transmit,
     deep-sleep for the rest of the cycle.
 
-    ``step`` mutates only this object and returns the actions for the event
-    loop to perform: ("wake", t, epoch), ("uplink", t, frame, t_air, record)
-    and ("trace", dict) tuples.
+    The transponder has one live timer, ``wake_at``; every state change and
+    every governor wait replaces it. ``step(now)`` fires that timer and
+    ``step(now, bits)`` delivers a received frame. Each mutates only this
+    object and returns the trace events and at most one ``Uplink``, in the
+    order they happen. The transponder keeps its own energy ledger: each
+    ``sleep_energy`` and ``cycle_energy`` entry it returns is also added to
+    ``energy_by_state``.
     """
 
     def __init__(self, spec: TransponderSpec, station: StationId,
@@ -319,10 +362,11 @@ class Transponder:
 
         self.state = State.RESET
         self.state_entered = 0.0
-        self.epoch = 0
+        self.wake_at = RESET_S
         self.cycle = 0
         self.cycle_start: float | None = None
         self.state_time: dict[State, float] = {}
+        self.energy_by_state: dict[str, float] = {}
         self.record = self._fresh_record()
         self.frames_received = 0
         self._pending_frame: bytes | None = None
@@ -339,32 +383,29 @@ class Transponder:
     def shr_powered(self) -> bool:
         return self.state in SHR_ON_STATES
 
-    def boot(self) -> list[tuple]:
-        return [("wake", RESET_S, self.epoch),
-                ("trace", {"ev": "state", "from": None, "to": self.state.value})]
+    def boot(self) -> list[dict]:
+        return [{"ev": "state", "from": None, "to": self.state.value}]
 
     # -- transitions --------------------------------------------------------
 
-    def _enter(self, now: float, new_state: State, duration: float | None) -> list[tuple]:
+    def _accrue(self, now: float):
+        """Charge the time since the last accrual to the current state."""
         self.state_time[self.state] = self.state_time.get(self.state, 0.0) + (now - self.state_entered)
-        actions = [("trace", {"ev": "state", "from": self.state.value, "to": new_state.value})]
-        self.state = new_state
         self.state_entered = now
-        self.epoch += 1
-        if duration is not None:
-            actions.append(("wake", now + duration, self.epoch))
-        return actions
 
-    def step(self, event: WakeEvent | FrameEvent) -> list[tuple]:
-        if isinstance(event, FrameEvent):
-            return self._on_frame(event.t, event.bits)
-        if isinstance(event, WakeEvent):
-            if event.epoch != self.epoch:
-                return []   # a timer superseded by a state change
-            return self._on_wake(event.t)
-        raise ProtocolViolationError(f"unknown event {event!r}")
+    def _enter(self, now: float, new_state: State, duration: float) -> list[dict]:
+        self._accrue(now)
+        event = {"ev": "state", "from": self.state.value, "to": new_state.value}
+        self.state = new_state
+        self.wake_at = now + duration
+        return [event]
 
-    def _on_frame(self, now: float, bits: str) -> list[tuple]:
+    def step(self, now: float, bits: str | None = None) -> list[dict | Uplink]:
+        if bits is None:
+            return self._on_wake(now)
+        return self._on_frame(now, bits)
+
+    def _on_frame(self, now: float, bits: str) -> list[dict]:
         if self.state not in RX_STATES:
             raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
         decode = rfdecode.decode_a5n1 if self.station.protocol is Protocol.A5N1 \
@@ -372,32 +413,30 @@ class Transponder:
         try:
             _, partial = decode(bits)
         except rfdecode.DecodeError as exc:
-            return [("trace", {"ev": "frame_rx", "state": self.state.value,
-                               "ok": False, "reason": str(exc)})]
+            return [{"ev": "frame_rx", "state": self.state.value,
+                     "ok": False, "reason": str(exc)}]
         if partial.station != self.station:
-            return [("trace", {"ev": "frame_rx", "state": self.state.value,
-                               "ok": False, "reason": "foreign station"})]
+            return [{"ev": "frame_rx", "state": self.state.value,
+                     "ok": False, "reason": "foreign station"}]
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
-        actions = [("trace", {"ev": "frame_rx", "state": self.state.value,
-                              "ok": True, "record": record_to_obj(partial)})]
+        events = [{"ev": "frame_rx", "state": self.state.value,
+                   "ok": True, "record": record_to_obj(partial)}]
         if self.state is State.RX1:
-            actions += self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
-        else:
-            actions += self._enter(now, State.READ_BARO, READ_BARO_S)
-        return actions
+            return events + self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
+        return events + self._enter(now, State.READ_BARO, READ_BARO_S)
 
-    def _on_wake(self, now: float) -> list[tuple]:
+    def _on_wake(self, now: float) -> list[dict | Uplink]:
         s = self.state
         if s is State.RESET:
             return self._enter(now, State.INIT, INIT_S)
         if s is State.INIT:
             return self._start_cycle(now)
         if s in RX_STATES:
-            actions = [("trace", {"ev": "rx_timeout", "state": s.value})]
+            events = [{"ev": "rx_timeout", "state": s.value}]
             if s is State.RX1:
-                return actions + self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
-            return actions + self._enter(now, State.READ_BARO, READ_BARO_S)
+                return events + self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
+            return events + self._enter(now, State.READ_BARO, READ_BARO_S)
         if s is State.INTER_SLEEP:
             return self._enter(now, State.RX2, self.spec.rx_timeout_s)
         if s is State.READ_BARO:
@@ -410,22 +449,15 @@ class Transponder:
             return self._start_cycle(now)
         raise ProtocolViolationError(f"wake in state {s.value}")
 
-    def _start_cycle(self, now: float) -> list[tuple]:
+    def _start_cycle(self, now: float) -> list[dict]:
         self.cycle += 1
         self.cycle_start = now
         self.record = self._fresh_record()
         self.frames_received = 0
-        actions = self._enter(now, State.RX1, self.spec.rx_timeout_s)
         # the sleep that just ended closes its energy entry here
-        sleep_s = self.state_time.pop(State.DEEP_SLEEP, 0.0)
-        if sleep_s > 0:
-            actions.append(("trace", {
-                "ev": "sleep_energy",
-                "uwh": self.profile.sleep_power_uw * sleep_s / HOUR_S,
-                "sleep_s": sleep_s}))
-        return actions
+        return self._enter(now, State.RX1, self.spec.rx_timeout_s) + self._sleep_entry()
 
-    def _read_baro(self, now: float) -> list[tuple]:
+    def _read_baro(self, now: float) -> list[dict]:
         b = self.baro
         pressure = b.pressure_pa + (self.rng.gauss(0.0, b.pressure_noise_pa)
                                     if b.pressure_noise_pa > 0 else 0.0)
@@ -437,11 +469,11 @@ class Transponder:
             battery_mv=round(self.profile.supply_v * 1000),
             valid=dataclasses.replace(self.record.valid, pressure=True),
         )
-        actions = [("trace", {"ev": "baro", "pressure_pa": self.record.pressure_pa,
-                              "board_temp_c": self.record.board_temp_c})]
-        return actions + self._enter(now, State.BUILD_TX, BUILD_TX_S)
+        events = [{"ev": "baro", "pressure_pa": self.record.pressure_pa,
+                   "board_temp_c": self.record.board_temp_c}]
+        return events + self._enter(now, State.BUILD_TX, BUILD_TX_S)
 
-    def _build_and_maybe_transmit(self, now: float) -> list[tuple]:
+    def _build_and_maybe_transmit(self, now: float) -> list[dict]:
         if self._pending_frame is None:
             self.record = self.record.replace(seq=self.cycle & 0xFFFF)
             meta = lorawan.PayloadMeta(
@@ -454,21 +486,19 @@ class Transponder:
         allowed, next_allowed = self.governor.check(now)
         if not allowed:
             # stay in BUILD_TX (MCU waiting on the governor) until permitted
-            self.epoch += 1
-            return [("trace", {"ev": "governor_wait", "until": next_allowed}),
-                    ("wake", next_allowed, self.epoch)]
+            self.wake_at = next_allowed
+            return [{"ev": "governor_wait", "until": next_allowed}]
         return self._enter(now, State.TRANSMIT, self._pending_t_air)
 
-    def _finish_transmit(self, now: float) -> list[tuple]:
+    def _finish_transmit(self, now: float) -> list[dict | Uplink]:
         frame = self._pending_frame
         t_air = self._pending_t_air
         self._pending_frame = None
         self.governor.note_transmission(now, t_air)
-        actions = [("uplink", now, frame, t_air, record_to_obj(self.record))]
+        uplink = Uplink(frame, t_air, record_to_obj(self.record))
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
-        actions += self._enter(now, State.DEEP_SLEEP, sleep_s)
-        actions += self._close_cycle_ledger(t_air)
-        return actions
+        events = self._enter(now, State.DEEP_SLEEP, sleep_s)
+        return [uplink, *events, self._cycle_entry(self._active_ledger(), t_air=t_air)]
 
     # -- energy ledger ------------------------------------------------------
 
@@ -501,28 +531,32 @@ class Transponder:
                 ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
 
-    def _close_cycle_ledger(self, t_air: float) -> list[tuple]:
-        ledger = self._active_ledger()
-        active_s = sum(self.state_time.values())
-        event = {"ev": "cycle_energy", "cycle": self.cycle,
-                 "by_state": {k: ledger[k] for k in sorted(ledger)},
-                 "active_s": active_s, "t_air": t_air}
-        self.state_time = {}
-        return [("trace", event)]
+    def _sleep_entry(self, **extra) -> list[dict]:
+        """The deep sleep accrued since the last entry, at sleep power."""
+        sleep_s = self.state_time.pop(State.DEEP_SLEEP, 0.0)
+        if sleep_s <= 0:
+            return []
+        uwh = self.profile.sleep_power_uw * sleep_s / HOUR_S
+        self.energy_by_state["deep_sleep"] = self.energy_by_state.get("deep_sleep", 0.0) + uwh
+        return [{"ev": "sleep_energy", **extra, "uwh": uwh, "sleep_s": sleep_s}]
 
-    def flush_energy(self, now: float) -> list[tuple]:
+    def _cycle_entry(self, ledger: dict[str, float], **extra) -> dict:
+        """The energy entry of the active states accrued since the last one;
+        clears their accrued time."""
+        by_state = {k: ledger[k] for k in sorted(ledger)}
+        for state, uwh in by_state.items():
+            self.energy_by_state[state] = self.energy_by_state.get(state, 0.0) + uwh
+        event = {"ev": "cycle_energy", "cycle": self.cycle, "by_state": by_state,
+                 "active_s": sum(self.state_time.values()), **extra}
+        self.state_time = {}
+        return event
+
+    def flush_energy(self, now: float) -> list[dict]:
         """Account the state in progress when the simulation ends. A partial
         deep sleep is charged at sleep power; a partial active phase is
         charged per-state at component rates (no lump for unfinished work)."""
-        self.state_time[self.state] = self.state_time.get(self.state, 0.0) + (now - self.state_entered)
-        self.state_entered = now
-        sleep_s = self.state_time.pop(State.DEEP_SLEEP, 0.0)
-        actions = []
-        if sleep_s > 0:
-            actions.append(("trace", {
-                "ev": "sleep_energy", "cycle": self.cycle,
-                "uwh": self.profile.sleep_power_uw * sleep_s / HOUR_S,
-                "sleep_s": sleep_s}))
+        self._accrue(now)
+        events = self._sleep_entry(cycle=self.cycle)
         if self.state_time:
             p = self.profile
             rates = {}
@@ -533,13 +567,8 @@ class Transponder:
                     rates[state.value] = p.tx_power_uw * dur / HOUR_S
                 else:
                     rates[state.value] = energy_mod.fit_component_power(p) * dur / HOUR_S
-            actions.append(("trace", {
-                "ev": "cycle_energy", "cycle": self.cycle,
-                "by_state": {k: rates[k] for k in sorted(rates)},
-                "active_s": sum(self.state_time.values()), "partial": True,
-                "t_air": 0.0}))
-            self.state_time = {}
-        return actions
+            events.append(self._cycle_entry(rates, partial=True, t_air=0.0))
+        return events
 
 
 # ---------------------------------------------------------------------------
@@ -579,75 +608,49 @@ class Simulator:
         self.server_session = lorawan.AbpSession.from_hex(
             config.transponder.dev_addr, config.transponder.nwk_skey,
             config.transponder.app_skey, fport=config.transponder.fport)
-        self._heap: list[tuple[float, int, str, tuple]] = []
-        self._seq = 0
-        self._now = 0.0
         self.violations: list[str] = []
         self.uplinks_attempted = 0
         self.uplinks_delivered = 0
         self.records: list[tuple[float, WeatherRecord, lorawan.PayloadMeta]] = []
         self.transmissions: list[tuple[float, float]] = []   # (end time, airtime)
-        self.energy_by_state: dict[str, float] = {}
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _push(self, t: float, kind: str, args: tuple = ()):
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, args))
 
     def _record_event(self, t: float, event: dict):
         self.trace.events.append({"t": round(t, 6), **event})
 
-    def _apply_actions(self, actions: list[tuple]):
-        for action in actions:
-            kind = action[0]
-            if kind == "trace":
-                event = action[1]
-                self._account_energy(event)
-                self._record_event(self._now, event)
-            elif kind == "wake":
-                _, t, epoch = action
-                self._push(t, "wake", (epoch,))
-            elif kind == "uplink":
-                _, t, frame, t_air, record_obj = action
-                self._handle_uplink(t, frame, t_air, record_obj)
+    def _apply(self, now: float, out: list[dict | Uplink]):
+        for item in out:
+            if isinstance(item, Uplink):
+                self._handle_uplink(now, item)
             else:
-                raise AssertionError(f"unknown action {kind}")
-
-    def _account_energy(self, event: dict):
-        if event["ev"] == "cycle_energy":
-            for state, uwh in event["by_state"].items():
-                self.energy_by_state[state] = self.energy_by_state.get(state, 0.0) + uwh
-        elif event["ev"] == "sleep_energy":
-            self.energy_by_state["deep_sleep"] = (
-                self.energy_by_state.get("deep_sleep", 0.0) + event["uwh"])
+                self._record_event(now, item)
 
     # -- event handlers -----------------------------------------------------
 
-    def _handle_emit(self):
+    def _handle_emit(self, now: float):
         bits, label = self.emitter.emit()
-        self._record_event(self._now, {"ev": "emit", "msg": label,
-                                       "frame_hex": f"{int(bits, 2):0{len(bits) // 4}x}"})
+        self._record_event(now, {"ev": "emit", "msg": label,
+                                 "frame_hex": f"{int(bits, 2):0{len(bits) // 4}x}"})
         out = channel_apply(bits, self.config.channel, self.rng)
         if out is None:
-            self._record_event(self._now, {"ev": "channel_drop"})
+            self._record_event(now, {"ev": "channel_drop"})
             return
         if out != bits:
             flips = sum(a != b for a, b in zip(out, bits))
-            self._record_event(self._now, {"ev": "channel_corrupt", "flips": flips})
+            self._record_event(now, {"ev": "channel_corrupt", "flips": flips})
         tr = self.transponder
         if tr.shr_listening:
-            self._apply_actions(tr.step(FrameEvent(self._now, out)))
+            self._apply(now, tr.step(now, out))
         elif tr.shr_powered:
-            self._record_event(self._now, {"ev": "frame_ignored", "state": tr.state.value})
+            self._record_event(now, {"ev": "frame_ignored", "state": tr.state.value})
         else:
-            self._record_event(self._now, {"ev": "frame_missed", "state": tr.state.value})
+            self._record_event(now, {"ev": "frame_missed", "state": tr.state.value})
 
-    def _handle_uplink(self, t: float, frame: bytes, t_air: float, record_obj: dict):
+    def _handle_uplink(self, t: float, uplink: Uplink):
+        frame, t_air = uplink.frame, uplink.t_air
         self.uplinks_attempted += 1
         self.transmissions.append((t, t_air))
         self._record_event(t, {"ev": "uplink_tx", "fcnt": self.transponder.session.fcnt_up - 1,
-                               "phy_len": len(frame), "t_air": t_air, "record": record_obj})
+                               "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
         if self.rng.random() < self.config.gateway.uplink_loss_p:
             self._record_event(t, {"ev": "uplink_drop"})
             return
@@ -670,27 +673,19 @@ class Simulator:
 
     def run(self) -> SimTrace:
         cfg = self.config
+        tr = self.transponder
         period = cfg.station.emission_period_s
-        t = period / 2.0
-        while t <= cfg.duration_s:
-            self._push(t, "emit")
-            t += period
-        self._apply_actions(self.transponder.boot())
-
-        last_t = 0.0
-        while self._heap:
-            t, _, kind, args = heapq.heappop(self._heap)
-            if t > cfg.duration_s:
-                break
-            assert t >= last_t, "event times must be non-decreasing"
-            last_t = self._now = t
-            if kind == "emit":
-                self._handle_emit()
-            elif kind == "wake":
-                self._apply_actions(self.transponder.step(WakeEvent(t, args[0])))
-
-        self._now = cfg.duration_s
-        self._apply_actions(self.transponder.flush_energy(self._now))
+        next_emit = period / 2.0
+        self._apply(0.0, tr.boot())
+        # two clocks: the next emission and the transponder's one timer; at
+        # equal times the emission goes first
+        while (now := min(next_emit, tr.wake_at)) <= cfg.duration_s:
+            if now == next_emit:
+                self._handle_emit(now)
+                next_emit += period
+            else:
+                self._apply(now, tr.step(now))
+        self._apply(cfg.duration_s, tr.flush_energy(cfg.duration_s))
         self._finish_summary()
         return self.trace
 
@@ -709,7 +704,8 @@ class Simulator:
             if all(getattr(r.valid, flag) for flag in
                    ("temp", "humidity", "wind_speed", "wind_dir", "rain", "pressure"))
         )
-        total = sum(self.energy_by_state.values())
+        energy_by_state = self.transponder.energy_by_state
+        total = sum(energy_by_state.values())
         self.trace.summary = {
             "duration_s": cfg.duration_s,
             "seed": cfg.seed,
@@ -719,8 +715,7 @@ class Simulator:
             "records_decoded": len(self.records),
             "complete_records": complete,
             "energy_uwh_total": total,
-            "energy_uwh_by_state": {k: self.energy_by_state[k]
-                                    for k in sorted(self.energy_by_state)},
+            "energy_uwh_by_state": {k: energy_by_state[k] for k in sorted(energy_by_state)},
             "total_airtime_s": total_airtime,
             "duty_cycle_utilization": total_airtime / cfg.duration_s,
             "max_hour_window_airtime_s": window_peak,

@@ -327,12 +327,16 @@ def test_simulate_config_errors_listed_together(tmp_path, capsys):
     assert err.count("config error:") >= 3
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-@pytest.mark.parametrize("field", [
-    "duration_s",
-    "station.emission_period_s",
-    "transponder.rx_timeout_s",
-    "transponder.t_cycle_s",
+@pytest.mark.parametrize("field,value", [
+    *(pytest.param(field, value, id=f"{field}-{name}")
+      for field in ("duration_s", "station.emission_period_s",
+                    "transponder.rx_timeout_s", "transponder.t_cycle_s")
+      for name, value in (("nan", float("nan")), ("inf", float("inf")))),
+    # wrongly typed fields
+    pytest.param("station.protocol", 5, id="station.protocol-int"),
+    pytest.param("barometer.pressure_noise_pa", "x", id="barometer.pressure_noise_pa-str"),
+    pytest.param("transponder.t_cycle_s", "300", id="transponder.t_cycle_s-str"),
+    pytest.param("channel.frame_loss_p", None, id="channel.frame_loss_p-null"),
 ])
 def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     obj = {"duration_s": 3600}
@@ -346,7 +350,17 @@ def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
     assert code == 3
     assert out == ""
-    assert err.startswith("config error: ")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {field} ")
+
+
+@pytest.mark.parametrize("text", ["[1]", "5", "null"])
+def test_simulate_config_not_an_object_exits_3(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), "--seed", "2"])
+    assert (code, out) == (3, "")
+    assert err == f"config error: config must be a JSON object, not {json.loads(text)!r}\n"
 
 
 def test_simulate_loss_statistics(tmp_path, capsys):

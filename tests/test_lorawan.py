@@ -292,10 +292,17 @@ def test_session_key_reassignment_takes_effect():
     # a new key is checked as the constructor checks it
     device.app_skey = new_app.hex()
     assert frame_parse(frame_build(device, payload), server) == (payload, 3)
+    server.fcnt_up = 4
+    device.app_skey = bytearray(new_app)
+    assert frame_parse(frame_build(device, payload), server) == (payload, 4)
+    server.fcnt_up = 5
+    device.app_skey[0] ^= 1                             # a mutable key changed in place
+    server.app_skey = bytes(device.app_skey)
+    assert frame_parse(frame_build(device, payload), server) == (payload, 5)
     device.nwk_skey = bytes(5)
     with pytest.raises(ValueError, match="16 bytes"):
         frame_build(device, payload)
-    assert device.fcnt_up == 4
+    assert device.fcnt_up == 6
 
 
 def test_session_cache_stays_out_of_eq_and_repr():

@@ -10,7 +10,6 @@ from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, build_a5n1_frame, bytes_to_bi
 from wxkit.simkit import (
     BarometerSpec,
     ChannelSpec,
-    FrameEvent,
     GatewaySpec,
     ProtocolViolationError,
     SimConfig,
@@ -19,7 +18,7 @@ from wxkit.simkit import (
     StationSpec,
     Transponder,
     TransponderSpec,
-    WakeEvent,
+    Uplink,
     channel_apply,
     run,
 )
@@ -73,64 +72,70 @@ def make_transponder() -> Transponder:
     return Transponder(TransponderSpec(), STATION, BarometerSpec(), random.Random(1))
 
 
-def wake(tr: Transponder, t: float):
-    return tr.step(WakeEvent(t, tr.epoch))
+def fire(tr: Transponder):
+    """Advance the transponder to its one live timer."""
+    return tr.step(tr.wake_at)
 
 
 def test_step_happy_path_through_cycle():
     tr = make_transponder()
     tr.boot()
-    wake(tr, 0.1)            # RESET -> INIT
-    wake(tr, 0.6)            # INIT -> RX1
+    assert tr.wake_at == 0.1
+    fire(tr)                 # RESET -> INIT
+    fire(tr)                 # INIT -> RX1
     assert tr.state is State.RX1 and tr.cycle == 1
+    assert tr.wake_at == 60.6
 
     bits = bytes_to_bits(build_a5n1_frame(
         STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=20.0, humidity_pct=50))
-    actions = tr.step(FrameEvent(9.0, bits))
-    assert tr.state is State.INTER_SLEEP
+    out = tr.step(9.0, bits)
+    assert tr.state is State.INTER_SLEEP and tr.wake_at == 19.0
     assert tr.record.valid.temp and tr.record.valid.humidity
-    assert actions[0][1]["ok"] is True
+    assert out[0]["ok"] is True
 
-    wake(tr, 19.0)           # INTER_SLEEP -> RX2
-    assert tr.state is State.RX2
-    wake(tr, 79.0)           # RX2 timeout -> READ_BARO, wind/dir/rain invalid
+    fire(tr)                 # INTER_SLEEP -> RX2
+    assert tr.state is State.RX2 and tr.wake_at == 79.0
+    fire(tr)                 # RX2 timeout -> READ_BARO, wind/dir/rain invalid
     assert tr.state is State.READ_BARO
     assert not tr.record.valid.wind_dir and not tr.record.valid.rain
-    wake(tr, 79.2)           # READ_BARO -> BUILD_TX (pressure now valid)
+    fire(tr)                 # READ_BARO -> BUILD_TX (pressure now valid)
     assert tr.record.valid.pressure
-    wake(tr, 79.4)           # BUILD_TX -> TRANSMIT
+    fire(tr)                 # BUILD_TX -> TRANSMIT
     assert tr.state is State.TRANSMIT
-    actions = wake(tr, 79.4 + 0.287744)
+    assert tr.wake_at == pytest.approx(79.4 + 0.287744)
+    out = fire(tr)
     assert tr.state is State.DEEP_SLEEP
-    kinds = [a[0] for a in actions]
-    assert "uplink" in kinds
+    assert [type(item) for item in out] == [Uplink, dict, dict]
+    assert [item["ev"] for item in out[1:]] == ["state", "cycle_energy"]
+    assert tr.energy_by_state == out[2]["by_state"]
 
 
 def test_step_corrupt_frame_stays_in_rx():
     tr = make_transponder()
     tr.boot()
-    wake(tr, 0.1)
-    wake(tr, 0.6)
+    fire(tr)
+    fire(tr)
     bits = bytes_to_bits(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     corrupted = ("1" if bits[0] == "0" else "0") + bits[1:]
-    actions = tr.step(FrameEvent(5.0, corrupted))
+    out = tr.step(5.0, corrupted)
     assert tr.state is State.RX1
-    assert actions[0][1]["ok"] is False
-    # absolute timeout still pending: the original wake epoch is unchanged
-    wake(tr, 60.6)
+    assert out[0]["ok"] is False
+    # the absolute timeout still stands
+    assert tr.wake_at == 60.6
+    fire(tr)
     assert tr.state is State.INTER_SLEEP
 
 
 def test_step_foreign_station_rejected():
     tr = make_transponder()
     tr.boot()
-    wake(tr, 0.1)
-    wake(tr, 0.6)
+    fire(tr)
+    fire(tr)
     other = StationId(Protocol.A5N1, 0x111, 1)
     bits = bytes_to_bits(build_a5n1_frame(other, A5N1_MSG_TEMP_HUMIDITY))
-    actions = tr.step(FrameEvent(5.0, bits))
-    assert tr.state is State.RX1
-    assert actions[0][1]["reason"] == "foreign station"
+    out = tr.step(5.0, bits)
+    assert tr.state is State.RX1 and tr.wake_at == 60.6
+    assert out[0]["reason"] == "foreign station"
 
 
 def test_step_ill_targeted_frame_raises():
@@ -138,15 +143,17 @@ def test_step_ill_targeted_frame_raises():
     tr.boot()
     bits = bytes_to_bits(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     with pytest.raises(ProtocolViolationError):
-        tr.step(FrameEvent(0.05, bits))   # still in RESET
+        tr.step(0.05, bits)   # still in RESET
 
 
-def test_step_stale_wake_is_ignored():
-    tr = make_transponder()
-    tr.boot()
-    wake(tr, 0.1)
-    stale = WakeEvent(0.2, tr.epoch - 1)
-    assert tr.step(stale) == []
+def test_emission_goes_first_when_it_ties_with_a_wake():
+    # the first emission lands at half a period: 0.1 s, when RESET ends
+    trace = run(short_config(duration_s=1.0, station=StationSpec(emission_period_s=0.2)))
+    first = trace.events[:4]
+    assert [(ev["t"], ev["ev"]) for ev in first] == [
+        (0.0, "state"), (0.1, "emit"), (0.1, "frame_missed"), (0.1, "state")]
+    assert first[2]["state"] == "reset"
+    assert (first[3]["from"], first[3]["to"]) == ("reset", "init")
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +259,19 @@ def test_ledger_matches_closed_form_at_300s():
 
 def test_ledger_is_sum_of_event_entries():
     trace = run(short_config())
-    total = 0.0
+    by_state = {}
     for ev in trace.events:
         if ev["ev"] == "cycle_energy":
-            total += sum(ev["by_state"].values())
+            entries = ev["by_state"].items()
         elif ev["ev"] == "sleep_energy":
-            total += ev["uwh"]
-    assert total == pytest.approx(trace.summary["energy_uwh_total"], rel=1e-12)
+            entries = [("deep_sleep", ev["uwh"])]
+        else:
+            continue
+        for state, uwh in entries:
+            by_state[state] = by_state.get(state, 0.0) + uwh
+    summary = trace.summary
+    assert summary["energy_uwh_by_state"] == pytest.approx(by_state, rel=1e-12)
+    assert sum(by_state.values()) == pytest.approx(summary["energy_uwh_total"], rel=1e-12)
 
 
 def test_duty_cycle_window_invariant():
