@@ -240,13 +240,22 @@ GOLDEN_TRACES = [
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
      "75c2c692ca2486d656c4921d0be45272bfca142531a04bd7f45cb35b7ff4951f"),
+    # 52-bit frames with bit flips, so failed LCW decodes are pinned too
+    ({"duration_s": 86_400.0, "seed": 5,
+      "station": {"protocol": "lcw", "id": 42, "channel": 0},
+      "channel": {"frame_loss_p": 0.1, "bit_flip_q": 0.01},
+      "transponder": {"profile": "lopy4", "t_cycle_s": 300},
+      "gateway": {"uplink_loss_p": 0.05}},
+     "2c7f7d0fcc025e065ed6532e657e09dcdd2befaa842a9f8ab9d49377248d7c38"),
 ]
 
 
-@pytest.mark.parametrize("obj,sha256", GOLDEN_TRACES, ids=["a5n1_lossy", "lcw_lopy4"])
+@pytest.mark.parametrize("obj,sha256", GOLDEN_TRACES,
+                         ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy"])
 def test_golden_trace(obj, sha256):
     trace = run(SimConfig.from_dict(obj)).to_jsonl()
-    assert hashlib.sha256(trace.encode()).hexdigest() == sha256
+    actual = hashlib.sha256(trace.encode()).hexdigest()
+    assert actual == sha256, f"trace sha256 {actual} != pinned {sha256}"
 
 
 def test_ledger_matches_closed_form_at_300s():
