@@ -262,7 +262,7 @@ def _a5n1_checksum(data: bytes) -> int:
 
 
 def _even_parity_ok(byte: int) -> bool:
-    return bin(byte).count("1") % 2 == 0
+    return byte.bit_count() % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -306,14 +306,19 @@ class A5N1Frame:
         return self.data.hex()
 
 
+# Deletes every 0/1 character: a bitstring translates to "".
+_DROP_BITS = str.maketrans("", "", "01")
+
+
 def bits_to_bytes(bits: str) -> bytes:
-    if len(bits) % 8 or any(c not in "01" for c in bits):
+    # the 0/1 check runs first: int(..., 2) also accepts "_", signs and whitespace
+    if len(bits) % 8 or bits.translate(_DROP_BITS):
         raise ValueError("bitstring must be 0/1 characters in whole bytes")
-    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
 def bytes_to_bits(data: bytes) -> str:
-    return "".join(f"{b:08b}" for b in data)
+    return f"{int.from_bytes(data, 'big'):0{len(data) * 8}b}" if data else ""
 
 
 def f_to_c(deg_f: float) -> float:
@@ -363,7 +368,7 @@ def _with_parity(byte: int) -> int:
     """Set bit 7 so the whole byte has even parity."""
     if not 0 <= byte <= 0x7F:
         raise ValueError("payload bits must fit in bits 6..0")
-    return byte | (0x80 if bin(byte).count("1") % 2 else 0x00)
+    return byte | (0x80 if byte.bit_count() % 2 else 0x00)
 
 
 def _wind_raw(wind_kph: float) -> int:
@@ -530,7 +535,7 @@ class LCWFrame:
 
 
 def bits_to_nibbles(bits: str) -> tuple[int, ...]:
-    if len(bits) % 4 or any(c not in "01" for c in bits):
+    if len(bits) % 4 or bits.translate(_DROP_BITS):
         raise ValueError("bitstring must be 0/1 characters in whole nibbles")
     return tuple(int(bits[i:i + 4], 2) for i in range(0, len(bits), 4))
 

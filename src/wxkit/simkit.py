@@ -93,6 +93,16 @@ class BarometerSpec:
     temp_noise_c: float = 0.0
 
 
+# What the uplink payload carries (``lorawan.payload_encode``): pressure as
+# an unsigned 32-bit count of Pa, board temperature as a signed 16-bit count
+# of 0.01 degC.
+PRESSURE_PA_RANGE = (0, 0xFFFFFFFF)
+BOARD_TEMP_C_RANGE = (-327.68, 327.67)
+
+# The longest run a config may ask for: the trace is held in memory.
+MAX_DURATION_S = 366 * 86_400.0
+
+
 # The values a config field accepts, by its annotation; a bool is not a number.
 _FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
                 "str": (str, "a string"), "Protocol": (Protocol, "'a5n1' or 'lcw'")}
@@ -150,8 +160,8 @@ class SimConfig:
             except ValueError as exc:
                 problems.append(f"{label}: {exc}")
 
-        if "" in typed and not 0 < self.duration_s < math.inf:
-            problems.append("duration_s must be positive and finite")
+        if "" in typed and not 0 < self.duration_s <= MAX_DURATION_S:
+            problems.append(f"duration_s must be positive and at most {MAX_DURATION_S:.0f} (366 days)")
         if "station." in typed:
             if not 0 < st.emission_period_s < math.inf:
                 problems.append("station.emission_period_s must be positive and finite")
@@ -161,6 +171,16 @@ class SimConfig:
                                 ("gateway.", "uplink_loss_p", gw.uplink_loss_p)):
             if prefix in typed and not 0 <= p <= 1:
                 problems.append(f"{prefix}{name} {p} outside [0, 1]")
+        if "barometer." in typed:
+            b = self.barometer
+            for name, (lo, hi) in (("pressure_pa", PRESSURE_PA_RANGE),
+                                   ("board_temp_c", BOARD_TEMP_C_RANGE)):
+                value = getattr(b, name)
+                if not lo <= value <= hi:
+                    problems.append(f"barometer.{name} {value} outside [{lo}, {hi}]")
+            for name in ("pressure_noise_pa", "temp_noise_c"):
+                if not 0 <= getattr(b, name) < math.inf:
+                    problems.append(f"barometer.{name} must be non-negative and finite")
         if "transponder." not in typed:
             return problems
         profile = energy_mod.PROFILES.get(tr.profile)
@@ -224,14 +244,22 @@ class SimConfig:
 
 def channel_apply(bits: str, spec: ChannelSpec, rng: random.Random) -> str | None:
     """Drop the frame with probability p, else flip each bit independently
-    with probability q. Returns None for a dropped frame."""
+    with probability q. Returns None for a dropped frame, and ``bits``
+    itself when no bit flips. One draw per bit, in bit order, whenever
+    q > 0."""
     if rng.random() < spec.frame_loss_p:
         return None
-    if spec.bit_flip_q <= 0:
+    q = spec.bit_flip_q
+    if q <= 0:
         return bits
-    flipped = [("1" if b == "0" else "0") if rng.random() < spec.bit_flip_q else b
-               for b in bits]
-    return "".join(flipped)
+    draw = rng.random
+    flips = [i for i in range(len(bits)) if draw() < q]
+    if not flips:
+        return bits
+    out = list(bits)
+    for i in flips:
+        out[i] = "1" if out[i] == "0" else "0"
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +290,8 @@ class _Emitter:
         if r.random() < 0.05:
             self.rain_tips += 1
 
-    def emit(self) -> tuple[str, str]:
-        """Returns (bits, message label)."""
+    def emit(self) -> tuple[str, str, str]:
+        """Returns (bits, message label, frame hex)."""
         self._walk()
         if self.spec.protocol is Protocol.A5N1:
             if self.msg_index % 2 == 0:
@@ -271,7 +299,8 @@ class _Emitter:
                     self.station, rfdecode.A5N1_MSG_WIND_DIR_RAIN,
                     wind_kph=self.wind_kph,
                     wind_dir_deg=self.dir_code * _DIR_STEP_DEG,
-                    rain_mm=self.rain_tips * _RAIN_MM_PER_TIP,
+                    # the station's tip counter is 14 bits and wraps
+                    rain_mm=(self.rain_tips % 0x4000) * _RAIN_MM_PER_TIP,
                 )
                 label = "0x31"
             else:
@@ -283,6 +312,7 @@ class _Emitter:
                 )
                 label = "0x38"
             bits = rfdecode.bytes_to_bits(frame)
+            frame_hex = frame.hex()
         else:
             quantity = LcwQuantity(self.msg_index % 5)
             value = {
@@ -294,9 +324,10 @@ class _Emitter:
             }[quantity]
             nibbles = rfdecode.build_lcw_frame(quantity, value, self.station)
             bits = rfdecode.nibbles_to_bits(nibbles)
+            frame_hex = "".join(f"{x:x}" for x in nibbles)
             label = quantity.name.lower()
         self.msg_index += 1
-        return bits, label
+        return bits, label, frame_hex
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +494,9 @@ class Transponder:
                                     if b.pressure_noise_pa > 0 else 0.0)
         board_temp = b.board_temp_c + (self.rng.gauss(0.0, b.temp_noise_c)
                                        if b.temp_noise_c > 0 else 0.0)
+        # a noisy draw can leave what the payload carries
+        pressure = min(max(pressure, PRESSURE_PA_RANGE[0]), PRESSURE_PA_RANGE[1])
+        board_temp = min(max(board_temp, BOARD_TEMP_C_RANGE[0]), BOARD_TEMP_C_RANGE[1])
         self.record = self.record.replace(
             pressure_pa=round(pressure),
             board_temp_c=round(board_temp, 2),
@@ -574,6 +608,11 @@ class Transponder:
 # ---------------------------------------------------------------------------
 # Trace
 
+# One encoder for every line; ``json.dumps(..., sort_keys=True)`` would build
+# a new one per call and write the same text.
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass
 class SimTrace:
     config: dict
@@ -585,9 +624,9 @@ class SimTrace:
         return bool(self.summary.get("invariants_ok"))
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"config": self.config}, sort_keys=True)]
-        lines += [json.dumps(e, sort_keys=True) for e in self.events]
-        lines.append(json.dumps({"summary": self.summary}, sort_keys=True))
+        lines = [_to_json({"config": self.config})]
+        lines += map(_to_json, self.events)
+        lines.append(_to_json({"summary": self.summary}))
         return "\n".join(lines) + "\n"
 
 
@@ -627,14 +666,13 @@ class Simulator:
     # -- event handlers -----------------------------------------------------
 
     def _handle_emit(self, now: float):
-        bits, label = self.emitter.emit()
-        self._record_event(now, {"ev": "emit", "msg": label,
-                                 "frame_hex": f"{int(bits, 2):0{len(bits) // 4}x}"})
+        bits, label, frame_hex = self.emitter.emit()
+        self._record_event(now, {"ev": "emit", "msg": label, "frame_hex": frame_hex})
         out = channel_apply(bits, self.config.channel, self.rng)
         if out is None:
             self._record_event(now, {"ev": "channel_drop"})
             return
-        if out != bits:
+        if out is not bits:
             flips = sum(a != b for a, b in zip(out, bits))
             self._record_event(now, {"ev": "channel_corrupt", "flips": flips})
         tr = self.transponder

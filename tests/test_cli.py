@@ -337,6 +337,11 @@ def test_simulate_config_errors_listed_together(tmp_path, capsys):
     pytest.param("barometer.pressure_noise_pa", "x", id="barometer.pressure_noise_pa-str"),
     pytest.param("transponder.t_cycle_s", "300", id="transponder.t_cycle_s-str"),
     pytest.param("channel.frame_loss_p", None, id="channel.frame_loss_p-null"),
+    # values outside what the run or the payload can carry
+    pytest.param("barometer.pressure_noise_pa", float("inf"), id="barometer.pressure_noise_pa-inf"),
+    pytest.param("barometer.pressure_pa", -5, id="barometer.pressure_pa-negative"),
+    pytest.param("barometer.board_temp_c", float("nan"), id="barometer.board_temp_c-nan"),
+    pytest.param("duration_s", 366 * 86_400 + 1, id="duration_s-over-366-days"),
 ])
 def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     obj = {"duration_s": 3600}

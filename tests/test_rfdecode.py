@@ -18,6 +18,7 @@ from wxkit.rfdecode import (
     SyncError,
     UnknownMessageTypeError,
     ValueRangeError,
+    bits_to_bytes,
     bits_to_nibbles,
     build_a5n1_frame,
     build_lcw_frame,
@@ -402,6 +403,25 @@ def test_bits_nibbles_helpers():
     assert nibbles_to_bits((9, 0)) == "10010000"
     with pytest.raises(ValueError):
         bits_to_nibbles("101")
+
+
+@given(st.binary(max_size=16))
+def test_bits_bytes_round_trip(data):
+    bits = bytes_to_bits(data)
+    assert bits == "".join(f"{b:08b}" for b in data)
+    assert bits_to_bytes(bits) == data
+
+
+# whole-byte strings that int(..., 2) would accept
+@pytest.mark.parametrize("bits", ["0_010010", "+0100101", "-0100101", " 0100101",
+                                  "0100101\n", "٠١٠٠١٠١٠"])
+def test_bits_to_bytes_rejects_non_bit_characters(bits):
+    assert len(bits) == 8
+    int(bits, 2)
+    with pytest.raises(ValueError):
+        bits_to_bytes(bits)
+    with pytest.raises(ValueError):
+        bits_to_nibbles(bits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,21 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wxkit import energy
 from wxkit.core import PAYLOAD_STEP, Protocol, StationId, merge_partial, record_from_obj
-from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, build_a5n1_frame, bytes_to_bits
+from wxkit.rfdecode import (
+    A5N1_MSG_TEMP_HUMIDITY,
+    build_a5n1_frame,
+    bytes_to_bits,
+    decode_a5n1,
+    rain_counter_delta,
+)
 from wxkit.simkit import (
+    BOARD_TEMP_C_RANGE,
+    PRESSURE_PA_RANGE,
     BarometerSpec,
     ChannelSpec,
     GatewaySpec,
@@ -19,6 +29,7 @@ from wxkit.simkit import (
     Transponder,
     TransponderSpec,
     Uplink,
+    _Emitter,
     channel_apply,
     run,
 )
@@ -65,6 +76,51 @@ def test_channel_flip_rate_statistics():
     assert abs(rate - 0.01) < 0.001
 
 
+def _channel_per_bit(bits, spec, rng):
+    """The channel as a plain per-bit loop: the reference for its draws."""
+    if rng.random() < spec.frame_loss_p:
+        return None
+    if spec.bit_flip_q <= 0:
+        return bits
+    return "".join(("1" if b == "0" else "0") if rng.random() < spec.bit_flip_q else b
+                   for b in bits)
+
+
+@given(st.text("01", max_size=80),
+       st.sampled_from([0.0, 0.5]),
+       st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       st.integers())
+def test_channel_matches_per_bit_reference(bits, p, q, seed):
+    spec = ChannelSpec(p, q)
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    out = channel_apply(bits, spec, rng)
+    expected = _channel_per_bit(bits, spec, ref_rng)
+    assert out == expected
+    assert rng.getstate() == ref_rng.getstate()
+    # the simulator counts flips only for a frame that is not returned as is
+    assert (out is bits) == (expected == bits)
+
+
+# ---------------------------------------------------------------------------
+# emitter
+
+def test_emitter_rain_counter_wraps_at_14_bits():
+    emitter = _Emitter(StationSpec(), random.Random(4))
+    emitter.rain_tips = 0x4000 - 3
+    tips, counters = [], []
+    for _ in range(12):
+        emitter.rain_tips += 1
+        bits, label, frame_hex = emitter.emit()
+        assert frame_hex == f"{int(bits, 2):016x}"
+        _, rec = decode_a5n1(bits)
+        if label == "0x31":
+            tips.append(emitter.rain_tips)
+            counters.append(round(rec.rain_mm / 0.254))
+    assert tips[-1] > 0x4000 and counters == [t % 0x4000 for t in tips]
+    total = sum(rain_counter_delta(a, b) for a, b in zip(counters, counters[1:]))
+    assert round(total / 0.254) == tips[-1] - tips[0]
+
+
 # ---------------------------------------------------------------------------
 # transponder state machine
 
@@ -75,6 +131,17 @@ def make_transponder() -> Transponder:
 def fire(tr: Transponder):
     """Advance the transponder to its one live timer."""
     return tr.step(tr.wake_at)
+
+
+@pytest.mark.parametrize("edge", [0, 1])
+def test_noisy_barometer_is_clamped_to_payload_range(edge):
+    baro = BarometerSpec(PRESSURE_PA_RANGE[edge], BOARD_TEMP_C_RANGE[edge], 1e6, 100.0)
+    trace = run(short_config(barometer=baro))
+    readings = [(e["pressure_pa"], e["board_temp_c"]) for e in trace.events if e["ev"] == "baro"]
+    assert len(readings) == 8 and trace.summary["uplinks_delivered"] == 8
+    assert all(PRESSURE_PA_RANGE[0] <= p <= PRESSURE_PA_RANGE[1] and
+               BOARD_TEMP_C_RANGE[0] <= t <= BOARD_TEMP_C_RANGE[1] for p, t in readings)
+    assert {PRESSURE_PA_RANGE[edge], BOARD_TEMP_C_RANGE[edge]} <= {v for r in readings for v in r}
 
 
 def test_step_happy_path_through_cycle():
