@@ -7,7 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wxkit import energy
-from wxkit.core import PAYLOAD_STEP, Protocol, StationId, merge_partial, record_from_obj
+from wxkit.core import (
+    FIELD_FLAGS,
+    PAYLOAD_STEP,
+    Protocol,
+    StationId,
+    merge_partial,
+    record_from_obj,
+)
 from wxkit.rfdecode import (
     A5N1_MSG_TEMP_HUMIDITY,
     build_a5n1_frame,
@@ -323,6 +330,30 @@ def test_golden_trace(obj, sha256):
     trace = run(SimConfig.from_dict(obj)).to_jsonl()
     actual = hashlib.sha256(trace.encode()).hexdigest()
     assert actual == sha256, f"trace sha256 {actual} != pinned {sha256}"
+
+
+@pytest.mark.parametrize("obj", [obj for obj, _ in GOLDEN_TRACES] + [
+    {"duration_s": 3 * 86_400.0, "seed": 11,
+     "station": {"protocol": "a5n1"},
+     "channel": {"frame_loss_p": 0.2, "bit_flip_q": 2e-3},
+     "transponder": {"t_cycle_s": 300},
+     "gateway": {"uplink_loss_p": 0.1}},
+], ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy", "a5n1_lossy_3d"])
+def test_summary_is_derived_from_the_trace(obj):
+    trace = run(SimConfig.from_dict(obj))
+    tx = [(ev["t"], ev["t_air"]) for ev in trace.events if ev["ev"] == "uplink_tx"]
+    records = [ev["record"] for ev in trace.events if ev["ev"] == "record"]
+    # every one-hour window, each starting at a transmission's end
+    window_peak = max((sum(a for t, a in tx if t0 <= t <= t0 + 3600.0) for t0, _ in tx),
+                      default=0.0)
+    s = trace.summary
+    assert s["uplinks_attempted"] == len(tx)
+    assert s["records_decoded"] == len(records)
+    assert s["complete_records"] == sum(all(r[f] is not None for f in FIELD_FLAGS)
+                                        for r in records)
+    assert s["total_airtime_s"] == pytest.approx(sum(a for _, a in tx), abs=1e-9)
+    assert s["max_hour_window_airtime_s"] == pytest.approx(window_peak, abs=1e-9)
+    assert s["records_decoded"] > 0 and s["invariants_ok"]
 
 
 def test_ledger_matches_closed_form_at_300s():
