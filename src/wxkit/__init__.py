@@ -13,7 +13,6 @@ from .rfdecode import (
     A5N1Frame,
     LCWFrame,
     PulseTrain,
-    TimingSpec,
     decode_a5n1,
     decode_lcw,
     encode_a5n1,

@@ -81,7 +81,7 @@ def _data_lines(text: str) -> list[tuple[int, str]]:
 
 def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, str]]:
     """(origin, bitstring) candidates from the given input format."""
-    nbits = 64 if protocol is Protocol.A5N1 else 52
+    nbits = rfdecode.FRAME_BITS[protocol]
     if fmt == "pulses":
         train = rfdecode.PulseTrain.from_text(text)
         runs = rfdecode.frame_pulses(train, protocol=protocol)
@@ -102,7 +102,7 @@ def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, 
 
 def cmd_decode(args) -> int:
     protocol = Protocol.from_label(args.protocol)
-    nbits = 64 if protocol is Protocol.A5N1 else 52
+    nbits = rfdecode.FRAME_BITS[protocol]
     text = _read_input(args.input)
     try:
         candidates = _candidate_bits(text, args.format, protocol)
@@ -110,7 +110,7 @@ def cmd_decode(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    decode = rfdecode.decode_a5n1 if protocol is Protocol.A5N1 else rfdecode.decode_lcw
+    decode = rfdecode.decoder(protocol)
     lines = []
     for origin, bits in candidates:
         if len(bits) != nbits:
@@ -153,7 +153,7 @@ def cmd_encode(args) -> int:
             nibbles = rfdecode.build_lcw_frame(
                 quantity, args.value, station, battery_ok=battery_ok)
             bits = rfdecode.nibbles_to_bits(nibbles)
-            hexstr = "".join(f"{x:x}" for x in nibbles)
+            hexstr = rfdecode.nibbles_to_hex(nibbles)
             train = rfdecode.lcw_to_pulses(nibbles)
     except (rfdecode.DecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 from dataclasses import dataclass
 
 
@@ -149,8 +148,8 @@ class WeatherRecord:
     valid: ValidityFlags = ValidityFlags()
 
     def __post_init__(self):
-        if not 0 <= self.seq <= 0xFFFF:
-            raise ValueError(f"seq {self.seq} does not fit 16 bits")
+        if not (isinstance(self.seq, int) and 0 <= self.seq <= 0xFFFF):
+            raise ValueError(f"seq {self.seq} is not a 16-bit integer")
 
     @property
     def sensor_battery_ok(self) -> bool:
@@ -263,12 +262,3 @@ def record_from_obj(obj: dict) -> WeatherRecord:
         battery_mv=obj.get("battery_mv", 0),
         **kwargs,
     )
-
-
-def record_to_json(record: WeatherRecord) -> str:
-    """One-line JSON form; invalid measurement fields serialize as null."""
-    return json.dumps(record_to_obj(record))
-
-
-def record_from_json(line: str) -> WeatherRecord:
-    return record_from_obj(json.loads(line))

@@ -8,6 +8,7 @@ MCU shares for the simulator's ledger, but never changes the total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 HOUR_S = 3600.0
@@ -69,7 +70,10 @@ def cycle_energy(profile: EnergyProfile, t_cycle_s: float) -> float:
         raise EnergyModelError(
             f"cycle of {t_cycle_s} s is shorter than the {profile.t_active_s} s active phase"
         )
-    return profile.e_active_uwh + profile.sleep_power_uw * (t_cycle_s - profile.t_active_s) / HOUR_S
+    energy = profile.e_active_uwh + profile.sleep_power_uw * (t_cycle_s - profile.t_active_s) / HOUR_S
+    if not math.isfinite(energy):
+        raise EnergyModelError(f"cycle of {t_cycle_s} s has no finite energy")
+    return energy
 
 
 def daily_energy(profile: EnergyProfile, t_cycle_s: float) -> float:
@@ -81,33 +85,23 @@ def battery_life_days(profile: EnergyProfile, t_cycle_s: float) -> float:
     return profile.battery_uwh / daily_energy(profile, t_cycle_s)
 
 
-def fit_component_power(
-    profile: EnergyProfile,
-    measured_e_active_uwh: float | None = None,
-    *,
-    t_shr_s: float | None = None,
-    t_tx_s: float | None = None,
-) -> float:
+def fit_component_power(profile: EnergyProfile) -> float:
     """Residual MCU power in uW after the receiver and radio-TX shares are
     taken out of the measured active-phase energy.
 
-    Durations default to the profile's component detail. A parameter set
+    The durations are those of the profile's component detail. A detail
     whose component energies exceed the measured total is inconsistent and
     raises; the caller is expected to fix the durations, not clamp.
     """
     if profile.detail is None:
         raise EnergyModelError(f"profile {profile.name} carries no component detail")
-    d = profile.detail
-    e_active = profile.e_active_uwh if measured_e_active_uwh is None else measured_e_active_uwh
-    t_shr = d.t_shr_s if t_shr_s is None else t_shr_s
-    t_tx = d.t_tx_s if t_tx_s is None else t_tx_s
-    e_shr = profile.shr_power_uw * t_shr / HOUR_S
-    e_tx = profile.tx_power_uw * t_tx / HOUR_S
-    residual = e_active - e_shr - e_tx
+    e_shr = profile.shr_power_uw * profile.detail.t_shr_s / HOUR_S
+    e_tx = profile.tx_power_uw * profile.detail.t_tx_s / HOUR_S
+    residual = profile.e_active_uwh - e_shr - e_tx
     if residual < 0:
         raise EnergyModelError(
             f"component energies ({e_shr:.1f} + {e_tx:.1f} uWh) exceed the "
-            f"measured active total ({e_active:.1f} uWh)"
+            f"measured active total ({profile.e_active_uwh:.1f} uWh)"
         )
     return residual * HOUR_S / profile.t_active_s
 

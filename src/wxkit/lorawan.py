@@ -43,8 +43,7 @@ class UnsupportedMhdrError(FrameError):
 # Compact application payload (29 bytes for A5N1, 27 for LCW)
 
 PAYLOAD_VERSION = 0x01
-A5N1_PAYLOAD_LEN = 29
-LCW_PAYLOAD_LEN = 27
+PAYLOAD_LEN = {Protocol.A5N1: 29, Protocol.LCW: 27}
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,11 @@ class PayloadMeta:
 
 
 def _scale(value: float, factor: float, lo: int, hi: int, name: str) -> int:
-    raw = round(value * factor)
-    if not lo <= raw <= hi:
+    try:
+        raw = round(value * factor)
+    except (OverflowError, ValueError):     # NaN or infinity, given or reached by scaling
+        raw = None
+    if raw is None or not lo <= raw <= hi:
         raise PayloadError(f"{name} value {value} outside representable range")
     return raw
 
@@ -91,8 +93,7 @@ def payload_encode(
         raise PayloadError(f"frames_received {meta.frames_received} outside 0..255")
     out.append(meta.frames_received)
     out += struct.pack(">H", _scale(meta.cycle_time_s, 1, 0, 65535, "cycle time"))
-    expected = A5N1_PAYLOAD_LEN if record.station.protocol is Protocol.A5N1 else LCW_PAYLOAD_LEN
-    assert len(out) == expected
+    assert len(out) == PAYLOAD_LEN[record.station.protocol]
     return bytes(out)
 
 
@@ -105,7 +106,7 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
         protocol = Protocol(data[1])
     except ValueError:
         raise PayloadError(f"unknown station type {data[1]:#04x}") from None
-    expected = A5N1_PAYLOAD_LEN if protocol is Protocol.A5N1 else LCW_PAYLOAD_LEN
+    expected = PAYLOAD_LEN[protocol]
     if len(data) != expected:
         raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {expected})")
 
@@ -158,7 +159,6 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
 # ABP session and uplink frames
 
 MHDR_UNCONFIRMED_UP = 0x40
-FRAME_OVERHEAD = 13      # MHDR + FHDR + FPort + MIC around a non-empty payload
 MAX_FRM_PAYLOAD = 222
 MAX_PHY_PAYLOAD = 255    # the LoRa PHY length field is one byte
 FCNT_RESYNC_WINDOW = 16
@@ -278,18 +278,14 @@ def frame_build(session: AbpSession, payload: bytes) -> bytes:
     return msg + mic
 
 
-def frame_parse(
-    data: bytes,
-    session: AbpSession,
-    expected_fcnt: int | None = None,
-) -> tuple[bytes, int]:
+def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
     """Verify and decrypt an uplink frame.
 
-    The 16-bit counter in the frame is rolled forward from ``expected_fcnt``
-    (default: the session counter); frames more than 16 counts ahead, not
-    strictly advancing, or past the 32-bit counter space are rejected before
-    the MIC is even checked, as are frames from another DevAddr. The MIC is
-    verified before any decryption.
+    The 16-bit counter in the frame is rolled forward from the session
+    counter; frames more than 16 counts ahead, not strictly advancing, or
+    past the 32-bit counter space are rejected before the MIC is even
+    checked, as are frames from another DevAddr. The MIC is verified before
+    any decryption.
     """
     if not 12 <= len(data) <= MAX_PHY_PAYLOAD:
         raise FrameError(f"frame of {len(data)} bytes is outside 12..{MAX_PHY_PAYLOAD} bytes")
@@ -304,7 +300,7 @@ def frame_parse(
         )
     fcnt16 = struct.unpack("<H", data[6:8])[0]
 
-    expected = session.fcnt_up if expected_fcnt is None else expected_fcnt
+    expected = session.fcnt_up
     fcnt32 = (expected & 0xFFFF0000) | fcnt16
     if fcnt32 < expected:
         fcnt32 += 0x10000
@@ -343,7 +339,6 @@ class RadioParams:
     explicit_header: bool = True
     crc_on: bool = True
     low_dr_optimize: bool | None = None
-    tx_power_dbm: float = 14.0
 
     def __post_init__(self):
         if not 7 <= self.sf <= 12:

@@ -17,6 +17,7 @@ Codecs are pure functions and the framer holds no state between calls.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import Protocol, StationId, WeatherRecord
@@ -108,39 +109,21 @@ class PulseTrain:
         return cls(tuple(entries))
 
 
-@dataclass(frozen=True)
-class TimingSpec:
-    """Nominal PWM durations (us) per protocol plus the shared tolerance.
-
-    The A5N1 link marks a frame with sync pairs and encodes bits in the
-    high/low split of a fixed bit period. The LCW link has no pulse-level
-    sync (sync lives in the first nibble); the bit value is the high width
-    and the low is a fixed inter-bit gap.
-    """
-
-    a5n1_sync_us: tuple[int, int] = (600, 600)
-    a5n1_sync_pairs: int = 4
-    a5n1_one_us: tuple[int, int] = (400, 200)
-    a5n1_zero_us: tuple[int, int] = (200, 400)
-    lcw_zero_high_us: int = 1300
-    lcw_one_high_us: int = 550
-    lcw_gap_us: int = 1000
-    tolerance: float = 0.35
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < 0.5:
-            raise ValueError("tolerance must be in (0, 0.5)")
-        durations = (
-            *self.a5n1_sync_us, *self.a5n1_one_us, *self.a5n1_zero_us,
-            self.lcw_zero_high_us, self.lcw_one_high_us, self.lcw_gap_us,
-        )
-        if any(d <= 0 for d in durations):
-            raise ValueError("nominal durations must be positive")
-        if self.a5n1_sync_pairs < 1:
-            raise ValueError("need at least one sync pair")
-
-
-DEFAULT_TIMING = TimingSpec()
+# Nominal PWM durations (us) per protocol plus the shared tolerance. The
+# A5N1 link marks a frame with sync pairs and encodes bits in the high/low
+# split of a fixed bit period. The LCW link has no pulse-level sync (sync
+# lives in the first nibble); the bit value is the high width and the low is
+# a fixed inter-bit gap, stretched after a frame's last bit so that
+# concatenated frames stay separable.
+A5N1_SYNC_US = (600, 600)
+A5N1_SYNC_PAIRS = 4
+A5N1_ONE_US = (400, 200)
+A5N1_ZERO_US = (200, 400)
+LCW_ZERO_HIGH_US = 1300
+LCW_ONE_HIGH_US = 550
+LCW_GAP_US = 1000
+LCW_FRAME_GAP_US = 10_000
+TOLERANCE = 0.35
 
 
 def _pairs(train: PulseTrain) -> list[tuple[int, int]]:
@@ -158,12 +141,11 @@ def _rel(d: int, nominal: int) -> float:
     return abs(d / nominal - 1.0)
 
 
-def _frame_a5n1(pairs: list[tuple[int, int]], spec: TimingSpec) -> list[str]:
+def _frame_a5n1(pairs: list[tuple[int, int]]) -> list[str]:
     # Classify each pair jointly against the three pair classes; the joint
     # relative distance keeps classification stable under uniform scaling
     # of the whole train (the individual duration bands overlap).
-    classes = (("S", spec.a5n1_sync_us), ("1", spec.a5n1_one_us), ("0", spec.a5n1_zero_us))
-    tol = spec.tolerance
+    classes = (("S", A5N1_SYNC_US), ("1", A5N1_ONE_US), ("0", A5N1_ZERO_US))
     runs: list[str] = []
     bits: list[str] = []
     sync_count = 0
@@ -183,12 +165,12 @@ def _frame_a5n1(pairs: list[tuple[int, int]], spec: TimingSpec) -> list[str]:
                 best = score
                 label = name
                 nom = (nh, nl)
-        if _rel(h, nom[0]) > tol or _rel(l, nom[1]) > tol:
+        if _rel(h, nom[0]) > TOLERANCE or _rel(l, nom[1]) > TOLERANCE:
             label = None
         if label == "S":
             flush()
             sync_count += 1
-            armed = sync_count >= spec.a5n1_sync_pairs
+            armed = sync_count >= A5N1_SYNC_PAIRS
         elif label is not None and armed:
             bits.append(label)
             sync_count = 0
@@ -200,12 +182,10 @@ def _frame_a5n1(pairs: list[tuple[int, int]], spec: TimingSpec) -> list[str]:
     return runs
 
 
-def _frame_lcw(pairs: list[tuple[int, int]], spec: TimingSpec) -> list[str]:
+def _frame_lcw(pairs: list[tuple[int, int]]) -> list[str]:
     # Bit value is carried by the high width alone; the low is a fixed
     # separator. A low longer than the tolerance band is an inter-frame
     # gap: the bit still counts but the run ends there.
-    tol = spec.tolerance
-    gap = spec.lcw_gap_us
     runs: list[str] = []
     bits: list[str] = []
 
@@ -215,24 +195,20 @@ def _frame_lcw(pairs: list[tuple[int, int]], spec: TimingSpec) -> list[str]:
             bits.clear()
 
     for h, l in pairs:
-        d0 = _rel(h, spec.lcw_zero_high_us)
-        d1 = _rel(h, spec.lcw_one_high_us)
+        d0 = _rel(h, LCW_ZERO_HIGH_US)
+        d1 = _rel(h, LCW_ONE_HIGH_US)
         label = "0" if d0 <= d1 else "1"
-        if min(d0, d1) > tol or l < gap * (1 - tol):
+        if min(d0, d1) > TOLERANCE or l < LCW_GAP_US * (1 - TOLERANCE):
             flush()
             continue
         bits.append(label)
-        if l > gap * (1 + tol):
+        if l > LCW_GAP_US * (1 + TOLERANCE):
             flush()
     flush()
     return runs
 
 
-def frame_pulses(
-    train: PulseTrain,
-    spec: TimingSpec = DEFAULT_TIMING,
-    protocol: Protocol = Protocol.A5N1,
-) -> list[str]:
+def frame_pulses(train: PulseTrain, protocol: Protocol = Protocol.A5N1) -> list[str]:
     """Slice a pulse train into candidate frame bitstrings.
 
     Returns every maximal run of classifiable bits (sync-gated for A5N1).
@@ -241,8 +217,8 @@ def frame_pulses(
     """
     pairs = _pairs(train)
     if protocol is Protocol.A5N1:
-        return _frame_a5n1(pairs, spec)
-    return _frame_lcw(pairs, spec)
+        return _frame_a5n1(pairs)
+    return _frame_lcw(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +229,8 @@ A5N1_MSG_TEMP_HUMIDITY = 0x38
 A5N1_MESSAGE_TYPES = (A5N1_MSG_WIND_DIR_RAIN, A5N1_MSG_TEMP_HUMIDITY)
 
 _WIND_SLOPE = 0.8278   # kph per raw count, +1.0 offset, 0 raw means calm
-_RAIN_MM_PER_TIP = 0.254
-_DIR_STEP_DEG = 22.5
+RAIN_MM_PER_TIP = 0.254
+DIR_STEP_DEG = 22.5
 
 
 def _a5n1_checksum(data: bytes) -> int:
@@ -302,9 +278,6 @@ class A5N1Frame:
     def message_type(self) -> int:
         return self.data[2] & 0x3F
 
-    def to_hex(self) -> str:
-        return self.data.hex()
-
 
 # Deletes every 0/1 character: a bitstring translates to "".
 _DROP_BITS = str.maketrans("", "", "01")
@@ -349,8 +322,8 @@ def decode_a5n1(bits: str) -> tuple[A5N1Frame, WeatherRecord]:
             station,
             sensor_battery_ok=frame.battery_ok,
             wind_speed_kph=wind_kph,
-            wind_dir_deg=dir_code * _DIR_STEP_DEG,
-            rain_mm=counter * _RAIN_MM_PER_TIP,
+            wind_dir_deg=dir_code * DIR_STEP_DEG,
+            rain_mm=counter * RAIN_MM_PER_TIP,
         )
     else:
         temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
@@ -371,6 +344,15 @@ def _with_parity(byte: int) -> int:
     return byte | (0x80 if byte.bit_count() % 2 else 0x00)
 
 
+def _round(value: float, what: str) -> int:
+    """``round(value)``; NaN and infinity, given or reached by scaling, raise
+    ValueRangeError instead of ValueError or OverflowError."""
+    try:
+        return round(value)
+    except (OverflowError, ValueError):
+        raise ValueRangeError(f"{what} cannot be encoded") from None
+
+
 def _wind_raw(wind_kph: float) -> int:
     """Nearest representable wind code. The representable set is {0} plus
     {slope*raw + 1 : raw 1..127}, so values inside the (0, 1.8278) gap snap
@@ -379,7 +361,7 @@ def _wind_raw(wind_kph: float) -> int:
         raise ValueRangeError(f"wind speed {wind_kph} kph is negative")
     if wind_kph <= (_WIND_SLOPE + 1.0) / 2:
         return 0
-    raw = max(1, round((wind_kph - 1.0) / _WIND_SLOPE))
+    raw = max(1, _round((wind_kph - 1.0) / _WIND_SLOPE, f"wind speed {wind_kph} kph"))
     if raw > 127:
         raise ValueRangeError(f"wind speed {wind_kph} kph exceeds the 7-bit range")
     return raw
@@ -411,17 +393,17 @@ def build_a5n1_frame(
             raise ValueRangeError(f"wind direction {wind_dir_deg} outside [0, 360)")
         if rain_mm < 0:
             raise ValueRangeError("rain total is negative")
-        tips = round(rain_mm / _RAIN_MM_PER_TIP)
+        tips = _round(rain_mm / RAIN_MM_PER_TIP, f"rain total {rain_mm} mm")
         if tips > 0x3FFF:
             raise ValueRangeError(f"rain total {rain_mm} mm exceeds the 14-bit counter")
-        b[4] = _with_parity(round(wind_dir_deg / _DIR_STEP_DEG) % 16)
+        b[4] = _with_parity(round(wind_dir_deg / DIR_STEP_DEG) % 16)
         b[5] = _with_parity(tips >> 7)
         b[6] = _with_parity(tips & 0x7F)
     else:
-        temp_raw = round((c_to_f(temperature_c) + 40.0) * 10.0)
+        temp_raw = _round((c_to_f(temperature_c) + 40.0) * 10.0, f"temperature {temperature_c} C")
         if not 0 <= temp_raw <= 0x7FF:
             raise ValueRangeError(f"temperature {temperature_c} C outside the 11-bit range")
-        hum = round(humidity_pct)
+        hum = _round(humidity_pct, f"humidity {humidity_pct}")
         if not 0 <= hum <= 127:
             raise ValueRangeError(f"humidity {humidity_pct} outside 0..127")
         b[4] = _with_parity(temp_raw >> 4)
@@ -431,13 +413,13 @@ def build_a5n1_frame(
     return bytes(b)
 
 
-def a5n1_to_pulses(data: bytes, spec: TimingSpec = DEFAULT_TIMING) -> PulseTrain:
+def a5n1_to_pulses(data: bytes) -> PulseTrain:
     entries: list[tuple[str, int]] = []
-    for _ in range(spec.a5n1_sync_pairs):
-        entries.append(("H", spec.a5n1_sync_us[0]))
-        entries.append(("L", spec.a5n1_sync_us[1]))
+    for _ in range(A5N1_SYNC_PAIRS):
+        entries.append(("H", A5N1_SYNC_US[0]))
+        entries.append(("L", A5N1_SYNC_US[1]))
     for bit in bytes_to_bits(data):
-        h, l = spec.a5n1_one_us if bit == "1" else spec.a5n1_zero_us
+        h, l = A5N1_ONE_US if bit == "1" else A5N1_ZERO_US
         entries.append(("H", h))
         entries.append(("L", l))
     return PulseTrain(tuple(entries))
@@ -453,7 +435,6 @@ def encode_a5n1(
     rain_mm: float = 0.0,
     temperature_c: float = 0.0,
     humidity_pct: float = 0.0,
-    spec: TimingSpec = DEFAULT_TIMING,
 ) -> PulseTrain:
     frame = build_a5n1_frame(
         station,
@@ -465,7 +446,7 @@ def encode_a5n1(
         temperature_c=temperature_c,
         humidity_pct=humidity_pct,
     )
-    return a5n1_to_pulses(frame, spec)
+    return a5n1_to_pulses(frame)
 
 
 def rain_counter_delta(prev: int, curr: int) -> float:
@@ -474,14 +455,14 @@ def rain_counter_delta(prev: int, curr: int) -> float:
     session's cumulative rain monotone."""
     if not 0 <= prev <= 0x3FFF or not 0 <= curr <= 0x3FFF:
         raise ValueError("counters must be 14-bit values")
-    return ((curr - prev) % 0x4000) * _RAIN_MM_PER_TIP
+    return ((curr - prev) % 0x4000) * RAIN_MM_PER_TIP
 
 
 # ---------------------------------------------------------------------------
 # La Crosse WS-2300 style frames (13 nibbles, 52 bits)
 
 LCW_SYNC_NIBBLE = 0x9
-_LCW_RAIN_MM_PER_COUNT = 0.518
+LCW_RAIN_MM_PER_COUNT = 0.518
 
 
 class LcwQuantity(enum.IntEnum):
@@ -530,9 +511,6 @@ class LCWFrame:
     def battery_ok(self) -> bool:
         return bool(self.nibbles[3] & 1)
 
-    def to_hex(self) -> str:
-        return "".join(f"{x:x}" for x in self.nibbles)
-
 
 def bits_to_nibbles(bits: str) -> tuple[int, ...]:
     if len(bits) % 4 or bits.translate(_DROP_BITS):
@@ -542,6 +520,10 @@ def bits_to_nibbles(bits: str) -> tuple[int, ...]:
 
 def nibbles_to_bits(nibbles: tuple[int, ...]) -> str:
     return "".join(f"{x:04b}" for x in nibbles)
+
+
+def nibbles_to_hex(nibbles: tuple[int, ...]) -> str:
+    return "".join(f"{x:x}" for x in nibbles)
 
 
 def decode_lcw(bits: str) -> tuple[LCWFrame, WeatherRecord]:
@@ -563,28 +545,39 @@ def decode_lcw(bits: str) -> tuple[LCWFrame, WeatherRecord]:
     elif q is LcwQuantity.HUMIDITY:
         record = WeatherRecord.build(station, humidity_pct=value / 10.0, **common)
     elif q is LcwQuantity.RAIN:
-        record = WeatherRecord.build(station, rain_mm=value * _LCW_RAIN_MM_PER_COUNT, **common)
+        record = WeatherRecord.build(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
     elif q is LcwQuantity.WIND_SPEED:
         # value is m/s * 10 on the wire; records store km/h
         record = WeatherRecord.build(station, wind_speed_kph=value / 10.0 * 3.6, **common)
     else:
         if value > 15:
             raise ValueRangeError(f"wind direction code {value} outside 0..15")
-        record = WeatherRecord.build(station, wind_dir_deg=value * _DIR_STEP_DEG, **common)
+        record = WeatherRecord.build(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
     return frame, record
+
+
+FRAME_BITS = {Protocol.A5N1: 64, Protocol.LCW: 52}
+
+
+def decoder(protocol: Protocol) -> Callable[[str], tuple[A5N1Frame | LCWFrame, WeatherRecord]]:
+    """The frame decoder of ``protocol``."""
+    return decode_a5n1 if protocol is Protocol.A5N1 else decode_lcw
 
 
 def _lcw_value(quantity: LcwQuantity, value: float) -> int:
     if quantity is LcwQuantity.TEMP:
-        v = round((value + 40.0) * 10.0)
+        scaled = (value + 40.0) * 10.0
     elif quantity is LcwQuantity.HUMIDITY:
-        v = round(value * 10.0)
+        scaled = value * 10.0
     elif quantity is LcwQuantity.RAIN:
-        v = round(value / _LCW_RAIN_MM_PER_COUNT)
+        scaled = value / LCW_RAIN_MM_PER_COUNT
     elif quantity is LcwQuantity.WIND_SPEED:
-        v = round(value * 10.0)   # value given in m/s
+        scaled = value * 10.0   # value given in m/s
     else:
-        v = round(value / _DIR_STEP_DEG) % 16
+        scaled = value / DIR_STEP_DEG
+    v = _round(scaled, f"{quantity.name.lower()} value {value}")
+    if quantity is LcwQuantity.WIND_DIR:
+        v %= 16
     if not 0 <= v <= 999:
         raise ValueRangeError(f"{quantity.name.lower()} value {value} is not encodable")
     return v
@@ -619,20 +612,14 @@ def build_lcw_frame(
     return tuple(n)
 
 
-def lcw_to_pulses(
-    nibbles: tuple[int, ...],
-    spec: TimingSpec = DEFAULT_TIMING,
-    frame_gap_us: int = 10_000,
-) -> PulseTrain:
-    """The low after the final bit is stretched to ``frame_gap_us`` so that
-    concatenated frames stay separable."""
+def lcw_to_pulses(nibbles: tuple[int, ...]) -> PulseTrain:
     entries: list[tuple[str, int]] = []
     bits = nibbles_to_bits(nibbles)
     for bit in bits:
-        high = spec.lcw_one_high_us if bit == "1" else spec.lcw_zero_high_us
+        high = LCW_ONE_HIGH_US if bit == "1" else LCW_ZERO_HIGH_US
         entries.append(("H", high))
-        entries.append(("L", spec.lcw_gap_us))
-    entries[-1] = ("L", frame_gap_us)
+        entries.append(("L", LCW_GAP_US))
+    entries[-1] = ("L", LCW_FRAME_GAP_US)
     return PulseTrain(tuple(entries))
 
 
@@ -642,8 +629,5 @@ def encode_lcw(
     station: StationId,
     *,
     battery_ok: bool = True,
-    spec: TimingSpec = DEFAULT_TIMING,
 ) -> PulseTrain:
-    return lcw_to_pulses(
-        build_lcw_frame(quantity, value, station, battery_ok=battery_ok), spec
-    )
+    return lcw_to_pulses(build_lcw_frame(quantity, value, station, battery_ok=battery_ok))

@@ -16,11 +16,13 @@ import enum
 import json
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import energy as energy_mod
 from . import lorawan, rfdecode
 from .core import (
+    FIELD_FLAGS,
     Protocol,
     StationId,
     ValidityFlags,
@@ -29,7 +31,7 @@ from .core import (
     record_to_obj,
 )
 from .energy import HOUR_S
-from .rfdecode import _DIR_STEP_DEG, _LCW_RAIN_MM_PER_COUNT, _RAIN_MM_PER_TIP, LcwQuantity
+from .rfdecode import DIR_STEP_DEG, LCW_RAIN_MM_PER_COUNT, RAIN_MM_PER_TIP, LcwQuantity
 
 
 class SimConfigError(ValueError):
@@ -187,10 +189,10 @@ class SimConfig:
         if profile is None:
             problems.append(f"transponder.profile {tr.profile!r} unknown "
                             f"(have {sorted(energy_mod.PROFILES)})")
-        else:
-            check("transponder.t_cycle_s", energy_mod.cycle_energy, profile, tr.t_cycle_s)
         if not 0 < tr.t_cycle_s <= 65535:
             problems.append("transponder.t_cycle_s must be in (0, 65535]")
+        elif profile is not None:
+            check("transponder.t_cycle_s", energy_mod.cycle_energy, profile, tr.t_cycle_s)
         if not 0 < tr.rx_timeout_s < math.inf:
             problems.append("transponder.rx_timeout_s must be positive and finite")
         check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
@@ -298,9 +300,9 @@ class _Emitter:
                 frame = rfdecode.build_a5n1_frame(
                     self.station, rfdecode.A5N1_MSG_WIND_DIR_RAIN,
                     wind_kph=self.wind_kph,
-                    wind_dir_deg=self.dir_code * _DIR_STEP_DEG,
+                    wind_dir_deg=self.dir_code * DIR_STEP_DEG,
                     # the station's tip counter is 14 bits and wraps
-                    rain_mm=(self.rain_tips % 0x4000) * _RAIN_MM_PER_TIP,
+                    rain_mm=(self.rain_tips % 0x4000) * RAIN_MM_PER_TIP,
                 )
                 label = "0x31"
             else:
@@ -318,13 +320,14 @@ class _Emitter:
             value = {
                 LcwQuantity.TEMP: self.temp_c,
                 LcwQuantity.HUMIDITY: self.humidity,
-                LcwQuantity.RAIN: min(999, round(self.rain_tips / 4)) * _LCW_RAIN_MM_PER_COUNT,
+                # the station's three-digit rain count wraps at 1000
+                LcwQuantity.RAIN: round(self.rain_tips / 4) % 1000 * LCW_RAIN_MM_PER_COUNT,
                 LcwQuantity.WIND_SPEED: self.wind_kph / 3.6,
-                LcwQuantity.WIND_DIR: self.dir_code * _DIR_STEP_DEG,
+                LcwQuantity.WIND_DIR: self.dir_code * DIR_STEP_DEG,
             }[quantity]
             nibbles = rfdecode.build_lcw_frame(quantity, value, self.station)
             bits = rfdecode.nibbles_to_bits(nibbles)
-            frame_hex = "".join(f"{x:x}" for x in nibbles)
+            frame_hex = rfdecode.nibbles_to_hex(nibbles)
             label = quantity.name.lower()
         self.msg_index += 1
         return bits, label, frame_hex
@@ -439,10 +442,8 @@ class Transponder:
     def _on_frame(self, now: float, bits: str) -> list[dict]:
         if self.state not in RX_STATES:
             raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
-        decode = rfdecode.decode_a5n1 if self.station.protocol is Protocol.A5N1 \
-            else rfdecode.decode_lcw
         try:
-            _, partial = decode(bits)
+            _, partial = rfdecode.decoder(self.station.protocol)(bits)
         except rfdecode.DecodeError as exc:
             return [{"ev": "frame_rx", "state": self.state.value,
                      "ok": False, "reason": str(exc)}]
@@ -543,27 +544,30 @@ class Transponder:
         whatever residual keeps the total at the measured lump. With loss
         the receiver can stay on long enough that its share alone exceeds
         the lump; then the residual floors at zero and physics wins."""
-        p = self.profile
-        shr_uw = p.shr_power_uw
-        tx_uw = p.tx_power_uw
         ledger: dict[str, float] = {}
-        e_shr = e_tx = others_s = 0.0
+        others_s = 0.0
         for state, dur in self.state_time.items():
-            if state in SHR_ON_STATES:
-                e = shr_uw * dur / HOUR_S
-                ledger[state.value] = e
-                e_shr += e
-            elif state is State.TRANSMIT:
-                e = tx_uw * dur / HOUR_S
-                ledger[state.value] = e
-                e_tx += e
+            uw = self._component_uw(state)
+            if uw is not None:
+                ledger[state.value] = uw * dur / HOUR_S
             elif state is not State.DEEP_SLEEP:
                 others_s += dur
-        residual = max(0.0, p.e_active_uwh - e_shr - e_tx)
+        e_shr = sum(ledger[s.value] for s in self.state_time if s in SHR_ON_STATES)
+        e_tx = ledger.get(State.TRANSMIT.value, 0.0)
+        residual = max(0.0, self.profile.e_active_uwh - e_shr - e_tx)
         for state, dur in self.state_time.items():
-            if state not in SHR_ON_STATES and state not in (State.TRANSMIT, State.DEEP_SLEEP):
+            if state.value not in ledger and state is not State.DEEP_SLEEP:
                 ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
+
+    def _component_uw(self, state: State) -> float | None:
+        """The measured draw of ``state``: the receiver's in the receiver-on
+        states, the radio's in TRANSMIT, and None in any other state."""
+        if state in SHR_ON_STATES:
+            return self.profile.shr_power_uw
+        if state is State.TRANSMIT:
+            return self.profile.tx_power_uw
+        return None
 
     def _sleep_entry(self, **extra) -> list[dict]:
         """The deep sleep accrued since the last entry, at sleep power."""
@@ -592,15 +596,11 @@ class Transponder:
         self._accrue(now)
         events = self._sleep_entry(cycle=self.cycle)
         if self.state_time:
-            p = self.profile
+            mcu_uw = energy_mod.fit_component_power(self.profile)
             rates = {}
             for state, dur in self.state_time.items():
-                if state in SHR_ON_STATES:
-                    rates[state.value] = p.shr_power_uw * dur / HOUR_S
-                elif state is State.TRANSMIT:
-                    rates[state.value] = p.tx_power_uw * dur / HOUR_S
-                else:
-                    rates[state.value] = energy_mod.fit_component_power(p) * dur / HOUR_S
+                uw = self._component_uw(state)
+                rates[state.value] = (mcu_uw if uw is None else uw) * dur / HOUR_S
             events.append(self._cycle_entry(rates, partial=True, t_air=0.0))
         return events
 
@@ -650,8 +650,13 @@ class Simulator:
         self.violations: list[str] = []
         self.uplinks_attempted = 0
         self.uplinks_delivered = 0
-        self.records: list[tuple[float, WeatherRecord, lorawan.PayloadMeta]] = []
-        self.transmissions: list[tuple[float, float]] = []   # (end time, airtime)
+        self.complete_records = 0
+        self.total_airtime = 0      # int, as sum() of none: a run with no uplink writes 0
+        self.max_t_air = 0.0
+        # (end time, airtime) of the transmissions in the hour up to the latest one
+        self.last_hour: deque[tuple[float, float]] = deque()
+        self.last_hour_airtime = 0.0
+        self.max_hour_airtime = 0.0
 
     def _record_event(self, t: float, event: dict):
         self.trace.events.append({"t": round(t, 6), **event})
@@ -686,7 +691,14 @@ class Simulator:
     def _handle_uplink(self, t: float, uplink: Uplink):
         frame, t_air = uplink.frame, uplink.t_air
         self.uplinks_attempted += 1
-        self.transmissions.append((t, t_air))
+        self.total_airtime += t_air
+        self.max_t_air = max(self.max_t_air, t_air)
+        # each transmission counts as a point at its end time: it is short next to an hour
+        self.last_hour.append((t, t_air))
+        self.last_hour_airtime += t_air
+        while t - self.last_hour[0][0] > 3600.0:
+            self.last_hour_airtime -= self.last_hour.popleft()[1]
+        self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
         self._record_event(t, {"ev": "uplink_tx", "fcnt": self.transponder.session.fcnt_up - 1,
                                "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
         if self.rng.random() < self.config.gateway.uplink_loss_p:
@@ -701,7 +713,7 @@ class Simulator:
             return
         self.server_session.fcnt_up = fcnt + 1
         self.uplinks_delivered += 1
-        self.records.append((t, record, meta))
+        self.complete_records += all(getattr(record.valid, flag) for flag in FIELD_FLAGS.values())
         self._record_event(t, {"ev": "record", "fcnt": fcnt,
                                "record": record_to_obj(record),
                                "frames_received": meta.frames_received,
@@ -729,19 +741,12 @@ class Simulator:
 
     def _finish_summary(self):
         cfg = self.config
-        total_airtime = sum(a for _, a in self.transmissions)
-        window_peak = self._max_window_airtime(3600.0)
+        window_peak = self.max_hour_airtime
         # a wait-based governor bounds any window by limit*window plus at
         # most one transmission straddling the edge
-        max_t_air = max((a for _, a in self.transmissions), default=0.0)
-        if window_peak > cfg.transponder.duty_limit * 3600.0 + max_t_air + 1e-9:
+        if window_peak > cfg.transponder.duty_limit * 3600.0 + self.max_t_air + 1e-9:
             self.violations.append(
                 f"duty cycle exceeded: {window_peak:.3f} s airtime in one hour")
-        complete = sum(
-            1 for _, r, _ in self.records
-            if all(getattr(r.valid, flag) for flag in
-                   ("temp", "humidity", "wind_speed", "wind_dir", "rain", "pressure"))
-        )
         energy_by_state = self.transponder.energy_by_state
         total = sum(energy_by_state.values())
         self.trace.summary = {
@@ -750,32 +755,16 @@ class Simulator:
             "cycles": self.transponder.cycle,
             "uplinks_attempted": self.uplinks_attempted,
             "uplinks_delivered": self.uplinks_delivered,
-            "records_decoded": len(self.records),
-            "complete_records": complete,
+            "records_decoded": self.uplinks_delivered,   # one record per delivered uplink
+            "complete_records": self.complete_records,
             "energy_uwh_total": total,
             "energy_uwh_by_state": {k: energy_by_state[k] for k in sorted(energy_by_state)},
-            "total_airtime_s": total_airtime,
-            "duty_cycle_utilization": total_airtime / cfg.duration_s,
+            "total_airtime_s": self.total_airtime,
+            "duty_cycle_utilization": self.total_airtime / cfg.duration_s,
             "max_hour_window_airtime_s": window_peak,
             "violations": self.violations,
             "invariants_ok": not self.violations,
         }
-
-    def _max_window_airtime(self, window_s: float) -> float:
-        """Largest total airtime inside any sliding window; transmissions are
-        short enough relative to the window to treat them as points at their
-        end time."""
-        ends = self.transmissions
-        peak = 0.0
-        j = 0
-        acc = 0.0
-        for i in range(len(ends)):
-            acc += ends[i][1]
-            while ends[i][0] - ends[j][0] > window_s:
-                acc -= ends[j][1]
-                j += 1
-            peak = max(peak, acc)
-        return peak
 
 
 def run(config: SimConfig) -> SimTrace:

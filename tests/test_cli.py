@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wxkit.cli import main
-from wxkit.core import Protocol, StationId
-from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, build_a5n1_frame
+from wxkit.core import FIELD_FLAGS, Protocol, StationId
+from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, LcwQuantity, build_a5n1_frame
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -111,7 +116,9 @@ def _record_with(**changes) -> str:
     _record_with(station={"protocol": 5, "id": 7}),
     _record_with(station={"protocol": "lcw", "id": 128}),
     "[1]",
-], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object"])
+    _record_with(temperature_c=float("inf")),
+], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object",
+        "temperature_inf"])
 def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n{RECORD_LINE}\n",
                              monkeypatch=monkeypatch)
@@ -382,3 +389,48 @@ def test_simulate_loss_statistics(tmp_path, capsys):
     assert summary["uplinks_delivered"] == summary["uplinks_attempted"] == 144
     assert summary["records_decoded"] == 144
     assert 0 < summary["complete_records"] <= 144
+
+
+# ---------------------------------------------------------------------------
+# extreme numbers end in an exit code, never in an escaped exception
+
+EXTREME_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]))
+ENCODE_FLOAT_FLAGS = ("--wind-kph", "--wind-dir-deg", "--rain-mm", "--temp-c", "--humidity-pct")
+PAYLOAD_FLOAT_FIELDS = (*FIELD_FLAGS, "seq", "board_temp_c", "battery_mv",
+                        "frames_received", "cycle_time_s")
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin) for one subcommand given extreme numbers. Flags take
+    ``--flag=value`` so that argparse reads a negative value as a value."""
+    kind = draw(st.sampled_from(("a5n1", "lcw", "battery", "payload")))
+    if kind == "a5n1":
+        flags = draw(st.dictionaries(st.sampled_from(ENCODE_FLOAT_FLAGS), EXTREME_FLOATS, min_size=1))
+        return ["encode", "--protocol", "a5n1", "--id", "1",
+                "--message-type", draw(st.sampled_from(("0x31", "0x38"))),
+                *(f"{flag}={value!r}" for flag, value in flags.items())], ""
+    if kind == "lcw":
+        return ["encode", "--protocol", "lcw", "--id", "1",
+                "--quantity", draw(st.sampled_from([q.name.lower() for q in LcwQuantity])),
+                f"--value={draw(EXTREME_FLOATS)!r}"], ""
+    if kind == "battery":
+        return ["battery", "--platform", draw(st.sampled_from(("bsf32", "lopy4"))),
+                f"--interval-s={draw(EXTREME_FLOATS)!r}", *draw(st.sampled_from(((), ("--daily",))))], ""
+    fields = draw(st.dictionaries(st.sampled_from(PAYLOAD_FLOAT_FIELDS), EXTREME_FLOATS, min_size=1))
+    return ["payload"], _record_with(**fields) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_calls())
+def test_cli_exits_cleanly_on_extreme_numbers(call):
+    argv, stdin = call
+    # capsys is function-scoped, so the streams are swapped here per example
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    assert code in (0, 1, 2, 3)

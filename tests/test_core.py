@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +12,8 @@ from wxkit.core import (
     WeatherRecord,
     merge_partial,
     quantize_roundtrip_bounds,
-    record_from_json,
-    record_to_json,
+    record_from_obj,
+    record_to_obj,
 )
 
 A5N1_STATION = StationId(Protocol.A5N1, 1234, 2)
@@ -115,8 +117,8 @@ def test_record_json_roundtrip():
         A5N1_STATION, seq=77, sensor_battery_ok=True,
         temperature_c=21.5, wind_speed_kph=9.3,
         board_temp_c=24.0, battery_mv=3700)
-    line = record_to_json(record)
-    back = record_from_json(line)
+    line = json.dumps(record_to_obj(record))
+    back = record_from_obj(json.loads(line))
     assert back == record
     assert '"humidity_pct": null' in line
 
@@ -124,3 +126,5 @@ def test_record_json_roundtrip():
 def test_record_seq_range():
     with pytest.raises(ValueError):
         WeatherRecord(station=A5N1_STATION, seq=0x10000)
+    with pytest.raises(ValueError):
+        WeatherRecord(station=A5N1_STATION, seq=0.5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,10 @@ def test_cycle_energy_zero_sleep():
 def test_cycle_energy_too_short():
     with pytest.raises(EnergyModelError):
         cycle_energy(BSF32, 30.0)
+    # the sleep energy of a NaN or a 1e308 s cycle is not finite
+    for t_cycle in (float("nan"), 1e308):
+        with pytest.raises(EnergyModelError):
+            cycle_energy(BSF32, t_cycle)
 
 
 def test_daily_energy_bsf32():
@@ -74,7 +80,8 @@ def test_fit_component_power_consistent_durations():
 
 
 def test_fit_component_power_all_mcu():
-    residual = fit_component_power(BSF32, t_shr_s=0.0, t_tx_s=0.0)
+    all_mcu = dataclasses.replace(BSF32, detail=ComponentDetail(t_shr_s=0.0, t_tx_s=0.0))
+    residual = fit_component_power(all_mcu)
     assert residual == pytest.approx(449 * 3600 / 42.2, abs=1e-6)
 
 
@@ -82,9 +89,9 @@ def test_fit_component_power_inconsistent_raises():
     # receiver on for the whole nominal active phase costs more than the
     # measured lump; the model refuses to invent negative MCU power
     with pytest.raises(EnergyModelError):
-        fit_component_power(BSF32, t_shr_s=41.9)
+        dataclasses.replace(BSF32, detail=ComponentDetail(t_shr_s=41.9))
     with pytest.raises(EnergyModelError):
-        fit_component_power(BSF32, measured_e_active_uwh=25.0, t_shr_s=0.0)
+        dataclasses.replace(BSF32, e_active_uwh=25.0, detail=ComponentDetail(t_shr_s=0.0))
 
 
 def test_fit_component_power_requires_detail():

@@ -220,6 +220,10 @@ def test_encode_a5n1_range_errors():
         build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_dir_deg=360.0)
     with pytest.raises(ValueRangeError):
         build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_kph=120.0)
+    with pytest.raises(ValueRangeError):
+        build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_kph=float("inf"))
+    with pytest.raises(ValueRangeError):
+        build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=float("nan"))
 
 
 def test_encode_decode_a5n1_random_field_sets():
@@ -342,6 +346,8 @@ def test_encode_lcw_value_range():
         build_lcw_frame(LcwQuantity.TEMP, 60.0, LCW_STATION)   # V would be 1000
     with pytest.raises(ValueRangeError):
         build_lcw_frame(LcwQuantity.HUMIDITY, -1.0, LCW_STATION)
+    with pytest.raises(ValueRangeError):
+        build_lcw_frame(LcwQuantity.TEMP, float("inf"), LCW_STATION)
 
 
 def test_lcw_single_nibble_substitutions_detected():

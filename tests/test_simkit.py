@@ -17,9 +17,11 @@ from wxkit.core import (
 )
 from wxkit.rfdecode import (
     A5N1_MSG_TEMP_HUMIDITY,
+    LcwQuantity,
     build_a5n1_frame,
     bytes_to_bits,
     decode_a5n1,
+    decode_lcw,
     rain_counter_delta,
 )
 from wxkit.simkit import (
@@ -126,6 +128,18 @@ def test_emitter_rain_counter_wraps_at_14_bits():
     assert tips[-1] > 0x4000 and counters == [t % 0x4000 for t in tips]
     total = sum(rain_counter_delta(a, b) for a, b in zip(counters, counters[1:]))
     assert round(total / 0.254) == tips[-1] - tips[0]
+
+
+@pytest.mark.parametrize("tips", [3990, 4100, 8000])
+def test_emitter_lcw_rain_count_wraps_at_1000(tips):
+    emitter = _Emitter(StationSpec(Protocol.LCW, 42, 0), random.Random(4))
+    emitter.rain_tips = tips
+    emitter.msg_index = LcwQuantity.RAIN
+    bits, label, _ = emitter.emit()
+    _, rec = decode_lcw(bits)
+    assert label == "rain"
+    # four tips to a count, as the station sends them
+    assert round(rec.rain_mm / 0.518) == round(emitter.rain_tips / 4) % 1000
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +368,13 @@ def test_summary_is_derived_from_the_trace(obj):
     assert s["total_airtime_s"] == pytest.approx(sum(a for _, a in tx), abs=1e-9)
     assert s["max_hour_window_airtime_s"] == pytest.approx(window_peak, abs=1e-9)
     assert s["records_decoded"] > 0 and s["invariants_ok"]
+
+
+def test_summary_without_uplinks_writes_int_zero_airtime():
+    s = run(short_config(duration_s=5.0)).summary
+    assert s["uplinks_attempted"] == 0
+    # sum() of no airtime is the int 0, and the trace writes "0", not "0.0"
+    assert s["total_airtime_s"] == 0 and type(s["total_airtime_s"]) is int
 
 
 def test_ledger_matches_closed_form_at_300s():
