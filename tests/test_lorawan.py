@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -116,6 +117,70 @@ def test_payload_encode_range_errors():
     for temperature_c in (400.0, float("inf"), float("nan")):
         with pytest.raises(PayloadError):
             payload_encode(full_record().replace(temperature_c=temperature_c))
+
+
+# Each scaled field at both ends of its range, just beyond each end (some
+# still round into range), and non-finite. Field names are WeatherRecord or
+# PayloadMeta attributes.
+PAYLOAD_EDGE_VALUES = {
+    "temperature_c": (-327.68, 327.67, -327.69, 327.68),
+    "humidity_pct": (0.0, 100.0, -0.2, -0.3, 100.2, 100.3),
+    "wind_speed_kph": (0.0, 6553.5, -0.04, -0.1, 6553.6),
+    "wind_dir_deg": (0.0, 359.94, -0.01, 359.95, 360.0),
+    "rain_mm": (0.0, 42949672.95, -0.01, 42949672.96),
+    "pressure_pa": (0, 0xFFFFFFFF, -1, 0x100000000),
+    "board_temp_c": (-327.68, 327.67, -327.69, 327.68),
+    "battery_mv": (0, 0xFFFF, -1, 0x10000),
+    "frames_received": (0, 0xFF, -1, 0x100),
+    "cycle_time_s": (0, 0xFFFF, -1, 0x10000),
+}
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+def payload_corpus():
+    """Seeded (record, meta) pairs over both protocols: every validity byte
+    with random values (also in the fields whose bit is clear), then every
+    edge value of every field with its bit set and with it clear."""
+    rng = random.Random(29)
+
+    def values():
+        return dict(
+            temperature_c=rng.uniform(-40, 60), humidity_pct=rng.uniform(0, 100),
+            wind_speed_kph=rng.uniform(0, 200), wind_dir_deg=rng.uniform(0, 359.9),
+            rain_mm=rng.uniform(0, 5000), pressure_pa=rng.randrange(80_000, 110_000),
+            board_temp_c=rng.uniform(-40, 80), battery_mv=rng.randrange(2500, 4200),
+            frames_received=rng.randrange(256), cycle_time_s=rng.choice((300, 900, 3600)))
+
+    def pair(station, flags, v):
+        meta = PayloadMeta(v.pop("frames_received"), v.pop("cycle_time_s"))
+        return WeatherRecord(station=station, seq=rng.randrange(0x10000), valid=flags, **v), meta
+
+    stations = [StationId(Protocol.A5N1, 0, 0), StationId(Protocol.A5N1, 0x3FFF, 3),
+                StationId(Protocol.LCW, 0, 0), StationId(Protocol.LCW, 0x7F, 0)]
+    for station in stations:
+        for flag_byte in range(0x80):
+            yield pair(station, ValidityFlags.from_byte(flag_byte), values())
+        for field, edges in PAYLOAD_EDGE_VALUES.items():
+            for flag_byte in (0x7F, 0x01):
+                for edge in edges + NON_FINITE:
+                    yield pair(station, ValidityFlags.from_byte(flag_byte), {**values(), field: edge})
+    yield WeatherRecord(station=stations[0], seq=0xFFFF), PayloadMeta()
+
+
+def test_payload_bytes_pinned():
+    """The wire image of every corpus record, or the fact that encoding
+    rejects it, is pinned: a codec refactor must keep this hash."""
+    h = hashlib.sha256()
+    count = 0
+    for record, meta in payload_corpus():
+        try:
+            h.update(payload_encode(record, meta).hex().encode())
+        except PayloadError:
+            h.update(b"PayloadError")
+        h.update(b"\n")
+        count += 1
+    assert count == 4 * (0x80 + 2 * sum(len(e) + 3 for e in PAYLOAD_EDGE_VALUES.values())) + 1
+    assert h.hexdigest() == "c5020c90378c7857ee74db7dca24537ce3ce7c82227f7b32201fc0505360c7d2"
 
 
 @st.composite
