@@ -180,10 +180,7 @@ def cmd_payload(args) -> int:
         try:
             if args.decode:
                 record, meta = lorawan.payload_decode(bytes.fromhex(line))
-                obj = record_to_obj(record)
-                obj["frames_received"] = meta.frames_received
-                obj["cycle_time_s"] = meta.cycle_time_s
-                lines.append(json.dumps(obj))
+                lines.append(json.dumps(record_to_obj(record) | vars(meta)))
             else:
                 obj = json.loads(line)
                 meta = lorawan.PayloadMeta(
@@ -250,13 +247,6 @@ def cmd_frame(args) -> int:
 # airtime / battery
 
 def cmd_airtime(args) -> int:
-    if args.cr not in (5, 6, 7, 8):
-        raise UsageError("--cr must be 5..8 (the denominator of 4/x)")
-    low_dr = None
-    if args.low_dr_optimize:
-        low_dr = True
-    elif args.no_low_dr_optimize:
-        low_dr = False
     try:
         params = lorawan.RadioParams(
             sf=args.sf,
@@ -265,7 +255,7 @@ def cmd_airtime(args) -> int:
             preamble_symbols=args.preamble,
             explicit_header=not args.implicit_header,
             crc_on=not args.no_crc,
-            low_dr_optimize=low_dr,
+            low_dr_optimize=args.low_dr_optimize,
         )
         seconds = lorawan.airtime(params, args.payload)
     except ValueError as exc:
@@ -346,9 +336,7 @@ def cmd_battery(args) -> int:
 
     if args.platform is None or args.interval_s is None:
         raise UsageError("--platform and --interval-s are required without --table")
-    profile = energy.PROFILES.get(args.platform)
-    if profile is None:
-        raise UsageError(f"unknown platform {args.platform!r}")
+    profile = energy.PROFILES[args.platform]     # argparse has checked the choice
     try:
         if args.daily:
             print(f"{energy.daily_energy(profile, args.interval_s):.1f}")
@@ -454,13 +442,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("airtime", help="LoRa time-on-air in milliseconds")
     p.add_argument("--sf", type=int, required=True)
     p.add_argument("--bw", type=int, default=125_000)
-    p.add_argument("--cr", type=int, default=5, help="coding rate denominator, 5..8")
+    p.add_argument("--cr", type=int, default=5, choices=(5, 6, 7, 8),
+                   help="coding rate denominator of 4/x")
     p.add_argument("--payload", type=int, required=True, help="PHY payload bytes")
     p.add_argument("--preamble", type=int, default=8)
     p.add_argument("--no-crc", action="store_true")
     p.add_argument("--implicit-header", action="store_true")
-    p.add_argument("--low-dr-optimize", action="store_true")
-    p.add_argument("--no-low-dr-optimize", action="store_true")
+    p.add_argument("--low-dr-optimize", action=argparse.BooleanOptionalAction,
+                   help="default: on at SF11/SF12 with 125 kHz")
     p.set_defaults(fn=cmd_airtime)
 
     p = sub.add_parser("battery", help="battery life model")

@@ -115,15 +115,20 @@ FIELD_FLAGS = {
     "pressure_pa": "pressure",
 }
 
-# Scale step each field suffers through the compact payload encoding.
-PAYLOAD_STEP = {
-    "temperature_c": 0.01,
-    "humidity_pct": 0.5,
-    "wind_speed_kph": 0.1,
-    "wind_dir_deg": 0.1,
-    "rain_mm": 0.01,
-    "pressure_pa": 1.0,
+# Integer scale of the scaled fields in the compact payload: the wire value is
+# round(value * scale). Other fields go on the wire as they are. The payload
+# layout itself is in ``lorawan``.
+PAYLOAD_SCALE = {
+    "temperature_c": 100,
+    "humidity_pct": 2,
+    "wind_speed_kph": 10,
+    "wind_dir_deg": 10,
+    "rain_mm": 100,
+    "board_temp_c": 100,
 }
+
+# Scale step each gated field suffers through the compact payload encoding.
+PAYLOAD_STEP = {field: 1 / PAYLOAD_SCALE.get(field, 1) for field in FIELD_FLAGS}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from cryptography.hazmat.primitives import cmac as _cmac
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .core import Protocol, StationId, ValidityFlags, WeatherRecord
+from .core import FIELD_FLAGS, PAYLOAD_SCALE, Protocol, StationId, ValidityFlags, WeatherRecord
 
 
 class FrameError(ValueError):
@@ -43,7 +43,6 @@ class UnsupportedMhdrError(FrameError):
 # Compact application payload (29 bytes for A5N1, 27 for LCW)
 
 PAYLOAD_VERSION = 0x01
-PAYLOAD_LEN = {Protocol.A5N1: 29, Protocol.LCW: 27}
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,61 @@ class PayloadMeta:
     cycle_time_s: int = 0
 
 
-def _scale(value: float, factor: float, lo: int, hi: int, name: str) -> int:
-    try:
-        raw = round(value * factor)
-    except (OverflowError, ValueError):     # NaN or infinity, given or reached by scaling
-        raw = None
-    if raw is None or not lo <= raw <= hi:
-        raise PayloadError(f"{name} value {value} outside representable range")
-    return raw
+class _Field:
+    """One payload field after the header. Its wire value is
+    round(value * scale), which must lie in lo..hi; a measurement whose
+    validity bit is clear goes on the wire as 0."""
+
+    __slots__ = ("name", "label", "code", "scale", "lo", "hi", "flag", "in_meta")
+
+    def __init__(self, name: str, label: str, code: str, lo: int, hi: int):
+        self.name = name                    # WeatherRecord or PayloadMeta attribute
+        self.label = label                  # name in diagnostics
+        self.code = code                    # struct format code
+        self.scale = PAYLOAD_SCALE.get(name, 1)
+        self.lo, self.hi = lo, hi
+        self.flag = FIELD_FLAGS.get(name)   # None: always carried
+        self.in_meta = name in PayloadMeta.__dataclass_fields__
+
+    def wire(self, value: float) -> int:
+        try:
+            raw = round(value * self.scale)
+        except (OverflowError, ValueError):     # NaN or infinity, given or reached by scaling
+            raw = None
+        if raw is None or not self.lo <= raw <= self.hi:
+            raise PayloadError(f"{self.label} value {value} outside representable range")
+        return raw
+
+    def value(self, raw: int) -> float | int:
+        """The value a wire value stands for; an unscaled one stays an int."""
+        return raw / self.scale if self.scale != 1 else raw
+
+
+# The payload layout, big-endian, in wire order: a 7-byte header (version,
+# station type, channel << 14 | station id, seq, validity flags), then one
+# row per field. Only A5N1 carries the board temperature.
+_HEADER = ">BBHHB"
+_FIELDS = (
+    _Field("temperature_c", "temperature", "h", -0x8000, 0x7FFF),
+    _Field("humidity_pct", "humidity", "B", 0, 200),
+    _Field("wind_speed_kph", "wind speed", "H", 0, 0xFFFF),
+    _Field("wind_dir_deg", "wind direction", "H", 0, 3599),
+    _Field("rain_mm", "rain", "I", 0, 0xFFFFFFFF),
+    _Field("pressure_pa", "pressure", "I", 0, 0xFFFFFFFF),
+    _Field("board_temp_c", "board temperature", "h", -0x8000, 0x7FFF),
+    _Field("battery_mv", "battery voltage", "H", 0, 0xFFFF),
+    _Field("frames_received", "frames_received", "B", 0, 0xFF),
+    _Field("cycle_time_s", "cycle time", "H", 0, 0xFFFF),
+)
+_PAYLOADS = {
+    protocol: (struct.Struct(_HEADER + "".join(f.code for f in fields)), fields)
+    for protocol, fields in (
+        (Protocol.A5N1, _FIELDS),
+        (Protocol.LCW, tuple(f for f in _FIELDS if f.name != "board_temp_c")),
+    )
+}
+# The values each field can carry, in the field's own units.
+PAYLOAD_RANGES = {f.name: (f.value(f.lo), f.value(f.hi)) for f in _FIELDS}
 
 
 def payload_encode(
@@ -69,32 +115,20 @@ def payload_encode(
     """Pack a record into the fixed big-endian payload layout.
 
     Invalid fields encode as zero with the flag bit clear, so the byte
-    image is canonical: encode(decode(b)) == b for any well-formed b.
+    image is canonical: encode(decode(b)) == b for any b that decodes and
+    whose invalid fields are zero.
     """
-    v = record.valid
-    out = bytearray()
-    out.append(PAYLOAD_VERSION)
-    out.append(record.station.protocol.value)
-    out += struct.pack(">H", record.station.channel << 14 | record.station.id)
-    out += struct.pack(">H", record.seq)
-    out.append(v.to_byte())
-    out += struct.pack(">h", _scale(record.temperature_c, 100, -32768, 32767, "temperature") if v.temp else 0)
-    out.append(_scale(record.humidity_pct, 2, 0, 200, "humidity") if v.humidity else 0)
-    out += struct.pack(">H", _scale(record.wind_speed_kph, 10, 0, 65535, "wind speed") if v.wind_speed else 0)
+    station, v = record.station, record.valid
     if v.wind_dir and not 0 <= record.wind_dir_deg < 360:
         raise PayloadError(f"wind direction {record.wind_dir_deg} outside [0, 360)")
-    out += struct.pack(">H", _scale(record.wind_dir_deg, 10, 0, 3599, "wind direction") if v.wind_dir else 0)
-    out += struct.pack(">I", _scale(record.rain_mm, 100, 0, 0xFFFFFFFF, "rain") if v.rain else 0)
-    out += struct.pack(">I", _scale(record.pressure_pa, 1, 0, 0xFFFFFFFF, "pressure") if v.pressure else 0)
-    if record.station.protocol is Protocol.A5N1:
-        out += struct.pack(">h", _scale(record.board_temp_c, 100, -32768, 32767, "board temperature"))
-    out += struct.pack(">H", _scale(record.battery_mv, 1, 0, 65535, "battery voltage"))
-    if not 0 <= meta.frames_received <= 255:
-        raise PayloadError(f"frames_received {meta.frames_received} outside 0..255")
-    out.append(meta.frames_received)
-    out += struct.pack(">H", _scale(meta.cycle_time_s, 1, 0, 65535, "cycle time"))
-    assert len(out) == PAYLOAD_LEN[record.station.protocol]
-    return bytes(out)
+    layout, fields = _PAYLOADS[station.protocol]
+    raws = [
+        0 if f.flag and not getattr(v, f.flag)
+        else f.wire(getattr(meta if f.in_meta else record, f.name))
+        for f in fields
+    ]
+    return layout.pack(PAYLOAD_VERSION, station.protocol.value,
+                       station.channel << 14 | station.id, record.seq, v.to_byte(), *raws)
 
 
 def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
@@ -106,53 +140,24 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
         protocol = Protocol(data[1])
     except ValueError:
         raise PayloadError(f"unknown station type {data[1]:#04x}") from None
-    expected = PAYLOAD_LEN[protocol]
-    if len(data) != expected:
-        raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {expected})")
+    layout, fields = _PAYLOADS[protocol]
+    if len(data) != layout.size:
+        raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {layout.size})")
 
-    sid = struct.unpack(">H", data[2:4])[0]
+    _, _, sid, seq, flag_byte, *raws = layout.unpack(data)
     try:
         station = StationId(protocol, sid & 0x3FFF, sid >> 14)
+        flags = ValidityFlags.from_byte(flag_byte)
     except ValueError as exc:
         raise PayloadError(str(exc)) from None
-    seq = struct.unpack(">H", data[4:6])[0]
-    try:
-        flags = ValidityFlags.from_byte(data[6])
-    except ValueError as exc:
-        raise PayloadError(str(exc)) from None
-    hum_raw = data[9]
-    if hum_raw > 200:
-        raise PayloadError(f"humidity byte {hum_raw} > 200")
-
-    temp = struct.unpack(">h", data[7:9])[0] / 100.0
-    wind = struct.unpack(">H", data[10:12])[0] / 10.0
-    wdir = struct.unpack(">H", data[12:14])[0] / 10.0
-    rain = struct.unpack(">I", data[14:18])[0] / 100.0
-    pressure = struct.unpack(">I", data[18:22])[0]
-    off = 22
-    board_temp = 0.0
-    if protocol is Protocol.A5N1:
-        board_temp = struct.unpack(">h", data[22:24])[0] / 100.0
-        off = 24
-    battery_mv = struct.unpack(">H", data[off:off + 2])[0]
-    meta = PayloadMeta(
-        frames_received=data[off + 2],
-        cycle_time_s=struct.unpack(">H", data[off + 3:off + 5])[0],
-    )
-    record = WeatherRecord(
-        station=station,
-        seq=seq,
-        temperature_c=temp if flags.temp else 0.0,
-        humidity_pct=hum_raw / 2.0 if flags.humidity else 0.0,
-        wind_speed_kph=wind if flags.wind_speed else 0.0,
-        wind_dir_deg=wdir if flags.wind_dir else 0.0,
-        rain_mm=rain if flags.rain else 0.0,
-        pressure_pa=pressure if flags.pressure else 0,
-        board_temp_c=board_temp,
-        battery_mv=battery_mv,
-        valid=flags,
-    )
-    return record, meta
+    values, meta_values = {}, {}
+    for f, raw in zip(fields, raws):
+        if not f.lo <= raw <= f.hi:
+            raise PayloadError(f"{f.label} wire value {raw} outside {f.lo}..{f.hi}")
+        if f.flag and not getattr(flags, f.flag):
+            raw = 0
+        (meta_values if f.in_meta else values)[f.name] = f.value(raw)
+    return WeatherRecord(station=station, seq=seq, valid=flags, **values), PayloadMeta(**meta_values)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +330,7 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
 # Time on air and duty cycle
 
 _BANDWIDTHS = (125_000, 250_000, 500_000)
+MAX_PREAMBLE_SYMBOLS = 0xFFFF    # the transceiver's preamble length register is 16 bits
 
 
 @dataclass(frozen=True)
@@ -347,8 +353,8 @@ class RadioParams:
             raise ValueError(f"bandwidth {self.bandwidth_hz} not one of {_BANDWIDTHS}")
         if not 1 <= self.coding_rate <= 4:
             raise ValueError(f"coding rate {self.coding_rate} outside 1..4")
-        if self.preamble_symbols < 1:
-            raise ValueError("preamble must have at least one symbol")
+        if not 1 <= self.preamble_symbols <= MAX_PREAMBLE_SYMBOLS:
+            raise ValueError(f"preamble must have 1..{MAX_PREAMBLE_SYMBOLS} symbols")
 
     @property
     def de(self) -> int:
@@ -359,8 +365,8 @@ class RadioParams:
 
 def airtime(params: RadioParams, phy_payload_len: int) -> float:
     """LoRa time-on-air in seconds for a PHY payload of the given length."""
-    if not 0 <= phy_payload_len <= 255:
-        raise ValueError(f"payload length {phy_payload_len} outside 0..255")
+    if not 0 <= phy_payload_len <= MAX_PHY_PAYLOAD:
+        raise ValueError(f"payload length {phy_payload_len} outside 0..{MAX_PHY_PAYLOAD}")
     t_sym = 2**params.sf / params.bandwidth_hz
     t_preamble = (params.preamble_symbols + 4.25) * t_sym
     crc = int(params.crc_on)

@@ -95,11 +95,8 @@ class BarometerSpec:
     temp_noise_c: float = 0.0
 
 
-# What the uplink payload carries (``lorawan.payload_encode``): pressure as
-# an unsigned 32-bit count of Pa, board temperature as a signed 16-bit count
-# of 0.01 degC.
-PRESSURE_PA_RANGE = (0, 0xFFFFFFFF)
-BOARD_TEMP_C_RANGE = (-327.68, 327.67)
+PRESSURE_PA_RANGE = lorawan.PAYLOAD_RANGES["pressure_pa"]
+BOARD_TEMP_C_RANGE = lorawan.PAYLOAD_RANGES["board_temp_c"]
 
 # The longest run a config may ask for: the trace is held in memory.
 MAX_DURATION_S = 366 * 86_400.0
@@ -189,8 +186,9 @@ class SimConfig:
         if profile is None:
             problems.append(f"transponder.profile {tr.profile!r} unknown "
                             f"(have {sorted(energy_mod.PROFILES)})")
-        if not 0 < tr.t_cycle_s <= 65535:
-            problems.append("transponder.t_cycle_s must be in (0, 65535]")
+        max_cycle_s = lorawan.PAYLOAD_RANGES["cycle_time_s"][1]
+        if not 0 < tr.t_cycle_s <= max_cycle_s:
+            problems.append(f"transponder.t_cycle_s must be in (0, {max_cycle_s}]")
         elif profile is not None:
             check("transponder.t_cycle_s", energy_mod.cycle_energy, profile, tr.t_cycle_s)
         if not 0 < tr.rx_timeout_s < math.inf:
@@ -715,9 +713,7 @@ class Simulator:
         self.uplinks_delivered += 1
         self.complete_records += all(getattr(record.valid, flag) for flag in FIELD_FLAGS.values())
         self._record_event(t, {"ev": "record", "fcnt": fcnt,
-                               "record": record_to_obj(record),
-                               "frames_received": meta.frames_received,
-                               "cycle_time_s": meta.cycle_time_s})
+                               "record": record_to_obj(record), **vars(meta)})
 
     # -- main loop ----------------------------------------------------------
 

@@ -142,6 +142,17 @@ def test_payload_roundtrip(capsys, monkeypatch):
     assert back["cycle_time_s"] == 900
 
 
+def test_payload_decode_out_of_range_word_reports_line(capsys, monkeypatch):
+    _, out, _ = run_cli(capsys, ["payload"], stdin=RECORD_LINE + "\n", monkeypatch=monkeypatch)
+    good = out.strip()
+    bad = good[:24] + "0e10" + good[28:]        # wind direction word 3600, i.e. 360.0 degrees
+    code, out, err = run_cli(capsys, ["payload", "--decode"], stdin=f"{bad}\n{good}\n",
+                             monkeypatch=monkeypatch)
+    assert code == 0
+    assert len(out.splitlines()) == 1
+    assert err.startswith("line 1: wind direction") and err.count("\n") == 1
+
+
 KEY_ARGS = ["--devaddr", "26011157",
             "--nwkskey", "2b7e151628aed2a6abf7158809cf4f3c",
             "--appskey", "000102030405060708090a0b0c0d0e0f"]
@@ -248,6 +259,22 @@ def test_airtime_sf7_payload1(capsys):
     code, out, _ = run_cli(capsys, ["airtime", "--sf", "7", "--payload", "1"])
     assert code == 0
     assert out.strip() == "25.856"
+
+
+@pytest.mark.parametrize("sf,flag,ms", [
+    ("12", None, "2138.112"), ("12", "--no-low-dr-optimize", "1810.432"),
+    ("7", None, "87.296"), ("7", "--low-dr-optimize", "112.896"),
+])
+def test_airtime_low_dr_optimize_flags(sf, flag, ms, capsys):
+    code, out, _ = run_cli(capsys, ["airtime", "--sf", sf, "--payload", "42", *filter(None, [flag])])
+    assert (code, out.strip()) == (0, ms)
+
+
+@pytest.mark.parametrize("argv", [["--cr", "9"], ["--preamble", "65536"], ["--preamble", "0"]])
+def test_airtime_radio_limits_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, ["airtime", "--sf", "9", "--payload", "10", *argv])
+    assert (code, out) == (3, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_airtime_sf13_usage_error(capsys):
@@ -396,6 +423,7 @@ def test_simulate_loss_statistics(tmp_path, capsys):
 
 EXTREME_FLOATS = st.one_of(
     st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]))
+EXTREME_INTS = st.one_of(st.integers(), st.integers(-10**400, 10**400))
 ENCODE_FLOAT_FLAGS = ("--wind-kph", "--wind-dir-deg", "--rain-mm", "--temp-c", "--humidity-pct")
 PAYLOAD_FLOAT_FIELDS = (*FIELD_FLAGS, "seq", "board_temp_c", "battery_mv",
                         "frames_received", "cycle_time_s")
@@ -405,7 +433,7 @@ PAYLOAD_FLOAT_FIELDS = (*FIELD_FLAGS, "seq", "board_temp_c", "battery_mv",
 def cli_calls(draw):
     """(argv, stdin) for one subcommand given extreme numbers. Flags take
     ``--flag=value`` so that argparse reads a negative value as a value."""
-    kind = draw(st.sampled_from(("a5n1", "lcw", "battery", "payload")))
+    kind = draw(st.sampled_from(("a5n1", "lcw", "battery", "airtime", "payload")))
     if kind == "a5n1":
         flags = draw(st.dictionaries(st.sampled_from(ENCODE_FLOAT_FLAGS), EXTREME_FLOATS, min_size=1))
         return ["encode", "--protocol", "a5n1", "--id", "1",
@@ -415,6 +443,9 @@ def cli_calls(draw):
         return ["encode", "--protocol", "lcw", "--id", "1",
                 "--quantity", draw(st.sampled_from([q.name.lower() for q in LcwQuantity])),
                 f"--value={draw(EXTREME_FLOATS)!r}"], ""
+    if kind == "airtime":
+        payload = draw(st.one_of(st.integers(0, 255), EXTREME_INTS))
+        return ["airtime", "--sf", "9", f"--payload={payload}", f"--preamble={draw(EXTREME_INTS)}"], ""
     if kind == "battery":
         return ["battery", "--platform", draw(st.sampled_from(("bsf32", "lopy4"))),
                 f"--interval-s={draw(EXTREME_FLOATS)!r}", *draw(st.sampled_from(((), ("--daily",))))], ""

@@ -10,6 +10,7 @@ from lorawan_oracle import cmac as oracle_cmac
 from wxkit.core import Protocol, StationId, ValidityFlags, WeatherRecord
 from wxkit.lorawan import (
     MAX_FRM_PAYLOAD,
+    MAX_PHY_PAYLOAD,
     AbpSession,
     CounterError,
     DutyCycleGovernor,
@@ -108,6 +109,10 @@ def test_payload_decode_errors():
     lcw[2] |= 0x40                                     # channel 1 on an LCW station
     with pytest.raises(PayloadError):
         payload_decode(bytes(lcw))
+    wind_dir = bytearray(payload_encode(full_record()))
+    wind_dir[12:14] = (3600).to_bytes(2, "big")        # 360.0 degrees, which encode rejects
+    with pytest.raises(PayloadError):
+        payload_decode(bytes(wind_dir))
 
 
 def test_payload_encode_range_errors():
@@ -221,6 +226,41 @@ def test_payload_codec_identity_on_bytes(record_meta):
     assert payload_encode(back, back_meta) == data
 
 
+# Byte spans of the six gated measurements, by validity bit. They are written
+# here independently of the codec, and are the same for both protocols.
+GATED_SPANS = {1: (7, 9), 2: (9, 10), 3: (10, 12), 4: (12, 14), 5: (14, 18), 6: (18, 22)}
+
+
+def zero_clear_fields(data: bytes) -> bytes:
+    """The canonical image of a payload: each field whose validity bit is
+    clear holds zero."""
+    out = bytearray(data)
+    for bit, (start, end) in GATED_SPANS.items():
+        if not out[6] & (1 << bit):
+            out[start:end] = bytes(end - start)
+    return bytes(out)
+
+
+@st.composite
+def candidate_payloads(draw):
+    """Version byte, station type and length right; everything else drawn."""
+    protocol = draw(st.sampled_from((Protocol.A5N1, Protocol.LCW)))
+    station_word = draw(st.one_of(st.integers(0, 0x7F), st.integers(0, 0xFFFF)))
+    size = 25 if protocol is Protocol.A5N1 else 23
+    body = draw(st.binary(min_size=size, max_size=size))
+    return zero_clear_fields(bytes([0x01, protocol.value]) + station_word.to_bytes(2, "big") + body)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=32), candidate_payloads()))
+def test_payload_decode_accepts_only_what_encode_gives_back(data):
+    try:
+        record, meta = payload_decode(data)
+    except PayloadError:
+        return
+    assert payload_encode(record, meta) == zero_clear_fields(data)
+
+
 # ---------------------------------------------------------------------------
 # frames
 
@@ -293,6 +333,24 @@ def test_frame_roundtrip_1000_random_payloads_and_keys():
         frame = frame_build(sender, payload)
         got, got_fcnt = frame_parse(frame, AbpSession(dev_addr, nwk, app, fcnt_up=fcnt))
         assert got == payload and got_fcnt == fcnt
+
+
+@st.composite
+def candidate_frames(draw):
+    """Some or all of a header this session accepts, then drawn bytes."""
+    header = (bytes([0x40]) + bytes.fromhex(KEYS["dev_addr"])[::-1] + b"\x00"
+              + draw(st.integers(0, 20)).to_bytes(2, "little"))
+    head = header[:draw(st.sampled_from((1, 5, 8)))]
+    return head + draw(st.binary(max_size=MAX_PHY_PAYLOAD + 8 - len(head)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.binary(max_size=300), candidate_frames()))
+def test_frame_parse_raises_only_frame_error(data):
+    try:
+        frame_parse(data, fresh_session())
+    except FrameError:
+        pass
 
 
 def test_frame_payload_too_long():
@@ -476,6 +534,9 @@ def test_airtime_domain_errors():
         RadioParams(bandwidth_hz=100_000)
     with pytest.raises(ValueError):
         airtime(RadioParams(), 256)
+    for preamble in (0, 0x10000, 10**400):
+        with pytest.raises(ValueError):
+            RadioParams(preamble_symbols=preamble)
 
 
 @settings(max_examples=200)
