@@ -261,12 +261,12 @@ def test_airtime_sf7_payload1(capsys):
     assert out.strip() == "25.856"
 
 
-@pytest.mark.parametrize("sf,flag,ms", [
-    ("12", None, "2138.112"), ("12", "--no-low-dr-optimize", "1810.432"),
-    ("7", None, "87.296"), ("7", "--low-dr-optimize", "112.896"),
+@pytest.mark.parametrize("argv,ms", [
+    (["--sf", "12"], "2138.112"), (["--sf", "12", "--no-low-dr-optimize"], "1810.432"),
+    (["--sf", "7"], "87.296"), (["--sf", "7", "--low-dr-optimize"], "112.896"),
 ])
-def test_airtime_low_dr_optimize_flags(sf, flag, ms, capsys):
-    code, out, _ = run_cli(capsys, ["airtime", "--sf", sf, "--payload", "42", *filter(None, [flag])])
+def test_airtime_low_dr_optimize_flags(argv, ms, capsys):
+    code, out, _ = run_cli(capsys, ["airtime", "--payload", "42", *argv])
     assert (code, out.strip()) == (0, ms)
 
 
