@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 
 
@@ -94,6 +95,7 @@ class ValidityFlags:
         return b
 
     @classmethod
+    @functools.cache    # at most 128 valid bytes, each an immutable value
     def from_byte(cls, b: int) -> "ValidityFlags":
         if not 0 <= b <= 0xFF:
             raise ValueError(f"flags byte out of range: {b}")

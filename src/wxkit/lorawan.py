@@ -122,11 +122,12 @@ def payload_encode(
     if v.wind_dir and not 0 <= record.wind_dir_deg < 360:
         raise PayloadError(f"wind direction {record.wind_dir_deg} outside [0, 360)")
     layout, fields = _PAYLOADS[station.protocol]
-    raws = [
-        0 if f.flag and not getattr(v, f.flag)
-        else f.wire(getattr(meta if f.in_meta else record, f.name))
-        for f in fields
-    ]
+    raws = []
+    for f in fields:
+        if f.flag and not getattr(v, f.flag):
+            raws.append(0)
+        else:
+            raws.append(f.wire(getattr(meta if f.in_meta else record, f.name)))
     return layout.pack(PAYLOAD_VERSION, station.protocol.value,
                        station.channel << 14 | station.id, record.seq, v.to_byte(), *raws)
 
