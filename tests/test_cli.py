@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from wxkit.cli import main
 from wxkit.core import FIELD_FLAGS, Protocol, StationId
-from wxkit.rfdecode import A5N1_MSG_TEMP_HUMIDITY, LcwQuantity, build_a5n1_frame
+from wxkit.rfdecode import (
+    A5N1_MSG_TEMP_HUMIDITY,
+    LcwQuantity,
+    PulseTrain,
+    a5n1_to_pulses,
+    build_a5n1_frame,
+    bytes_to_bits,
+)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -190,6 +197,107 @@ def test_frame_missing_keys_is_validation_error(capsys, monkeypatch):
                            monkeypatch=monkeypatch)
     assert code == 3
     assert "WXKIT_" in err
+
+
+# ---------------------------------------------------------------------------
+# the line commands' exact transcript: good lines mixed with one of each error
+
+GOOD_38, GOOD_31 = "84d2780ac5182de2", "84d2b10084007803"
+BAD_CHECKSUM, BAD_PARITY = "84d2780ac5182de3", "84d2b10085007804"
+LCW_RECORD = json.dumps({"station": {"protocol": "lcw", "id": 42}, "temperature_c": 25.3})
+PAYLOAD_A5N1 = "010184d200077f08925a005d038400000be800018bcd09920e74020384"
+PAYLOAD_LCW = "0102002a00000209e2000000000000000000000000000000000000"
+FRAME_0 = "4057110126000000016546156a692becac509dc94a1acc996b235e5e8352060eb06becf945135db184d9"
+FRAME_1 = "40571101260001000183099f896ba83cae62ba0b48363b4f959ecbc0efa34175e816f5e8fdb48ea0"
+
+DECODED_38 = ('{"station": {"protocol": "a5n1", "id": 1234, "channel": 2}, "seq": 0, '
+              '"sensor_battery_ok": true, "temperature_c": 21.5, "humidity_pct": 45.0, '
+              '"wind_speed_kph": 9.278, "wind_dir_deg": null, "rain_mm": null, '
+              '"pressure_pa": null, "board_temp_c": 0.0, "battery_mv": 0}\n')
+DECODED_31 = ('{"station": {"protocol": "a5n1", "id": 1234, "channel": 2}, "seq": 0, '
+              '"sensor_battery_ok": false, "temperature_c": null, "humidity_pct": null, '
+              '"wind_speed_kph": 0.0, "wind_dir_deg": 90.0, "rain_mm": 30.48, '
+              '"pressure_pa": null, "board_temp_c": 0.0, "battery_mv": 0}\n')
+
+
+def _pulses(*frames: str) -> str:
+    return PulseTrain.concat([a5n1_to_pulses(bytes.fromhex(f)) for f in frames]).to_text()
+
+
+def _bits(frame: str) -> str:
+    return bytes_to_bits(bytes.fromhex(frame))
+
+
+TRANSCRIPT = [
+    (["decode", "--protocol", "a5n1"],
+     _pulses(GOOD_38, BAD_CHECKSUM, GOOD_38[:14], GOOD_31, BAD_PARITY),
+     0, DECODED_38 + DECODED_31,
+     "run 2: checksum 0xe3 != computed 0xe2\n"
+     "run 3: skipped, 56 bits (need 64)\n"
+     "run 5: parity failure in byte 4\n"),
+    (["decode", "--protocol", "a5n1", "--format", "bits"],
+     f"{_bits(GOOD_38)}\n\n# comment\n{_bits(BAD_CHECKSUM)}  # trailing\n"
+     f"{_bits(GOOD_38)[:60]}\n{_bits(GOOD_31)}\n",
+     0, DECODED_38 + DECODED_31,
+     "line 4: checksum 0xe3 != computed 0xe2\n"
+     "line 5: skipped, 60 bits (need 64)\n"),
+    (["decode", "--protocol", "lcw", "--format", "hex"],
+     "905565300065c\n905565300065d\n805565300065b\n905565300075d\n",
+     0, '{"station": {"protocol": "lcw", "id": 42, "channel": 0}, "seq": 0, '
+        '"sensor_battery_ok": true, "temperature_c": 25.299999999999997, "humidity_pct": null, '
+        '"wind_speed_kph": null, "wind_dir_deg": null, "rain_mm": null, "pressure_pa": null, '
+        '"board_temp_c": 0.0, "battery_mv": 0}\n',
+     "line 2: checksum 0xd != computed 0xc\n"
+     "line 3: sync nibble 0x8 != 0x9\n"
+     "line 4: repeat nibbles 0x70x5 != digits 0x60x5\n"),
+    (["decode", "--protocol", "a5n1", "--format", "hex"], f"{GOOD_38}\n{GOOD_38[:-2]}\n",
+     3, "", "error: line 2: expected 16 lowercase hex digits\n"),
+    (["decode", "--protocol", "a5n1", "--format", "bits"], f"{_bits(GOOD_38)}\n0120\n",
+     3, "", "error: line 2: bitstring lines must be 0/1 characters\n"),
+    (["payload"],
+     "\n".join([RECORD_LINE, "{not json", "[1]", '{"seq": 1}',
+                _record_with(station={"protocol": "a5n1", "id": "7", "channel": 2}),
+                _record_with(temperature_c=float("inf")), LCW_RECORD]) + "\n",
+     0, f"{PAYLOAD_A5N1}\n{PAYLOAD_LCW}\n",
+     "line 2: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+     "line 3: 'list' object has no attribute 'get'\n"
+     "line 4: 'station'\n"
+     "line 5: '<=' not supported between instances of 'int' and 'str'\n"
+     "line 6: temperature value inf outside representable range\n"),
+    (["payload"], "{}\n[]\n",
+     2, "", "line 1: 'station'\nline 2: 'list' object has no attribute 'get'\n"),
+    (["payload", "--decode"],
+     f"{PAYLOAD_A5N1}\n{PAYLOAD_A5N1[:-1]}\n{PAYLOAD_A5N1[:-2]}\n03{PAYLOAD_A5N1[2:]}\n{PAYLOAD_LCW}\n",
+     0, RECORD_LINE + "\n"
+        '{"station": {"protocol": "lcw", "id": 42, "channel": 0}, "seq": 0, '
+        '"sensor_battery_ok": false, "temperature_c": 25.3, "humidity_pct": null, '
+        '"wind_speed_kph": null, "wind_dir_deg": null, "rain_mm": null, "pressure_pa": null, '
+        '"board_temp_c": 0.0, "battery_mv": 0, "frames_received": 0, "cycle_time_s": 0}\n',
+     "line 2: non-hexadecimal number found in fromhex() arg at position 57\n"
+     "line 3: wrong length 28 for a5n1 (expected 29)\n"
+     "line 4: unknown payload version 0x03\n"),
+    (["frame", *KEY_ARGS], f"{PAYLOAD_A5N1}\nzz\n{'00' * 223}\n{PAYLOAD_LCW}\n",
+     0, f"{FRAME_0}\n{FRAME_1}\n",
+     "line 2: not valid hex\n"
+     "line 3: payload of 223 bytes exceeds 222\n"),
+    (["frame", "--parse", *KEY_ARGS],
+     f"{FRAME_0}\nabc\n{FRAME_1[:-2]}00\n{FRAME_0}\n{FRAME_1}\n{'40' * 11}\n",
+     0, f"{PAYLOAD_A5N1}\n{PAYLOAD_LCW}\n",
+     "line 1: fcnt 0\n"
+     "line 2: not valid hex\n"
+     "line 3: MIC verification failed\n"
+     "line 4: counter 0 outside resync window [1, 17]\n"
+     "line 5: fcnt 1\n"
+     "line 6: frame of 11 bytes is outside 12..255 bytes\n"),
+    (["frame", "--parse", *KEY_ARGS], "0g\n", 2, "", "line 1: not valid hex\n"),
+]
+
+
+@pytest.mark.parametrize("argv,stdin,code,out,err", TRANSCRIPT, ids=[
+    "decode_pulses", "decode_bits", "decode_lcw_hex", "decode_bad_hex", "decode_bad_bits",
+    "payload", "payload_none", "payload_decode", "frame", "frame_parse", "frame_parse_none"])
+def test_line_command_transcript(argv, stdin, code, out, err, capsys, monkeypatch):
+    assert run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [
