@@ -15,8 +15,6 @@ from .rfdecode import (
     PulseTrain,
     decode_a5n1,
     decode_lcw,
-    encode_a5n1,
-    encode_lcw,
     frame_pulses,
     rain_counter_delta,
 )

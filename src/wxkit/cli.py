@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 
 from . import energy, lorawan, rfdecode, simkit
 from .core import (
@@ -66,14 +67,28 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """Non-empty lines with comments stripped, keeping line numbers."""
-    out = []
+def _data_lines(text: str) -> Iterator[tuple[str, str]]:
+    """("line N", line) for each non-empty line, its comment stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((lineno, line))
-    return out
+            yield f"line {lineno}", line
+
+
+def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str], str],
+                   output: str, errors=ValueError) -> int:
+    """Write ``convert(origin, item)`` of each (origin, item) to ``output``, one
+    line each. An item whose conversion raises one of ``errors`` is reported
+    on stderr as ``origin: message`` and skipped. Exit 0 if any item
+    converted, else 2."""
+    lines = []
+    for origin, item in items:
+        try:
+            lines.append(convert(origin, item))
+        except errors as exc:
+            print(f"{origin}: {exc}", file=sys.stderr)
+    _write_output(output, "".join(line + "\n" for line in lines))
+    return EXIT_OK if lines else EXIT_NO_DATA
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +102,15 @@ def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, 
         runs = rfdecode.frame_pulses(train, protocol=protocol)
         return [(f"run {i + 1}", run) for i, run in enumerate(runs)]
     out = []
-    for lineno, line in _data_lines(text):
+    for origin, line in _data_lines(text):
         if fmt == "bits":
             if any(c not in "01" for c in line):
-                raise ValueError(f"line {lineno}: bitstring lines must be 0/1 characters")
-            out.append((f"line {lineno}", line))
+                raise ValueError(f"{origin}: bitstring lines must be 0/1 characters")
+            out.append((origin, line))
         else:
             if len(line) * 4 != nbits or any(c not in "0123456789abcdef" for c in line):
-                raise ValueError(
-                    f"line {lineno}: expected {nbits // 4} lowercase hex digits")
-            out.append((f"line {lineno}", f"{int(line, 16):0{nbits}b}"))
+                raise ValueError(f"{origin}: expected {nbits // 4} lowercase hex digits")
+            out.append((origin, f"{int(line, 16):0{nbits}b}"))
     return out
 
 
@@ -111,19 +125,13 @@ def cmd_decode(args) -> int:
         return EXIT_VALIDATION
 
     decode = rfdecode.decoder(protocol)
-    lines = []
-    for origin, bits in candidates:
+
+    def convert(_, bits: str) -> str:
         if len(bits) != nbits:
-            print(f"{origin}: skipped, {len(bits)} bits (need {nbits})", file=sys.stderr)
-            continue
-        try:
-            _, record = decode(bits)
-        except rfdecode.DecodeError as exc:
-            print(f"{origin}: {exc}", file=sys.stderr)
-            continue
-        lines.append(json.dumps(record_to_obj(record)))
-    _write_output(args.output, "".join(line + "\n" for line in lines))
-    return EXIT_OK if lines else EXIT_NO_DATA
+            raise rfdecode.DecodeError(f"skipped, {len(bits)} bits (need {nbits})")
+        return json.dumps(record_to_obj(decode(bits)[1]))
+
+    return _convert_lines(candidates, convert, args.output)
 
 
 def cmd_encode(args) -> int:
@@ -172,29 +180,25 @@ def cmd_encode(args) -> int:
 # ---------------------------------------------------------------------------
 # payload / frame
 
+def _payload_of_json(_, line: str) -> str:
+    obj = json.loads(line)
+    meta = lorawan.PayloadMeta(
+        frames_received=obj.get("frames_received", 0),
+        cycle_time_s=obj.get("cycle_time_s", 0),
+    )
+    return lorawan.payload_encode(record_from_obj(obj), meta).hex()
+
+
+def _json_of_payload(_, line: str) -> str:
+    record, meta = lorawan.payload_decode(bytes.fromhex(line))
+    return json.dumps(record_to_obj(record) | vars(meta))
+
+
 def cmd_payload(args) -> int:
-    text = _read_input(args.input)
-    lines = []
-    count = 0
-    for lineno, line in _data_lines(text):
-        try:
-            if args.decode:
-                record, meta = lorawan.payload_decode(bytes.fromhex(line))
-                lines.append(json.dumps(record_to_obj(record) | vars(meta)))
-            else:
-                obj = json.loads(line)
-                meta = lorawan.PayloadMeta(
-                    frames_received=obj.get("frames_received", 0),
-                    cycle_time_s=obj.get("cycle_time_s", 0),
-                )
-                record = record_from_obj(obj)
-                lines.append(lorawan.payload_encode(record, meta).hex())
-            count += 1
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            # a wrongly typed JSON field surfaces as TypeError or AttributeError
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-    _write_output(args.output, "".join(line + "\n" for line in lines))
-    return EXIT_OK if count else EXIT_NO_DATA
+    convert = _json_of_payload if args.decode else _payload_of_json
+    # a wrongly typed JSON field surfaces as KeyError, TypeError or AttributeError
+    return _convert_lines(_data_lines(_read_input(args.input)), convert, args.output,
+                          (ValueError, KeyError, TypeError, AttributeError))
 
 
 def _session_from(args) -> lorawan.AbpSession:
@@ -204,7 +208,7 @@ def _session_from(args) -> lorawan.AbpSession:
             raise UsageError(f"{label} required (flag or {env_name})")
         return value
 
-    return lorawan.AbpSession.from_hex(
+    return lorawan.AbpSession(
         pick(args.devaddr, ENV_DEVADDR, "--devaddr"),
         pick(args.nwkskey, ENV_NWKSKEY, "--nwkskey"),
         pick(args.appskey, ENV_APPSKEY, "--appskey"),
@@ -216,31 +220,23 @@ def _session_from(args) -> lorawan.AbpSession:
 def cmd_frame(args) -> int:
     try:
         session = _session_from(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    text = _read_input(args.input)
-    lines = []
-    count = 0
-    for lineno, line in _data_lines(text):
+
+    def convert(origin: str, line: str) -> str:
         try:
             data = bytes.fromhex(line)
         except ValueError:
-            print(f"line {lineno}: not valid hex", file=sys.stderr)
-            continue
-        try:
-            if args.parse:
-                payload, fcnt = lorawan.frame_parse(data, session)
-                session.fcnt_up = fcnt + 1
-                print(f"line {lineno}: fcnt {fcnt}", file=sys.stderr)
-                lines.append(payload.hex())
-            else:
-                lines.append(lorawan.frame_build(session, data).hex())
-            count += 1
-        except lorawan.FrameError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-    _write_output(args.output, "".join(line + "\n" for line in lines))
-    return EXIT_OK if count else EXIT_NO_DATA
+            raise ValueError("not valid hex") from None
+        if not args.parse:
+            return lorawan.frame_build(session, data).hex()
+        payload, fcnt = lorawan.frame_parse(data, session)
+        session.fcnt_up = fcnt + 1
+        print(f"{origin}: fcnt {fcnt}", file=sys.stderr)
+        return payload.hex()
+
+    return _convert_lines(_data_lines(_read_input(args.input)), convert, args.output)
 
 
 # ---------------------------------------------------------------------------

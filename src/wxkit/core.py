@@ -261,10 +261,13 @@ def record_from_obj(obj: dict) -> WeatherRecord:
     st = obj["station"]
     station = StationId(Protocol.from_label(st["protocol"]), st["id"], st.get("channel", 0))
     kwargs = {field: obj.get(field) for field in FIELD_FLAGS}
+    battery_ok = obj.get("sensor_battery_ok", False)
+    if not isinstance(battery_ok, bool):
+        raise ValueError(f"sensor_battery_ok must be true or false, not {battery_ok!r}")
     return WeatherRecord.build(
         station,
         seq=obj.get("seq", 0),
-        sensor_battery_ok=bool(obj.get("sensor_battery_ok", False)),
+        sensor_battery_ok=battery_ok,
         board_temp_c=obj.get("board_temp_c", 0.0),
         battery_mv=obj.get("battery_mv", 0),
         **kwargs,

@@ -2,8 +2,8 @@
 platforms.
 
 The active phase is treated as a measured lump (``e_active_uwh``); the
-optional component detail splits it into receiver, radio-TX and residual
-MCU shares for the simulator's ledger, but never changes the total.
+component figures below split it into receiver, radio-TX and residual MCU
+shares for the simulator's ledger, but never change the total.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ class EnergyModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentDetail:
-    """Measured component currents and nominal phase durations used to
-    attribute the active-phase lump across simulator states."""
-
-    i_shr_ma: float = 9.9       # average draw while the 433 MHz receiver is on
-    i_tx_ma: float = 102.0      # draw during the LoRa transmission
-    t_shr_s: float = 41.0       # nominal receiver-on time per cycle
-    t_tx_s: float = 0.289       # nominal transmission time
+# Measured component currents and nominal phase durations, the same on both
+# platforms, used to attribute the active-phase lump across simulator states.
+I_SHR_MA = 9.9      # average draw while the 433 MHz receiver is on
+I_TX_MA = 102.0     # draw during the LoRa transmission
+T_SHR_S = 41.0      # nominal receiver-on time per cycle
+T_TX_S = 0.289      # nominal transmission time
 
 
 @dataclass(frozen=True)
@@ -38,16 +35,13 @@ class EnergyProfile:
     e_active_uwh: float
     i_sleep_ua: float
     battery_uwh: float
-    detail: ComponentDetail | None = None
 
     def __post_init__(self):
         if self.t_active_s <= 0 or self.e_active_uwh <= 0:
             raise EnergyModelError("active phase duration and energy must be positive")
         if self.supply_v <= 0 or self.i_sleep_ua < 0 or self.battery_uwh <= 0:
             raise EnergyModelError("supply, sleep current and battery must be positive")
-        if self.detail is not None:
-            # component energies must not exceed the measured active lump
-            fit_component_power(self)
+        fit_component_power(self)    # raises if the components exceed the active lump
 
     @property
     def sleep_power_uw(self) -> float:
@@ -55,13 +49,13 @@ class EnergyProfile:
 
     @property
     def shr_power_uw(self) -> float:
-        """Receiver draw in uW; needs the component detail."""
-        return self.detail.i_shr_ma * 1000.0 * self.supply_v
+        """Receiver draw in uW."""
+        return I_SHR_MA * 1000.0 * self.supply_v
 
     @property
     def tx_power_uw(self) -> float:
-        """Radio-TX draw in uW; needs the component detail."""
-        return self.detail.i_tx_ma * 1000.0 * self.supply_v
+        """Radio-TX draw in uW."""
+        return I_TX_MA * 1000.0 * self.supply_v
 
 
 def cycle_energy(profile: EnergyProfile, t_cycle_s: float) -> float:
@@ -89,14 +83,12 @@ def fit_component_power(profile: EnergyProfile) -> float:
     """Residual MCU power in uW after the receiver and radio-TX shares are
     taken out of the measured active-phase energy.
 
-    The durations are those of the profile's component detail. A detail
-    whose component energies exceed the measured total is inconsistent and
-    raises; the caller is expected to fix the durations, not clamp.
+    The durations are the nominal ``T_SHR_S`` and ``T_TX_S``. A profile
+    whose component energies exceed its measured total is inconsistent and
+    raises; the caller is expected to fix the figures, not clamp.
     """
-    if profile.detail is None:
-        raise EnergyModelError(f"profile {profile.name} carries no component detail")
-    e_shr = profile.shr_power_uw * profile.detail.t_shr_s / HOUR_S
-    e_tx = profile.tx_power_uw * profile.detail.t_tx_s / HOUR_S
+    e_shr = profile.shr_power_uw * T_SHR_S / HOUR_S
+    e_tx = profile.tx_power_uw * T_TX_S / HOUR_S
     residual = profile.e_active_uwh - e_shr - e_tx
     if residual < 0:
         raise EnergyModelError(
@@ -113,7 +105,6 @@ BSF32 = EnergyProfile(
     e_active_uwh=449.0,
     i_sleep_ua=144.0,
     battery_uwh=7.4e6,      # 3.7 V, 2000 mAh Li-ion
-    detail=ComponentDetail(),
 )
 
 LOPY4 = EnergyProfile(
@@ -123,7 +114,6 @@ LOPY4 = EnergyProfile(
     e_active_uwh=1170.0,
     i_sleep_ua=32.8,
     battery_uwh=48e6,       # 3 type D alkaline cells
-    detail=ComponentDetail(),
 )
 
 PROFILES = {p.name: p for p in (BSF32, LOPY4)}

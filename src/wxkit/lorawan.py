@@ -53,8 +53,9 @@ class PayloadMeta:
 
 class _Field:
     """One payload field after the header. Its wire value is
-    round(value * scale), which must lie in lo..hi; a measurement whose
-    validity bit is clear goes on the wire as 0."""
+    round(value * scale), which must lie in lo..hi; an unscaled field takes
+    whole numbers only, and a measurement whose validity bit is clear goes
+    on the wire as 0."""
 
     __slots__ = ("name", "label", "code", "scale", "lo", "hi", "flag", "in_meta")
 
@@ -74,6 +75,8 @@ class _Field:
             raw = None
         if raw is None or not self.lo <= raw <= self.hi:
             raise PayloadError(f"{self.label} value {value} outside representable range")
+        if self.scale == 1 and (raw != value or isinstance(value, bool)):
+            raise PayloadError(f"{self.label} value {value!r} is not a whole number")
         return raw
 
     def value(self, raw: int) -> float | int:
@@ -222,10 +225,6 @@ class AbpSession:
         if not 0 <= self.fcnt_up < 2**32:
             raise ValueError("fcnt_up must be a 32-bit counter")
         self._aes_cache: dict[bytes, _AesContexts] = {}
-
-    @classmethod
-    def from_hex(cls, dev_addr: str, nwk_skey: str, app_skey: str, **kw) -> "AbpSession":
-        return cls(bytes.fromhex(dev_addr), bytes.fromhex(nwk_skey), bytes.fromhex(app_skey), **kw)
 
     def _aes(self, key: bytes) -> _AesContexts:
         try:

@@ -4,8 +4,9 @@ sensor families.
 The pipeline starts at the demodulated pulse level: a capture is a sequence
 of alternating high/low durations. ``frame_pulses`` slices it into candidate
 bitstrings, ``decode_a5n1``/``decode_lcw`` validate and extract physical
-values, and the ``encode_*`` functions run the whole thing backwards for
-simulation and round-trip testing.
+values. ``build_a5n1_frame``/``build_lcw_frame`` with ``a5n1_to_pulses``/
+``lcw_to_pulses`` run the whole thing backwards for simulation and
+round-trip testing.
 
 Bit layouts, timings and scale factors are normative for this toolkit (the
 device vendors publish none of it); they follow the publicly documented
@@ -17,7 +18,7 @@ Codecs are pure functions and the framer holds no state between calls.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .core import Protocol, StationId, WeatherRecord
@@ -237,8 +238,9 @@ def _a5n1_checksum(data: bytes) -> int:
     return sum(data[:7]) & 0xFF
 
 
-def _even_parity_ok(byte: int) -> bool:
-    return byte.bit_count() % 2 == 0
+def _odd_parity(byte: int) -> int:
+    """1 if ``byte`` has an odd number of set bits, else 0."""
+    return byte.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,7 @@ class A5N1Frame:
         if data[7] != checksum:
             raise ChecksumError(f"checksum {data[7]:#04x} != computed {checksum:#04x}")
         for i in range(2, 7):
-            if not _even_parity_ok(data[i]):
+            if _odd_parity(data[i]):
                 raise ParityError(i)
         if data[2] & 0x3F not in A5N1_MESSAGE_TYPES:
             raise UnknownMessageTypeError(f"message type {data[2] & 0x3F:#04x}")
@@ -341,7 +343,7 @@ def _with_parity(byte: int) -> int:
     """Set bit 7 so the whole byte has even parity."""
     if not 0 <= byte <= 0x7F:
         raise ValueError("payload bits must fit in bits 6..0")
-    return byte | (0x80 if byte.bit_count() % 2 else 0x00)
+    return byte | _odd_parity(byte) << 7
 
 
 def _round(value: float, what: str) -> int:
@@ -425,30 +427,6 @@ def a5n1_to_pulses(data: bytes) -> PulseTrain:
     return PulseTrain(tuple(entries))
 
 
-def encode_a5n1(
-    station: StationId,
-    message_type: int,
-    *,
-    battery_ok: bool = True,
-    wind_kph: float = 0.0,
-    wind_dir_deg: float = 0.0,
-    rain_mm: float = 0.0,
-    temperature_c: float = 0.0,
-    humidity_pct: float = 0.0,
-) -> PulseTrain:
-    frame = build_a5n1_frame(
-        station,
-        message_type,
-        battery_ok=battery_ok,
-        wind_kph=wind_kph,
-        wind_dir_deg=wind_dir_deg,
-        rain_mm=rain_mm,
-        temperature_c=temperature_c,
-        humidity_pct=humidity_pct,
-    )
-    return a5n1_to_pulses(frame)
-
-
 def rain_counter_delta(prev: int, curr: int) -> float:
     """Rain increment in mm between two 14-bit tip counter readings,
     handling counter wrap. Always non-negative; fold deltas to keep a
@@ -463,6 +441,10 @@ def rain_counter_delta(prev: int, curr: int) -> float:
 
 LCW_SYNC_NIBBLE = 0x9
 LCW_RAIN_MM_PER_COUNT = 0.518
+
+
+def _lcw_checksum(nibbles: Sequence[int]) -> int:
+    return sum(nibbles[:12]) % 16
 
 
 class LcwQuantity(enum.IntEnum):
@@ -487,7 +469,7 @@ class LCWFrame:
             raise ValueError("lcw frame must be 13 nibbles")
         if n[0] != LCW_SYNC_NIBBLE:
             raise SyncError(f"sync nibble {n[0]:#x} != 0x9")
-        checksum = sum(n[:12]) % 16
+        checksum = _lcw_checksum(n)
         if n[12] != checksum:
             raise ChecksumError(f"checksum {n[12]:#x} != computed {checksum:#x}")
         if n[10] != n[4] or n[11] != n[5]:
@@ -608,7 +590,7 @@ def build_lcw_frame(
         0, 0, 0,
         d[0], d[1],
     ]
-    n.append(sum(n) % 16)
+    n.append(_lcw_checksum(n))
     return tuple(n)
 
 
@@ -621,13 +603,3 @@ def lcw_to_pulses(nibbles: tuple[int, ...]) -> PulseTrain:
         entries.append(("L", LCW_GAP_US))
     entries[-1] = ("L", LCW_FRAME_GAP_US)
     return PulseTrain(tuple(entries))
-
-
-def encode_lcw(
-    quantity: LcwQuantity,
-    value: float,
-    station: StationId,
-    *,
-    battery_ok: bool = True,
-) -> PulseTrain:
-    return lcw_to_pulses(build_lcw_frame(quantity, value, station, battery_ok=battery_ok))

@@ -25,7 +25,6 @@ from .core import (
     FIELD_FLAGS,
     Protocol,
     StationId,
-    ValidityFlags,
     WeatherRecord,
     merge_partial,
     record_to_obj,
@@ -194,7 +193,7 @@ class SimConfig:
         if not 0 < tr.rx_timeout_s < math.inf:
             problems.append("transponder.rx_timeout_s must be positive and finite")
         check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
-        check("transponder session", lorawan.AbpSession.from_hex,
+        check("transponder session", lorawan.AbpSession,
               tr.dev_addr, tr.nwk_skey, tr.app_skey, fport=tr.fport)
         check("transponder radio settings", lorawan.RadioParams,
               sf=tr.sf, bandwidth_hz=tr.bandwidth_hz, coding_rate=tr.coding_rate)
@@ -355,6 +354,9 @@ INTER_SLEEP_S = 10.0
 READ_BARO_S = 0.2
 BUILD_TX_S = 0.2
 
+# Where a receive window goes when it closes, on a frame or on its timeout.
+RX_EXITS = {State.RX1: (State.INTER_SLEEP, INTER_SLEEP_S), State.RX2: (State.READ_BARO, READ_BARO_S)}
+
 
 @dataclass(frozen=True, slots=True)
 class Uplink:
@@ -384,9 +386,7 @@ class Transponder:
         self.baro = baro
         self.rng = rng
         self.profile = energy_mod.PROFILES[spec.profile]
-        if self.profile.detail is None:
-            raise SimConfigError([f"profile {spec.profile} has no component detail"])
-        self.session = lorawan.AbpSession.from_hex(
+        self.session = lorawan.AbpSession(
             spec.dev_addr, spec.nwk_skey, spec.app_skey, fport=spec.fport)
         self.radio = lorawan.RadioParams(
             sf=spec.sf, bandwidth_hz=spec.bandwidth_hz, coding_rate=spec.coding_rate)
@@ -399,13 +399,10 @@ class Transponder:
         self.cycle_start: float | None = None
         self.state_time: dict[State, float] = {}
         self.energy_by_state: dict[str, float] = {}
-        self.record = self._fresh_record()
+        self.record = WeatherRecord(station)
         self.frames_received = 0
         self._pending_frame: bytes | None = None
         self._pending_t_air = 0.0
-
-    def _fresh_record(self) -> WeatherRecord:
-        return WeatherRecord(station=self.station, valid=ValidityFlags())
 
     @property
     def shr_listening(self) -> bool:
@@ -442,31 +439,23 @@ class Transponder:
             raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
         try:
             _, partial = rfdecode.decoder(self.station.protocol)(bits)
+            if partial.station != self.station:
+                raise rfdecode.DecodeError("foreign station")
         except rfdecode.DecodeError as exc:
             return [{"ev": "frame_rx", "state": self.state.value,
                      "ok": False, "reason": str(exc)}]
-        if partial.station != self.station:
-            return [{"ev": "frame_rx", "state": self.state.value,
-                     "ok": False, "reason": "foreign station"}]
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
         events = [{"ev": "frame_rx", "state": self.state.value,
                    "ok": True, "record": record_to_obj(partial)}]
-        if self.state is State.RX1:
-            return events + self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
-        return events + self._enter(now, State.READ_BARO, READ_BARO_S)
+        return events + self._enter(now, *RX_EXITS[self.state])
 
     def _on_wake(self, now: float) -> list[dict | Uplink]:
         s = self.state
         if s is State.RESET:
             return self._enter(now, State.INIT, INIT_S)
-        if s is State.INIT:
-            return self._start_cycle(now)
         if s in RX_STATES:
-            events = [{"ev": "rx_timeout", "state": s.value}]
-            if s is State.RX1:
-                return events + self._enter(now, State.INTER_SLEEP, INTER_SLEEP_S)
-            return events + self._enter(now, State.READ_BARO, READ_BARO_S)
+            return [{"ev": "rx_timeout", "state": s.value}] + self._enter(now, *RX_EXITS[s])
         if s is State.INTER_SLEEP:
             return self._enter(now, State.RX2, self.spec.rx_timeout_s)
         if s is State.READ_BARO:
@@ -475,14 +464,12 @@ class Transponder:
             return self._build_and_maybe_transmit(now)
         if s is State.TRANSMIT:
             return self._finish_transmit(now)
-        if s is State.DEEP_SLEEP:
-            return self._start_cycle(now)
-        raise ProtocolViolationError(f"wake in state {s.value}")
+        return self._start_cycle(now)     # INIT or DEEP_SLEEP
 
     def _start_cycle(self, now: float) -> list[dict]:
         self.cycle += 1
         self.cycle_start = now
-        self.record = self._fresh_record()
+        self.record = WeatherRecord(self.station)
         self.frames_received = 0
         # the sleep that just ended closes its energy entry here
         return self._enter(now, State.RX1, self.spec.rx_timeout_s) + self._sleep_entry()
@@ -541,20 +528,22 @@ class Transponder:
         the transmission at the radio draw, and the remaining states share
         whatever residual keeps the total at the measured lump. With loss
         the receiver can stay on long enough that its share alone exceeds
-        the lump; then the residual floors at zero and physics wins."""
+        the lump; then the residual floors at zero and physics wins. Deep
+        sleep is never among the states: ``_sleep_entry`` takes its time out
+        when the next cycle starts."""
         ledger: dict[str, float] = {}
         others_s = 0.0
         for state, dur in self.state_time.items():
             uw = self._component_uw(state)
             if uw is not None:
                 ledger[state.value] = uw * dur / HOUR_S
-            elif state is not State.DEEP_SLEEP:
+            else:
                 others_s += dur
         e_shr = sum(ledger[s.value] for s in self.state_time if s in SHR_ON_STATES)
         e_tx = ledger.get(State.TRANSMIT.value, 0.0)
         residual = max(0.0, self.profile.e_active_uwh - e_shr - e_tx)
         for state, dur in self.state_time.items():
-            if state.value not in ledger and state is not State.DEEP_SLEEP:
+            if state.value not in ledger:
                 ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
 
@@ -642,7 +631,7 @@ class Simulator:
         self.emitter = _Emitter(config.station, self.rng)
         self.transponder = Transponder(
             config.transponder, self.emitter.station, config.barometer, self.rng)
-        self.server_session = lorawan.AbpSession.from_hex(
+        self.server_session = lorawan.AbpSession(
             config.transponder.dev_addr, config.transponder.nwk_skey,
             config.transponder.app_skey, fport=config.transponder.fport)
         self.violations: list[str] = []

@@ -19,14 +19,14 @@ from wxkit.rfdecode import (
     A5N1_MSG_WIND_DIR_RAIN,
     DecodeError,
     LcwQuantity,
+    a5n1_to_pulses,
     build_a5n1_frame,
     build_lcw_frame,
     bytes_to_bits,
     decode_a5n1,
     decode_lcw,
-    encode_a5n1,
-    encode_lcw,
     frame_pulses,
+    lcw_to_pulses,
     nibbles_to_bits,
 )
 from wxkit.simkit import SimConfig, run as sim_run
@@ -113,8 +113,9 @@ def test_criterion_4_roundtrip_property_suite():
         if rng.random() < 0.5:
             dir_deg = rng.randrange(16) * 22.5
             rain = rng.uniform(0, 4000.0)
-            train = encode_a5n1(station, A5N1_MSG_WIND_DIR_RAIN, battery_ok=battery,
-                                wind_kph=wind, wind_dir_deg=dir_deg, rain_mm=rain)
+            train = a5n1_to_pulses(build_a5n1_frame(
+                station, A5N1_MSG_WIND_DIR_RAIN, battery_ok=battery,
+                wind_kph=wind, wind_dir_deg=dir_deg, rain_mm=rain))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1 and len(runs[0]) == 64
             _, rec = decode_a5n1(runs[0])
@@ -123,8 +124,9 @@ def test_criterion_4_roundtrip_property_suite():
         else:
             temp = rng.uniform(-40.0, 73.0)
             hum = rng.randrange(101)
-            train = encode_a5n1(station, A5N1_MSG_TEMP_HUMIDITY, battery_ok=battery,
-                                wind_kph=wind, temperature_c=temp, humidity_pct=hum)
+            train = a5n1_to_pulses(build_a5n1_frame(
+                station, A5N1_MSG_TEMP_HUMIDITY, battery_ok=battery,
+                wind_kph=wind, temperature_c=temp, humidity_pct=hum))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1 and len(runs[0]) == 64
             _, rec = decode_a5n1(runs[0])
@@ -151,7 +153,7 @@ def test_criterion_4_roundtrip_property_suite():
             physical, step, field = rng.uniform(0, 99.9), 0.1, "wind_speed_kph"
         else:
             physical, step, field = rng.randrange(16) * 22.5, 0.0, "wind_dir_deg"
-        train = encode_lcw(quantity, physical, station, battery_ok=battery)
+        train = lcw_to_pulses(build_lcw_frame(quantity, physical, station, battery_ok=battery))
         runs = frame_pulses(train, protocol=Protocol.LCW)
         assert len(runs) == 1 and len(runs[0]) == 52
         _, rec = decode_lcw(runs[0])

@@ -124,13 +124,24 @@ def _record_with(**changes) -> str:
     _record_with(station={"protocol": "lcw", "id": 128}),
     "[1]",
     _record_with(temperature_c=float("inf")),
+    # an unscaled field is not rounded, and a flag is not read by truthiness
+    _record_with(pressure_pa=101325.7),
+    _record_with(battery_mv=3700.4),
+    _record_with(cycle_time_s=900.4),
+    _record_with(frames_received=1.6),
+    _record_with(frames_received=True),
+    _record_with(sensor_battery_ok="no"),
 ], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object",
-        "temperature_inf"])
+        "temperature_inf", "pressure_fraction", "battery_mv_fraction", "cycle_time_fraction",
+        "frames_received_fraction", "frames_received_bool", "sensor_battery_ok_str"])
 def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n{RECORD_LINE}\n",
                              monkeypatch=monkeypatch)
     assert code == 0
     assert len(out.split()) == 1            # the second record is still encoded
+    assert err.startswith("line 1: ") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
     assert err.startswith("line 1: ") and err.count("\n") == 1
 
 
@@ -196,6 +207,7 @@ def test_frame_missing_keys_is_validation_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["frame"], stdin="01\n",
                            monkeypatch=monkeypatch)
     assert code == 3
+    assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "WXKIT_" in err
 
 
@@ -527,7 +539,19 @@ def test_simulate_loss_statistics(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# extreme numbers end in an exit code, never in an escaped exception
+# extreme numbers and arbitrary text end in an exit code, never in an
+# escaped exception
+
+def exit_code_of(argv: list[str], stdin: str = "") -> int:
+    """``main(argv)`` with ``stdin`` as input and its output discarded;
+    capsys is function-scoped, so a property swaps the streams per example."""
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+    finally:
+        sys.stdin = old_stdin
+
 
 EXTREME_FLOATS = st.one_of(
     st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308]))
@@ -564,12 +588,54 @@ def cli_calls(draw):
 @settings(max_examples=100, deadline=None)
 @given(cli_calls())
 def test_cli_exits_cleanly_on_extreme_numbers(call):
-    argv, stdin = call
-    # capsys is function-scoped, so the streams are swapped here per example
-    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    finally:
-        sys.stdin = old_stdin
-    assert code in (0, 1, 2, 3)
+    assert exit_code_of(*call) in (0, 1, 2, 3)
+
+
+# Arbitrary text, and lines that each pass some of a reader's checks.
+NEAR_VALID_LINES = (GOOD_38, BAD_PARITY, _bits(GOOD_31), _bits(GOOD_31)[:60], "905565300065c",
+                    RECORD_LINE, LCW_RECORD, PAYLOAD_A5N1, FRAME_0, "H 600", "L 600", "H 400",
+                    "L 200", "# comment")
+FUZZ_TEXT = st.one_of(st.text(), st.lists(st.one_of(
+    st.text("01HL 23456789abcdef{}[]\":,.-+e#"), st.sampled_from(NEAR_VALID_LINES)),
+    max_size=6).map("\n".join))
+LINE_COMMANDS = [
+    *(["decode", "--protocol", protocol, "--format", fmt]
+      for protocol in ("a5n1", "lcw") for fmt in ("pulses", "bits", "hex")),
+    ["payload"], ["payload", "--decode"], ["frame", *KEY_ARGS], ["frame", "--parse", *KEY_ARGS],
+]
+# a base call and the flags given arbitrary text; simulate is kept short
+FLAG_COMMANDS = [
+    (["encode", "--protocol", "a5n1", "--id", "1"],
+     ("--id", "--channel", "--message-type", "--wind-kph", "--wind-dir-deg", "--rain-mm",
+      "--temp-c", "--humidity-pct", "--format")),
+    (["encode", "--protocol", "lcw", "--id", "1", "--quantity", "rain", "--value", "1"],
+     ("--id", "--quantity", "--value")),
+    (["airtime", "--sf", "9", "--payload", "20"], ("--sf", "--bw", "--cr", "--payload", "--preamble")),
+    (["battery", "--platform", "bsf32", "--interval-s", "900"], ("--platform", "--interval-s")),
+    (["simulate", "--duration-s", "600"], ("--seed",)),
+]
+
+
+@st.composite
+def text_calls(draw):
+    """(argv, stdin, config text) for one subcommand given arbitrary text: as
+    its input lines, as the ``--flag=value`` of one of its flags, or as the
+    config file of a short simulation."""
+    kind = draw(st.sampled_from(("lines", "flag", "config")))
+    if kind == "lines":
+        return draw(st.sampled_from(LINE_COMMANDS)), draw(FUZZ_TEXT), None
+    if kind == "flag":
+        argv, flags = draw(st.sampled_from(FLAG_COMMANDS))
+        return [*argv, f"{draw(st.sampled_from(flags))}={draw(FUZZ_TEXT)}"], "", None
+    return ["simulate", "--duration-s", "600"], "", draw(FUZZ_TEXT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(call=text_calls())
+def test_cli_exits_cleanly_on_arbitrary_text(call, tmp_path_factory):
+    argv, stdin, config = call
+    if config is not None:
+        path = tmp_path_factory.getbasetemp() / "arbitrary_config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = [*argv, "--config", str(path)]
+    assert exit_code_of(argv, stdin) in (0, 1, 2, 3)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from wxkit.energy import (
     BSF32,
     LOPY4,
-    ComponentDetail,
     EnergyModelError,
     EnergyProfile,
     battery_life_days,
@@ -79,33 +78,20 @@ def test_fit_component_power_consistent_durations():
     assert residual >= 0
 
 
-def test_fit_component_power_all_mcu():
-    all_mcu = dataclasses.replace(BSF32, detail=ComponentDetail(t_shr_s=0.0, t_tx_s=0.0))
-    residual = fit_component_power(all_mcu)
-    assert residual == pytest.approx(449 * 3600 / 42.2, abs=1e-6)
-
-
 def test_fit_component_power_inconsistent_raises():
-    # receiver on for the whole nominal active phase costs more than the
-    # measured lump; the model refuses to invent negative MCU power
+    # the receiver and radio shares (417.175 + 30.297 uWh) cost more than a
+    # smaller measured lump; the model refuses to invent negative MCU power
     with pytest.raises(EnergyModelError):
-        dataclasses.replace(BSF32, detail=ComponentDetail(t_shr_s=41.9))
+        dataclasses.replace(BSF32, e_active_uwh=447.0)
     with pytest.raises(EnergyModelError):
-        dataclasses.replace(BSF32, e_active_uwh=25.0, detail=ComponentDetail(t_shr_s=0.0))
-
-
-def test_fit_component_power_requires_detail():
-    bare = EnergyProfile("bare", 3.3, 10.0, 100.0, 50.0, 1e6)
-    with pytest.raises(EnergyModelError):
-        fit_component_power(bare)
+        dataclasses.replace(BSF32, e_active_uwh=25.0)      # below the radio share alone
 
 
 def test_profile_validation():
     with pytest.raises(EnergyModelError):
         EnergyProfile("bad", 3.3, 0.0, 100.0, 50.0, 1e6)
     with pytest.raises(EnergyModelError):
-        EnergyProfile("bad", 3.3, 10.0, 100.0, 50.0, 1e6,
-                      detail=ComponentDetail(t_shr_s=10.0))   # components exceed lump
+        EnergyProfile("bad", 3.3, 10.0, 100.0, 50.0, 1e6)   # components exceed lump
 
 
 def test_builtin_profile_values():

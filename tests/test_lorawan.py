@@ -39,7 +39,7 @@ KEYS = dict(
 
 
 def fresh_session(**kw) -> AbpSession:
-    return AbpSession.from_hex(KEYS["dev_addr"], KEYS["nwk_skey"], KEYS["app_skey"], **kw)
+    return AbpSession(**KEYS, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ def test_frame_parse_counter_rollover_is_counter_error():
 
 
 def test_frame_parse_rejects_foreign_dev_addr():
-    foreign = AbpSession.from_hex("26011158", KEYS["nwk_skey"], KEYS["app_skey"])
+    foreign = AbpSession("26011158", KEYS["nwk_skey"], KEYS["app_skey"])
     frame = frame_build(foreign, b"\x01\x02")
     with pytest.raises(FrameError) as info:
         frame_parse(frame, fresh_session())
@@ -503,7 +503,7 @@ def test_oracle_cmac_rfc4493_vectors():
 
 def test_session_validation():
     with pytest.raises(ValueError):
-        AbpSession.from_hex("2601", KEYS["nwk_skey"], KEYS["app_skey"])
+        AbpSession("2601", KEYS["nwk_skey"], KEYS["app_skey"])
     with pytest.raises(ValueError):
         fresh_session(fport=0)
     with pytest.raises(ValueError):

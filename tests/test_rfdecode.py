@@ -20,14 +20,14 @@ from wxkit.rfdecode import (
     ValueRangeError,
     bits_to_bytes,
     bits_to_nibbles,
+    a5n1_to_pulses,
     build_a5n1_frame,
     build_lcw_frame,
     bytes_to_bits,
     decode_a5n1,
     decode_lcw,
-    encode_a5n1,
-    encode_lcw,
     frame_pulses,
+    lcw_to_pulses,
     nibbles_to_bits,
     rain_counter_delta,
 )
@@ -40,16 +40,16 @@ LCW_STATION = StationId(Protocol.LCW, 42, 0)
 # pulse framing
 
 def test_frame_pulses_roundtrip_single_frame():
-    train = encode_a5n1(STATION, A5N1_MSG_TEMP_HUMIDITY,
-                        temperature_c=21.0, humidity_pct=50)
+    train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY,
+                                            temperature_c=21.0, humidity_pct=50))
     runs = frame_pulses(train, protocol=Protocol.A5N1)
     assert len(runs) == 1
     assert len(runs[0]) == 64
 
 
 def test_frame_pulses_tolerates_20pct_scaling():
-    train = encode_a5n1(STATION, A5N1_MSG_WIND_DIR_RAIN,
-                        wind_kph=12.0, wind_dir_deg=90.0, rain_mm=5.08)
+    train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN,
+                                            wind_kph=12.0, wind_dir_deg=90.0, rain_mm=5.08))
     runs = frame_pulses(train, protocol=Protocol.A5N1)
     scaled = frame_pulses(train.scaled(1.2), protocol=Protocol.A5N1)
     assert scaled == runs
@@ -62,16 +62,16 @@ def test_frame_pulses_uniform_train_yields_nothing():
 
 
 def test_frame_pulses_back_to_back_frames():
-    t1 = encode_a5n1(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=10.0)
-    t2 = encode_a5n1(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_dir_deg=45.0)
+    t1 = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=10.0))
+    t2 = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_dir_deg=45.0))
     joined = PulseTrain.concat([t1, t2])
     runs = frame_pulses(joined, protocol=Protocol.A5N1)
     assert [len(r) for r in runs] == [64, 64]
 
 
 def test_frame_pulses_lcw_concatenation():
-    t1 = encode_lcw(LcwQuantity.TEMP, 25.3, LCW_STATION)
-    t2 = encode_lcw(LcwQuantity.HUMIDITY, 60.0, LCW_STATION)
+    t1 = lcw_to_pulses(build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION))
+    t2 = lcw_to_pulses(build_lcw_frame(LcwQuantity.HUMIDITY, 60.0, LCW_STATION))
     joined = PulseTrain.concat([t1, t2])
     runs = frame_pulses(joined, protocol=Protocol.LCW)
     assert [len(r) for r in runs] == [52, 52]
@@ -80,8 +80,8 @@ def test_frame_pulses_lcw_concatenation():
 @settings(max_examples=60)
 @given(st.floats(0.7, 1.3))
 def test_frame_pulses_scale_property(factor):
-    train = encode_a5n1(STATION, A5N1_MSG_TEMP_HUMIDITY,
-                        temperature_c=3.3, humidity_pct=70, wind_kph=20.0)
+    train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY,
+                                            temperature_c=3.3, humidity_pct=70, wind_kph=20.0))
     assert frame_pulses(train.scaled(factor), protocol=Protocol.A5N1) == \
         frame_pulses(train, protocol=Protocol.A5N1)
 
@@ -89,7 +89,7 @@ def test_frame_pulses_scale_property(factor):
 @settings(max_examples=60)
 @given(st.floats(0.7, 1.3))
 def test_frame_pulses_scale_property_lcw(factor):
-    train = encode_lcw(LcwQuantity.WIND_SPEED, 4.4, LCW_STATION)
+    train = lcw_to_pulses(build_lcw_frame(LcwQuantity.WIND_SPEED, 4.4, LCW_STATION))
     assert frame_pulses(train.scaled(factor), protocol=Protocol.LCW) == \
         frame_pulses(train, protocol=Protocol.LCW)
 
@@ -105,7 +105,7 @@ def test_frame_pulses_never_raises_on_arbitrary_trains(durations, starts_low, pr
 
 
 def test_pulse_train_text_roundtrip():
-    train = encode_a5n1(STATION, A5N1_MSG_TEMP_HUMIDITY)
+    train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     text = train.to_text()
     assert PulseTrain.from_text(text) == train
     assert PulseTrain.from_text("# comment\n\n" + text) == train
@@ -236,10 +236,10 @@ def test_encode_decode_a5n1_random_field_sets():
         if rng.random() < 0.5:
             dir_code = rng.randrange(16)
             tips = rng.randrange(0x4000)
-            train = encode_a5n1(station, A5N1_MSG_WIND_DIR_RAIN,
-                                battery_ok=battery, wind_kph=wind_kph,
-                                wind_dir_deg=dir_code * 22.5,
-                                rain_mm=tips * 0.254)
+            train = a5n1_to_pulses(build_a5n1_frame(station, A5N1_MSG_WIND_DIR_RAIN,
+                                                    battery_ok=battery, wind_kph=wind_kph,
+                                                    wind_dir_deg=dir_code * 22.5,
+                                                    rain_mm=tips * 0.254))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1
             _, rec = decode_a5n1(runs[0])
@@ -249,9 +249,9 @@ def test_encode_decode_a5n1_random_field_sets():
             temp_raw = rng.randrange(0x800)
             temp_c = ((temp_raw / 10 - 40) - 32) * 5 / 9
             hum = rng.randrange(101)
-            train = encode_a5n1(station, A5N1_MSG_TEMP_HUMIDITY,
-                                battery_ok=battery, wind_kph=wind_kph,
-                                temperature_c=temp_c, humidity_pct=hum)
+            train = a5n1_to_pulses(build_a5n1_frame(station, A5N1_MSG_TEMP_HUMIDITY,
+                                                    battery_ok=battery, wind_kph=wind_kph,
+                                                    temperature_c=temp_c, humidity_pct=hum))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1
             _, rec = decode_a5n1(runs[0])
@@ -375,7 +375,7 @@ def test_encode_decode_lcw_random_values():
             LcwQuantity.WIND_SPEED: v / 10,
             LcwQuantity.WIND_DIR: v * 22.5,
         }[quantity]
-        train = encode_lcw(quantity, physical, station, battery_ok=battery)
+        train = lcw_to_pulses(build_lcw_frame(quantity, physical, station, battery_ok=battery))
         runs = frame_pulses(train, protocol=Protocol.LCW)
         assert len(runs) == 1
         frame, rec = decode_lcw(runs[0])
