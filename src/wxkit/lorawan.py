@@ -76,7 +76,7 @@ class _Field:
         if raw is None or not self.lo <= raw <= self.hi:
             raise PayloadError(f"{self.label} value {value} outside representable range")
         if self.scale == 1 and (raw != value or isinstance(value, bool)):
-            raise PayloadError(f"{self.label} value {value!r} is not a whole number")
+            raise PayloadError(f"{self.label} must be a whole number, not {value!r}")
         return raw
 
     def value(self, raw: int) -> float | int:
