@@ -4,7 +4,6 @@ duty-cycle/energy simulation."""
 from .core import (
     Protocol,
     StationId,
-    ValidityFlags,
     WeatherRecord,
     merge_partial,
     quantize_roundtrip_bounds,

@@ -357,6 +357,9 @@ def cmd_simulate(args) -> int:
             return EXIT_VALIDATION
         except UnicodeDecodeError as exc:
             raise InputEncodingError(args.config, exc) from None
+        except ValueError:      # an integer literal beyond the int-from-text digit limit
+            print("config error: an integer in the config has too many digits", file=sys.stderr)
+            return EXIT_VALIDATION
     if not isinstance(obj, dict):
         print(f"config error: config must be a JSON object, not {obj!r}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -365,16 +368,11 @@ def cmd_simulate(args) -> int:
     if args.duration_s is not None:
         obj["duration_s"] = args.duration_s
     try:
-        config = simkit.SimConfig.from_dict(obj)
-        problems = config.validate()
-    except (simkit.SimConfigError, ValueError, TypeError) as exc:
-        problems = exc.problems if isinstance(exc, simkit.SimConfigError) else [str(exc)]
-    if problems:
-        for p in problems:
+        trace = simkit.run(simkit.SimConfig.from_dict(obj))
+    except simkit.SimConfigError as exc:
+        for p in exc.problems:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_VALIDATION
-
-    trace = simkit.run(config)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(trace.to_jsonl())

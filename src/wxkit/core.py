@@ -1,5 +1,5 @@
-"""Shared measurement types: station identity, validity flags, and the
-unified weather record that every other module produces or consumes.
+"""Shared measurement types: station identity and the unified weather
+record that every other module produces or consumes.
 
 All types are immutable values; there is no interior mutation, so they are
 safe to share across threads.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 from dataclasses import dataclass
 
 
@@ -58,64 +57,16 @@ class StationId:
                 raise ValueError(f"lcw station id {self.id} does not fit 7 bits")
 
 
-# Bit positions in the single-byte wire form. Bit 7 is reserved and must be 0.
-_FLAG_BITS = (
-    "sensor_battery_ok",
-    "temp",
-    "humidity",
-    "wind_speed",
-    "wind_dir",
-    "rain",
-    "pressure",
+# The six measurements a station may leave out of a message; an absent one is
+# None in a WeatherRecord.
+FIELD_FLAGS = (
+    "temperature_c",
+    "humidity_pct",
+    "wind_speed_kph",
+    "wind_dir_deg",
+    "rain_mm",
+    "pressure_pa",
 )
-
-
-@dataclass(frozen=True)
-class ValidityFlags:
-    """Per-field validity bitset (one byte on the wire).
-
-    The sensor_battery_ok bit doubles as the station battery status: set
-    means the station reported a healthy battery this session. Consumers
-    ignore any measurement whose bit is clear.
-    """
-
-    sensor_battery_ok: bool = False
-    temp: bool = False
-    humidity: bool = False
-    wind_speed: bool = False
-    wind_dir: bool = False
-    rain: bool = False
-    pressure: bool = False
-
-    def to_byte(self) -> int:
-        b = 0
-        for i, name in enumerate(_FLAG_BITS):
-            if getattr(self, name):
-                b |= 1 << i
-        return b
-
-    @classmethod
-    @functools.cache    # at most 128 valid bytes, each an immutable value
-    def from_byte(cls, b: int) -> "ValidityFlags":
-        if not 0 <= b <= 0xFF:
-            raise ValueError(f"flags byte out of range: {b}")
-        if b & 0x80:
-            raise ValueError("reserved validity bit is set")
-        return cls(**{name: bool(b & (1 << i)) for i, name in enumerate(_FLAG_BITS)})
-
-    def union(self, other: "ValidityFlags") -> "ValidityFlags":
-        return ValidityFlags.from_byte(self.to_byte() | other.to_byte())
-
-
-# record field name -> validity flag name, for the six gated measurements
-FIELD_FLAGS = {
-    "temperature_c": "temp",
-    "humidity_pct": "humidity",
-    "wind_speed_kph": "wind_speed",
-    "wind_dir_deg": "wind_dir",
-    "rain_mm": "rain",
-    "pressure_pa": "pressure",
-}
 
 # Integer scale of the scaled fields in the compact payload: the wire value is
 # round(value * scale). Other fields go on the wire as they are. The payload
@@ -137,66 +88,26 @@ PAYLOAD_STEP = {field: 1 / PAYLOAD_SCALE.get(field, 1) for field in FIELD_FLAGS}
 class WeatherRecord:
     """Unified physical measurements for one station.
 
-    Fields without a validity bit (board_temp_c, battery_mv) describe the
-    transponder itself and are always carried. Invalid measurement fields
-    hold 0 by convention and must be ignored by consumers.
+    A measurement the station did not report is None. The fields that
+    describe the transponder itself (board_temp_c, battery_mv) are always
+    carried.
     """
 
     station: StationId
     seq: int = 0
-    temperature_c: float = 0.0
-    humidity_pct: float = 0.0
-    wind_speed_kph: float = 0.0
-    wind_dir_deg: float = 0.0
-    rain_mm: float = 0.0
-    pressure_pa: int = 0
+    sensor_battery_ok: bool = False
+    temperature_c: float | None = None
+    humidity_pct: float | None = None
+    wind_speed_kph: float | None = None
+    wind_dir_deg: float | None = None
+    rain_mm: float | None = None
+    pressure_pa: int | None = None
     board_temp_c: float = 0.0
     battery_mv: int = 0
-    valid: ValidityFlags = ValidityFlags()
 
     def __post_init__(self):
         if not (isinstance(self.seq, int) and 0 <= self.seq <= 0xFFFF):
             raise ValueError(f"seq {self.seq} is not a 16-bit integer")
-
-    @property
-    def sensor_battery_ok(self) -> bool:
-        return self.valid.sensor_battery_ok
-
-    @classmethod
-    def build(
-        cls,
-        station: StationId,
-        seq: int = 0,
-        *,
-        sensor_battery_ok: bool = False,
-        temperature_c: float | None = None,
-        humidity_pct: float | None = None,
-        wind_speed_kph: float | None = None,
-        wind_dir_deg: float | None = None,
-        rain_mm: float | None = None,
-        pressure_pa: int | None = None,
-        board_temp_c: float = 0.0,
-        battery_mv: int = 0,
-    ) -> "WeatherRecord":
-        """Construct a record, inferring validity from the non-None fields."""
-        fields = {
-            "temperature_c": temperature_c,
-            "humidity_pct": humidity_pct,
-            "wind_speed_kph": wind_speed_kph,
-            "wind_dir_deg": wind_dir_deg,
-            "rain_mm": rain_mm,
-            "pressure_pa": pressure_pa,
-        }
-        flags = {FIELD_FLAGS[k]: v is not None for k, v in fields.items()}
-        values = {k: (v if v is not None else 0) for k, v in fields.items()}
-        return cls(
-            station=station,
-            seq=seq,
-            board_temp_c=board_temp_c,
-            battery_mv=battery_mv,
-            valid=ValidityFlags(sensor_battery_ok=sensor_battery_ok, **flags),
-            **values,
-        )
 
     def replace(self, **changes) -> "WeatherRecord":
         return dataclasses.replace(self, **changes)
@@ -205,70 +116,57 @@ class WeatherRecord:
 def merge_partial(existing: WeatherRecord, incoming: WeatherRecord) -> WeatherRecord:
     """Fold a newly decoded partial record into the one held in memory.
 
-    The result carries the union of validity bits; where both sides are
-    valid the incoming value wins. The sequence number is always taken from
-    the incoming record.
+    Each measurement the incoming record carries wins; the others keep
+    their held value. The battery is reported healthy if either side says
+    so, and the sequence number is always taken from the incoming record.
     """
     if existing.station != incoming.station:
         raise StationMismatchError(
             f"cannot merge records for {existing.station} and {incoming.station}"
         )
     values = {}
-    for field, flag in FIELD_FLAGS.items():
-        if getattr(incoming.valid, flag):
-            values[field] = getattr(incoming, field)
-        else:
-            values[field] = getattr(existing, field)
+    for field in FIELD_FLAGS:
+        value = getattr(incoming, field)
+        values[field] = getattr(existing, field) if value is None else value
     return WeatherRecord(
         station=existing.station,
         seq=incoming.seq,
+        sensor_battery_ok=existing.sensor_battery_ok or incoming.sensor_battery_ok,
         board_temp_c=incoming.board_temp_c if incoming.board_temp_c else existing.board_temp_c,
         battery_mv=incoming.battery_mv if incoming.battery_mv else existing.battery_mv,
-        valid=existing.valid.union(incoming.valid),
         **values,
     )
 
 
 def quantize_roundtrip_bounds(record: WeatherRecord) -> dict[str, float]:
-    """Worst-case absolute error each valid field suffers through a payload
-    encode/decode round trip (half the payload scale step)."""
+    """Worst-case absolute error each present measurement suffers through a
+    payload encode/decode round trip (half the payload scale step)."""
     return {
         field: PAYLOAD_STEP[field] / 2
-        for field, flag in FIELD_FLAGS.items()
-        if getattr(record.valid, flag)
+        for field in FIELD_FLAGS
+        if getattr(record, field) is not None
     }
 
 
 def record_to_obj(record: WeatherRecord) -> dict:
-    """Plain-dict form; invalid measurement fields map to None."""
-    obj: dict = {
-        "station": {
-            "protocol": record.station.protocol.label,
-            "id": record.station.id,
-            "channel": record.station.channel,
-        },
-        "seq": record.seq,
-        "sensor_battery_ok": record.sensor_battery_ok,
-    }
-    for field, flag in FIELD_FLAGS.items():
-        obj[field] = getattr(record, field) if getattr(record.valid, flag) else None
-    obj["board_temp_c"] = record.board_temp_c
-    obj["battery_mv"] = record.battery_mv
+    """Plain-dict form, keys in field order; an absent measurement is None."""
+    obj = dict(vars(record))
+    st = record.station
+    obj["station"] = {"protocol": st.protocol.label, "id": st.id, "channel": st.channel}
     return obj
 
 
 def record_from_obj(obj: dict) -> WeatherRecord:
     st = obj["station"]
     station = StationId(Protocol.from_label(st["protocol"]), st["id"], st.get("channel", 0))
-    kwargs = {field: obj.get(field) for field in FIELD_FLAGS}
     battery_ok = obj.get("sensor_battery_ok", False)
     if not isinstance(battery_ok, bool):
         raise ValueError(f"sensor_battery_ok must be true or false, not {battery_ok!r}")
-    return WeatherRecord.build(
+    return WeatherRecord(
         station,
         seq=obj.get("seq", 0),
         sensor_battery_ok=battery_ok,
         board_temp_c=obj.get("board_temp_c", 0.0),
         battery_mv=obj.get("battery_mv", 0),
-        **kwargs,
+        **{field: obj.get(field) for field in FIELD_FLAGS},
     )

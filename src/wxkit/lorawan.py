@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from cryptography.hazmat.primitives import cmac as _cmac
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from .core import FIELD_FLAGS, PAYLOAD_SCALE, Protocol, StationId, ValidityFlags, WeatherRecord
+from .core import PAYLOAD_SCALE, Protocol, StationId, WeatherRecord
 
 
 class FrameError(ValueError):
@@ -54,18 +54,18 @@ class PayloadMeta:
 class _Field:
     """One payload field after the header. Its wire value is
     round(value * scale), which must lie in lo..hi; an unscaled field takes
-    whole numbers only, and a measurement whose validity bit is clear goes
-    on the wire as 0."""
+    whole numbers only. A field with a validity bit may be None: it goes on
+    the wire as 0 with its bit clear."""
 
-    __slots__ = ("name", "label", "code", "scale", "lo", "hi", "flag", "in_meta")
+    __slots__ = ("name", "label", "code", "scale", "lo", "hi", "bit", "in_meta")
 
-    def __init__(self, name: str, label: str, code: str, lo: int, hi: int):
+    def __init__(self, name: str, label: str, code: str, lo: int, hi: int, bit: int | None = None):
         self.name = name                    # WeatherRecord or PayloadMeta attribute
         self.label = label                  # name in diagnostics
         self.code = code                    # struct format code
         self.scale = PAYLOAD_SCALE.get(name, 1)
         self.lo, self.hi = lo, hi
-        self.flag = FIELD_FLAGS.get(name)   # None: always carried
+        self.bit = 0 if bit is None else 1 << bit   # mask in the flags byte; 0: always carried
         self.in_meta = name in PayloadMeta.__dataclass_fields__
 
     def wire(self, value: float) -> int:
@@ -86,15 +86,19 @@ class _Field:
 
 # The payload layout, big-endian, in wire order: a 7-byte header (version,
 # station type, channel << 14 | station id, seq, validity flags), then one
-# row per field. Only A5N1 carries the board temperature.
+# row per field. Only A5N1 carries the board temperature. In the flags byte,
+# bit 0 is the station's battery status, bits 1-6 say which measurements are
+# present, and bit 7 is reserved and must be 0.
 _HEADER = ">BBHHB"
+_BATTERY_OK_BIT = 0x01
+_RESERVED_BIT = 0x80
 _FIELDS = (
-    _Field("temperature_c", "temperature", "h", -0x8000, 0x7FFF),
-    _Field("humidity_pct", "humidity", "B", 0, 200),
-    _Field("wind_speed_kph", "wind speed", "H", 0, 0xFFFF),
-    _Field("wind_dir_deg", "wind direction", "H", 0, 3599),
-    _Field("rain_mm", "rain", "I", 0, 0xFFFFFFFF),
-    _Field("pressure_pa", "pressure", "I", 0, 0xFFFFFFFF),
+    _Field("temperature_c", "temperature", "h", -0x8000, 0x7FFF, bit=1),
+    _Field("humidity_pct", "humidity", "B", 0, 200, bit=2),
+    _Field("wind_speed_kph", "wind speed", "H", 0, 0xFFFF, bit=3),
+    _Field("wind_dir_deg", "wind direction", "H", 0, 3599, bit=4),
+    _Field("rain_mm", "rain", "I", 0, 0xFFFFFFFF, bit=5),
+    _Field("pressure_pa", "pressure", "I", 0, 0xFFFFFFFF, bit=6),
     _Field("board_temp_c", "board temperature", "h", -0x8000, 0x7FFF),
     _Field("battery_mv", "battery voltage", "H", 0, 0xFFFF),
     _Field("frames_received", "frames_received", "B", 0, 0xFF),
@@ -117,22 +121,25 @@ def payload_encode(
 ) -> bytes:
     """Pack a record into the fixed big-endian payload layout.
 
-    Invalid fields encode as zero with the flag bit clear, so the byte
-    image is canonical: encode(decode(b)) == b for any b that decodes and
-    whose invalid fields are zero.
+    An absent measurement encodes as zero with its flag bit clear, so the
+    byte image is canonical: encode(decode(b)) == b for any b that decodes
+    and whose absent fields are zero.
     """
-    station, v = record.station, record.valid
-    if v.wind_dir and not 0 <= record.wind_dir_deg < 360:
-        raise PayloadError(f"wind direction {record.wind_dir_deg} outside [0, 360)")
+    station, wind_dir = record.station, record.wind_dir_deg
+    if wind_dir is not None and not 0 <= wind_dir < 360:
+        raise PayloadError(f"wind direction {wind_dir} outside [0, 360)")
     layout, fields = _PAYLOADS[station.protocol]
+    flags = _BATTERY_OK_BIT if record.sensor_battery_ok else 0
     raws = []
     for f in fields:
-        if f.flag and not getattr(v, f.flag):
+        value = getattr(meta if f.in_meta else record, f.name)
+        if value is None and f.bit:
             raws.append(0)
         else:
-            raws.append(f.wire(getattr(meta if f.in_meta else record, f.name)))
+            flags |= f.bit
+            raws.append(f.wire(value))
     return layout.pack(PAYLOAD_VERSION, station.protocol.value,
-                       station.channel << 14 | station.id, record.seq, v.to_byte(), *raws)
+                       station.channel << 14 | station.id, record.seq, flags, *raws)
 
 
 def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
@@ -148,20 +155,21 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
     if len(data) != layout.size:
         raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {layout.size})")
 
-    _, _, sid, seq, flag_byte, *raws = layout.unpack(data)
+    _, _, sid, seq, flags, *raws = layout.unpack(data)
     try:
         station = StationId(protocol, sid & 0x3FFF, sid >> 14)
-        flags = ValidityFlags.from_byte(flag_byte)
     except ValueError as exc:
         raise PayloadError(str(exc)) from None
+    if flags & _RESERVED_BIT:
+        raise PayloadError("reserved validity bit is set")
     values, meta_values = {}, {}
     for f, raw in zip(fields, raws):
         if not f.lo <= raw <= f.hi:
             raise PayloadError(f"{f.label} wire value {raw} outside {f.lo}..{f.hi}")
-        if f.flag and not getattr(flags, f.flag):
-            raw = 0
-        (meta_values if f.in_meta else values)[f.name] = f.value(raw)
-    return WeatherRecord(station=station, seq=seq, valid=flags, **values), PayloadMeta(**meta_values)
+        present = not f.bit or flags & f.bit
+        (meta_values if f.in_meta else values)[f.name] = f.value(raw) if present else None
+    record = WeatherRecord(station, seq, sensor_battery_ok=bool(flags & _BATTERY_OK_BIT), **values)
+    return record, PayloadMeta(**meta_values)
 
 
 # ---------------------------------------------------------------------------

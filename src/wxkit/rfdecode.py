@@ -320,7 +320,7 @@ def decode_a5n1(bits: str) -> tuple[A5N1Frame, WeatherRecord]:
     if frame.message_type == A5N1_MSG_WIND_DIR_RAIN:
         dir_code = data[4] & 0x0F
         counter = (data[5] & 0x7F) << 7 | (data[6] & 0x7F)
-        record = WeatherRecord.build(
+        record = WeatherRecord(
             station,
             sensor_battery_ok=frame.battery_ok,
             wind_speed_kph=wind_kph,
@@ -329,7 +329,7 @@ def decode_a5n1(bits: str) -> tuple[A5N1Frame, WeatherRecord]:
         )
     else:
         temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
-        record = WeatherRecord.build(
+        record = WeatherRecord(
             station,
             sensor_battery_ok=frame.battery_ok,
             wind_speed_kph=wind_kph,
@@ -523,18 +523,18 @@ def decode_lcw(bits: str) -> tuple[LCWFrame, WeatherRecord]:
     common = dict(sensor_battery_ok=frame.battery_ok)
     q = frame.quantity
     if q is LcwQuantity.TEMP:
-        record = WeatherRecord.build(station, temperature_c=value / 10.0 - 40.0, **common)
+        record = WeatherRecord(station, temperature_c=value / 10.0 - 40.0, **common)
     elif q is LcwQuantity.HUMIDITY:
-        record = WeatherRecord.build(station, humidity_pct=value / 10.0, **common)
+        record = WeatherRecord(station, humidity_pct=value / 10.0, **common)
     elif q is LcwQuantity.RAIN:
-        record = WeatherRecord.build(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
+        record = WeatherRecord(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
     elif q is LcwQuantity.WIND_SPEED:
         # value is m/s * 10 on the wire; records store km/h
-        record = WeatherRecord.build(station, wind_speed_kph=value / 10.0 * 3.6, **common)
+        record = WeatherRecord(station, wind_speed_kph=value / 10.0 * 3.6, **common)
     else:
         if value > 15:
             raise ValueRangeError(f"wind direction code {value} outside 0..15")
-        record = WeatherRecord.build(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
+        record = WeatherRecord(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
     return frame, record
 
 
@@ -603,3 +603,12 @@ def lcw_to_pulses(nibbles: tuple[int, ...]) -> PulseTrain:
         entries.append(("L", LCW_GAP_US))
     entries[-1] = ("L", LCW_FRAME_GAP_US)
     return PulseTrain(tuple(entries))
+
+
+# The longest one frame takes on air, in seconds: every A5N1 bit takes one bit
+# period, and a zero is the longer LCW bit.
+FRAME_AIR_S = {
+    protocol: sum(d for _, d in train.entries) / 1e6
+    for protocol, train in ((Protocol.A5N1, a5n1_to_pulses(bytes(8))),
+                            (Protocol.LCW, lcw_to_pulses((0,) * 13)))
+}

@@ -16,6 +16,7 @@ import enum
 import json
 import math
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -107,7 +108,8 @@ _FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
 
 
 def _mistyped(prefix: str, spec) -> list[str]:
-    """One problem for each field of ``spec`` whose value has the wrong type."""
+    """One problem for each field of ``spec`` whose value has the wrong type,
+    or is a float field's integer too large for a float."""
     problems = []
     for f in dataclasses.fields(spec):
         if f.type in _FIELD_TYPES:
@@ -115,6 +117,8 @@ def _mistyped(prefix: str, spec) -> list[str]:
             value = getattr(spec, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
                 problems.append(f"{prefix}{f.name} must be {what}, not {value!r}")
+            elif f.type == "float" and abs(value) > sys.float_info.max:
+                problems.append(f"{prefix}{f.name} is too large for a float")
     return problems
 
 
@@ -161,8 +165,11 @@ class SimConfig:
         if "" in typed and not 0 < self.duration_s <= MAX_DURATION_S:
             problems.append(f"duration_s must be positive and at most {MAX_DURATION_S:.0f} (366 days)")
         if "station." in typed:
-            if not 0 < st.emission_period_s < math.inf:
-                problems.append("station.emission_period_s must be positive and finite")
+            # a shorter period would send the next frame before this one ends
+            min_period = rfdecode.FRAME_AIR_S[st.protocol]
+            if not min_period <= st.emission_period_s < math.inf:
+                problems.append(f"station.emission_period_s must be finite and at least "
+                                f"{min_period} s, one {st.protocol.label} frame on air")
             check("station", StationId, st.protocol, st.id, st.channel)
         for prefix, name, p in (("channel.", "frame_loss_p", ch.frame_loss_p),
                                 ("channel.", "bit_flip_q", ch.bit_flip_q),
@@ -222,8 +229,10 @@ class SimConfig:
         if top:
             raise SimConfigError([f"unknown config option(s): {sorted(top)}"])
         duration_s = obj.get("duration_s", 86_400.0)
+        if type(duration_s) is int and abs(duration_s) <= sys.float_info.max:
+            duration_s = float(duration_s)
         return cls(
-            duration_s=float(duration_s) if type(duration_s) in (int, float) else duration_s,
+            duration_s=duration_s,
             seed=obj.get("seed", 1),
             station=sub(StationSpec, "station", protocol=_protocol),
             channel=sub(ChannelSpec, "channel"),
@@ -487,7 +496,6 @@ class Transponder:
             pressure_pa=round(pressure),
             board_temp_c=round(board_temp, 2),
             battery_mv=round(self.profile.supply_v * 1000),
-            valid=dataclasses.replace(self.record.valid, pressure=True),
         )
         events = [{"ev": "baro", "pressure_pa": self.record.pressure_pa,
                    "board_temp_c": self.record.board_temp_c}]
@@ -700,7 +708,7 @@ class Simulator:
             return
         self.server_session.fcnt_up = fcnt + 1
         self.uplinks_delivered += 1
-        self.complete_records += all(getattr(record.valid, flag) for flag in FIELD_FLAGS.values())
+        self.complete_records += all(getattr(record, field) is not None for field in FIELD_FLAGS)
         self._record_event(t, {"ev": "record", "fcnt": fcnt,
                                "record": record_to_obj(record), **vars(meta)})
 

@@ -496,6 +496,12 @@ def test_simulate_config_errors_listed_together(tmp_path, capsys):
     pytest.param("barometer.pressure_pa", -5, id="barometer.pressure_pa-negative"),
     pytest.param("barometer.board_temp_c", float("nan"), id="barometer.board_temp_c-nan"),
     pytest.param("duration_s", 366 * 86_400 + 1, id="duration_s-over-366-days"),
+    # a period that never lets the run's clock advance
+    pytest.param("station.emission_period_s", 1e-300, id="station.emission_period_s-tiny"),
+    # an int that converts to no float
+    *(pytest.param(field, 10 ** 400, id=f"{field}-huge-int")
+      for field in ("duration_s", "station.emission_period_s", "transponder.rx_timeout_s",
+                    "barometer.pressure_noise_pa", "barometer.temp_noise_c")),
 ])
 def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     obj = {"duration_s": 3600}
@@ -511,6 +517,16 @@ def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"config error: {field} ")
+    assert len(err) < 200                    # a huge value is not echoed
+
+
+def test_simulate_rejects_an_int_past_the_digit_limit(tmp_path, capsys):
+    # json.load applies the digit limit of int-from-text conversion
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"duration_s": ' + "1" * 4400 + "}")
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err == "config error: an integer in the config has too many digits\n"
 
 
 @pytest.mark.parametrize("text", ["[1]", "5", "null"])

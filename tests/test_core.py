@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wxkit.core import (
+    FIELD_FLAGS,
     Protocol,
     StationId,
     StationMismatchError,
-    ValidityFlags,
     WeatherRecord,
     merge_partial,
     quantize_roundtrip_bounds,
@@ -31,28 +31,17 @@ def test_station_id_invariants():
     StationId(Protocol.LCW, 127, 0)
 
 
-def test_validity_flags_roundtrip_all_legal_values():
-    for b in range(128):
-        assert ValidityFlags.from_byte(b).to_byte() == b
-
-
-def test_validity_flags_reserved_bit_rejected():
-    with pytest.raises(ValueError):
-        ValidityFlags.from_byte(0x80)
-
-
 def test_merge_disjoint_union():
-    existing = WeatherRecord.build(A5N1_STATION, temperature_c=20.0)
-    incoming = WeatherRecord.build(A5N1_STATION, humidity_pct=55.0)
+    existing = WeatherRecord(A5N1_STATION, temperature_c=20.0)
+    incoming = WeatherRecord(A5N1_STATION, humidity_pct=55.0)
     merged = merge_partial(existing, incoming)
-    assert merged.valid.temp and merged.valid.humidity
     assert merged.temperature_c == 20.0
     assert merged.humidity_pct == 55.0
 
 
 def test_merge_incoming_wins():
-    existing = WeatherRecord.build(A5N1_STATION, temperature_c=20.0)
-    incoming = WeatherRecord.build(A5N1_STATION, seq=9, temperature_c=21.0)
+    existing = WeatherRecord(A5N1_STATION, temperature_c=20.0)
+    incoming = WeatherRecord(A5N1_STATION, seq=9, temperature_c=21.0)
     merged = merge_partial(existing, incoming)
     assert merged.temperature_c == 21.0
     assert merged.seq == 9
@@ -62,7 +51,16 @@ def test_merge_all_invalid_stays_invalid():
     a = WeatherRecord(station=A5N1_STATION)
     b = WeatherRecord(station=A5N1_STATION)
     merged = merge_partial(a, b)
-    assert merged.valid.to_byte() == 0
+    assert merged == a
+    assert all(getattr(merged, field) is None for field in FIELD_FLAGS)
+
+
+def test_merge_battery_ok_from_either_side():
+    ok = WeatherRecord(A5N1_STATION, sensor_battery_ok=True)
+    low = WeatherRecord(A5N1_STATION, temperature_c=20.0)
+    assert merge_partial(ok, low).sensor_battery_ok
+    assert merge_partial(low, ok).sensor_battery_ok
+    assert not merge_partial(low, low).sensor_battery_ok
 
 
 def test_merge_station_mismatch():
@@ -80,7 +78,7 @@ def partial_records(draw):
             fields[name] = draw(st.floats(0, 99, allow_nan=False))
     if draw(st.booleans()):
         fields["pressure_pa"] = draw(st.integers(90_000, 110_000))
-    return WeatherRecord.build(
+    return WeatherRecord(
         A5N1_STATION,
         seq=draw(st.integers(0, 0xFFFF)),
         sensor_battery_ok=draw(st.booleans()),
@@ -102,7 +100,7 @@ def test_merge_fold_is_associative(records):
 
 
 def test_quantize_roundtrip_bounds():
-    record = WeatherRecord.build(
+    record = WeatherRecord(
         A5N1_STATION, temperature_c=1.0, humidity_pct=2.0, pressure_pa=3)
     bounds = quantize_roundtrip_bounds(record)
     assert bounds == {
@@ -113,7 +111,7 @@ def test_quantize_roundtrip_bounds():
 
 
 def test_record_json_roundtrip():
-    record = WeatherRecord.build(
+    record = WeatherRecord(
         A5N1_STATION, seq=77, sensor_battery_ok=True,
         temperature_c=21.5, wind_speed_kph=9.3,
         board_temp_c=24.0, battery_mv=3700)
@@ -121,6 +119,9 @@ def test_record_json_roundtrip():
     back = record_from_obj(json.loads(line))
     assert back == record
     assert '"humidity_pct": null' in line
+    # the CLI prints records without sort_keys, so this order is its output order
+    assert list(record_to_obj(record)) == [
+        "station", "seq", "sensor_battery_ok", *FIELD_FLAGS, "board_temp_c", "battery_mv"]
 
 
 def test_record_seq_range():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lorawan_oracle import OracleError, aes_block, parse_uplink
 from lorawan_oracle import cmac as oracle_cmac
-from wxkit.core import Protocol, StationId, ValidityFlags, WeatherRecord
+from wxkit.core import FIELD_FLAGS, Protocol, StationId, WeatherRecord
 from wxkit.lorawan import (
     MAX_FRM_PAYLOAD,
     MAX_PHY_PAYLOAD,
@@ -46,7 +46,7 @@ def fresh_session(**kw) -> AbpSession:
 # compact payload codec
 
 def full_record(station=A5N1_STATION) -> WeatherRecord:
-    return WeatherRecord.build(
+    return WeatherRecord(
         station, seq=7, sensor_battery_ok=True,
         temperature_c=21.94, humidity_pct=45.0, wind_speed_kph=9.3,
         wind_dir_deg=90.0, rain_mm=30.48, pressure_pa=101_325,
@@ -61,8 +61,7 @@ def test_payload_temperature_scaling():
 
 
 def test_payload_all_invalid():
-    record = WeatherRecord(station=A5N1_STATION,
-                           valid=ValidityFlags(sensor_battery_ok=True))
+    record = WeatherRecord(station=A5N1_STATION, sensor_battery_ok=True)
     data = payload_encode(record)
     assert len(data) == 29
     assert data[6] == 0x01                      # only the battery bit
@@ -113,6 +112,12 @@ def test_payload_decode_errors():
     wind_dir[12:14] = (3600).to_bytes(2, "big")        # 360.0 degrees, which encode rejects
     with pytest.raises(PayloadError):
         payload_decode(bytes(wind_dir))
+    # the reserved flag bit; the pin corpus below encodes all 128 legal flag
+    # bytes of each station, and the decode properties cover them
+    reserved = bytearray(payload_encode(full_record()))
+    reserved[6] |= 0x80
+    with pytest.raises(PayloadError, match="reserved validity bit is set"):
+        payload_decode(bytes(reserved))
 
 
 def test_payload_encode_range_errors():
@@ -144,7 +149,7 @@ NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 def payload_corpus():
     """Seeded (record, meta) pairs over both protocols: every validity byte
-    with random values (also in the fields whose bit is clear), then every
+    with random values (None in the fields whose bit is clear), then every
     edge value of every field with its bit set and with it clear."""
     rng = random.Random(29)
 
@@ -156,19 +161,23 @@ def payload_corpus():
             board_temp_c=rng.uniform(-40, 80), battery_mv=rng.randrange(2500, 4200),
             frames_received=rng.randrange(256), cycle_time_s=rng.choice((300, 900, 3600)))
 
-    def pair(station, flags, v):
+    def pair(station, flag_byte, v):
         meta = PayloadMeta(v.pop("frames_received"), v.pop("cycle_time_s"))
-        return WeatherRecord(station=station, seq=rng.randrange(0x10000), valid=flags, **v), meta
+        for bit, field in enumerate(FIELD_FLAGS, 1):
+            if not flag_byte & (1 << bit):
+                v[field] = None
+        return WeatherRecord(station=station, seq=rng.randrange(0x10000),
+                             sensor_battery_ok=bool(flag_byte & 1), **v), meta
 
     stations = [StationId(Protocol.A5N1, 0, 0), StationId(Protocol.A5N1, 0x3FFF, 3),
                 StationId(Protocol.LCW, 0, 0), StationId(Protocol.LCW, 0x7F, 0)]
     for station in stations:
         for flag_byte in range(0x80):
-            yield pair(station, ValidityFlags.from_byte(flag_byte), values())
+            yield pair(station, flag_byte, values())
         for field, edges in PAYLOAD_EDGE_VALUES.items():
             for flag_byte in (0x7F, 0x01):
                 for edge in edges + NON_FINITE:
-                    yield pair(station, ValidityFlags.from_byte(flag_byte), {**values(), field: edge})
+                    yield pair(station, flag_byte, {**values(), field: edge})
     yield WeatherRecord(station=stations[0], seq=0xFFFF), PayloadMeta()
 
 
@@ -207,7 +216,7 @@ def records_and_meta(draw):
         fields["rain_mm"] = draw(st.floats(0, 10_000, allow_nan=False))
     if draw(st.booleans()):
         fields["pressure_pa"] = draw(st.integers(0, 200_000))
-    record = WeatherRecord.build(
+    record = WeatherRecord(
         station, seq=draw(st.integers(0, 0xFFFF)),
         sensor_battery_ok=draw(st.booleans()),
         board_temp_c=draw(st.floats(-40, 80, allow_nan=False)),

@@ -151,7 +151,7 @@ def test_decode_a5n1_wind_dir_rain():
     _, rec = decode_a5n1(bits)
     assert rec.wind_dir_deg == 90.0
     assert rec.rain_mm == pytest.approx(0.254)
-    assert rec.valid.wind_dir and rec.valid.rain and not rec.valid.temp
+    assert rec.wind_dir_deg is not None and rec.rain_mm is not None and rec.temperature_c is None
 
 
 def test_decode_a5n1_checksum_error():
@@ -288,7 +288,7 @@ def test_decode_lcw_zero_humidity():
     nibbles = build_lcw_frame(LcwQuantity.HUMIDITY, 0.0, LCW_STATION)
     _, rec = decode_lcw(nibbles_to_bits(nibbles))
     assert rec.humidity_pct == 0.0
-    assert rec.valid.humidity
+    assert rec.humidity_pct is not None
 
 
 def test_decode_lcw_digit_repeat_error():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -17,11 +18,14 @@ from wxkit.core import (
 )
 from wxkit.rfdecode import (
     A5N1_MSG_TEMP_HUMIDITY,
+    FRAME_AIR_S,
     LcwQuantity,
+    a5n1_to_pulses,
     build_a5n1_frame,
     bytes_to_bits,
     decode_a5n1,
     decode_lcw,
+    lcw_to_pulses,
     rain_counter_delta,
 )
 from wxkit.simkit import (
@@ -178,16 +182,16 @@ def test_step_happy_path_through_cycle():
         STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=20.0, humidity_pct=50))
     out = tr.step(9.0, bits)
     assert tr.state is State.INTER_SLEEP and tr.wake_at == 19.0
-    assert tr.record.valid.temp and tr.record.valid.humidity
+    assert tr.record.temperature_c is not None and tr.record.humidity_pct is not None
     assert out[0]["ok"] is True
 
     fire(tr)                 # INTER_SLEEP -> RX2
     assert tr.state is State.RX2 and tr.wake_at == 79.0
-    fire(tr)                 # RX2 timeout -> READ_BARO, wind/dir/rain invalid
+    fire(tr)                 # RX2 timeout -> READ_BARO, wind dir and rain absent
     assert tr.state is State.READ_BARO
-    assert not tr.record.valid.wind_dir and not tr.record.valid.rain
-    fire(tr)                 # READ_BARO -> BUILD_TX (pressure now valid)
-    assert tr.record.valid.pressure
+    assert tr.record.wind_dir_deg is None and tr.record.rain_mm is None
+    fire(tr)                 # READ_BARO -> BUILD_TX (pressure now present)
+    assert tr.record.pressure_pa is not None
     fire(tr)                 # BUILD_TX -> TRANSMIT
     assert tr.state is State.TRANSMIT
     assert tr.wake_at == pytest.approx(79.4 + 0.287744)
@@ -453,7 +457,6 @@ def test_gateway_loss_counts():
 
 
 def test_gateway_loss_statistics_over_10k_cycles():
-    import math
     cfg = SimConfig(duration_s=600_000.0, seed=8,
                     transponder=TransponderSpec(t_cycle_s=60.0),
                     gateway=GatewaySpec(uplink_loss_p=0.5))
@@ -506,6 +509,33 @@ def test_config_rejects_unknown_keys():
         SimConfig.from_dict({"stations": {}})
     with pytest.raises(SimConfigError):
         SimConfig.from_dict({"station": {"ids": 4}})
+
+
+@pytest.mark.parametrize("station", [
+    StationSpec(), StationSpec(protocol=Protocol.LCW, id=5, channel=0)], ids=["a5n1", "lcw"])
+def test_emission_period_at_least_one_frame_on_air(station):
+    bound = FRAME_AIR_S[station.protocol]
+    for period in (1e-300, math.nextafter(bound, 0.0)):
+        cfg = SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=period))
+        assert [p.split()[0] for p in cfg.validate()] == ["station.emission_period_s"]
+        with pytest.raises(SimConfigError):
+            run(cfg)
+    cfg = SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=bound))
+    assert run(cfg).ok
+
+
+def test_frame_air_time_bounds_every_emitted_frame():
+    assert FRAME_AIR_S == {Protocol.A5N1: 0.0432, Protocol.LCW: 0.1286}
+    for station in (STATION, StationId(Protocol.LCW, 5, 0)):
+        emitter = _Emitter(StationSpec(station.protocol, station.id, station.channel),
+                           random.Random(4))
+        for _ in range(20):
+            frame_hex = emitter.emit()[2]
+            if station.protocol is Protocol.A5N1:
+                train = a5n1_to_pulses(bytes.fromhex(frame_hex))
+            else:
+                train = lcw_to_pulses(tuple(int(c, 16) for c in frame_hex))
+            assert sum(d for _, d in train.entries) / 1e6 <= FRAME_AIR_S[station.protocol]
 
 
 def test_short_cycle_rejected():
