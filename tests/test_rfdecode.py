@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,19 @@ from hypothesis import strategies as st
 
 from wxkit.core import Protocol, StationId
 from wxkit.rfdecode import (
+    A5N1_ONE_US,
+    A5N1_SYNC_US,
+    A5N1_ZERO_US,
+    LCW_FRAME_GAP_US,
+    LCW_GAP_US,
+    LCW_ONE_HIGH_US,
+    LCW_ZERO_HIGH_US,
     A5N1_MSG_TEMP_HUMIDITY,
     A5N1_MSG_WIND_DIR_RAIN,
     BcdError,
     ChecksumError,
     DecodeError,
+    FRAME_BITS,
     DigitRepeatError,
     LcwQuantity,
     ParityError,
@@ -102,6 +112,58 @@ def test_frame_pulses_never_raises_on_arbitrary_trains(durations, starts_low, pr
     train = PulseTrain(tuple((levels[i % 2], d) for i, d in enumerate(durations)))
     for run in frame_pulses(train, protocol=protocol):
         assert set(run) <= {"0", "1"}
+
+
+def framer_corpus():
+    """Seeded pulse trains for the framer pin, in three kinds: random
+    durations; jittered nominal pairs of both protocols; and 1-3 valid frames
+    of either protocol joined, scaled by 0.6-1.4, jittered per pulse, with up
+    to 5 clobbered pulses and trimmed ends. A train may start with a low and
+    may end with a lone high."""
+    rng = random.Random(10)
+    nominal = (A5N1_SYNC_US, A5N1_ONE_US, A5N1_ZERO_US,
+               *((high, low) for high in (LCW_ZERO_HIGH_US, LCW_ONE_HIGH_US)
+                 for low in (LCW_GAP_US, LCW_FRAME_GAP_US)))
+    for n in range(1500):
+        kind = n % 3
+        starts_low = rng.random() < 0.5
+        if kind == 0:
+            durations = [rng.randint(1, 20_000) for _ in range(rng.randint(0, 80))]
+        elif kind == 1:
+            durations = [max(1, round(d * rng.uniform(0.6, 1.4))) for _ in range(rng.randint(0, 30))
+                         for d in rng.choice(nominal) * rng.randint(1, 5)]
+            if starts_low:
+                durations.insert(0, rng.randint(1, 20_000))
+            if rng.random() < 0.5:
+                durations.append(rng.randint(1, 20_000))
+        else:
+            frames = [a5n1_to_pulses(rng.getrandbits(64).to_bytes(8, "big")) if rng.random() < 0.5
+                      else lcw_to_pulses(tuple(rng.randrange(16) for _ in range(13)))
+                      for _ in range(rng.randint(1, 3))]
+            scale = rng.uniform(0.6, 1.4)
+            durations = [max(1, round(d * scale * rng.uniform(0.9, 1.1)))
+                         for _, d in PulseTrain.concat(frames).entries]
+            for _ in range(rng.randint(0, 5)):
+                durations[rng.randrange(len(durations))] = rng.randint(1, 20_000)
+            front = rng.randint(0, 3)
+            durations = durations[front:len(durations) - rng.randint(0, 3)]
+            starts_low = front % 2 == 1
+        levels = ("L", "H") if starts_low else ("H", "L")
+        yield PulseTrain(tuple((levels[i % 2], d) for i, d in enumerate(durations)))
+
+
+def test_frame_pulses_pinned():
+    """The runs both framers find in every corpus train are pinned: a
+    framer rewrite must keep this hash."""
+    h = hashlib.sha256()
+    whole_frames = Counter()
+    for train in framer_corpus():
+        for protocol in (Protocol.A5N1, Protocol.LCW):
+            runs = frame_pulses(train, protocol=protocol)
+            whole_frames[protocol] += sum(len(run) == FRAME_BITS[protocol] for run in runs)
+            h.update(f"{protocol.label} {','.join(runs)}\n".encode())
+    assert whole_frames == {Protocol.A5N1: 43, Protocol.LCW: 48}
+    assert h.hexdigest() == "8285c192afde3ce448ecaf6df21cea613d34614d2c8891a7c4640e043b3e9dd4"
 
 
 def test_pulse_train_text_roundtrip():
