@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
@@ -361,7 +362,7 @@ def cmd_simulate(args) -> int:
             print("config error: an integer in the config has too many digits", file=sys.stderr)
             return EXIT_VALIDATION
     if not isinstance(obj, dict):
-        print(f"config error: config must be a JSON object, not {obj!r}", file=sys.stderr)
+        print(f"config error: config must be a JSON object, not {reprlib.repr(obj)}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.seed is not None:
         obj["seed"] = args.seed

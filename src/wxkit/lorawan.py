@@ -52,10 +52,10 @@ class PayloadMeta:
 
 
 class _Field:
-    """One payload field after the header. Its wire value is
-    round(value * scale), which must lie in lo..hi; an unscaled field takes
-    whole numbers only. A field with a validity bit may be None: it goes on
-    the wire as 0 with its bit clear."""
+    """One payload field after the header. Its value is an int or a float
+    (no subclass, so no bool), and its wire value round(value * scale) must
+    lie in lo..hi; an unscaled field takes whole numbers only. A field with a
+    validity bit may be None: it goes on the wire as 0 with its bit clear."""
 
     __slots__ = ("name", "label", "code", "scale", "lo", "hi", "bit", "in_meta")
 
@@ -69,13 +69,15 @@ class _Field:
         self.in_meta = name in PayloadMeta.__dataclass_fields__
 
     def wire(self, value: float) -> int:
+        if type(value) is not float and type(value) is not int:
+            raise PayloadError(f"{self.label} must be a number, not {value!r}")
         try:
             raw = round(value * self.scale)
         except (OverflowError, ValueError):     # NaN or infinity, given or reached by scaling
             raw = None
         if raw is None or not self.lo <= raw <= self.hi:
             raise PayloadError(f"{self.label} value {value} outside representable range")
-        if self.scale == 1 and (raw != value or isinstance(value, bool)):
+        if self.scale == 1 and raw != value:
             raise PayloadError(f"{self.label} must be a whole number, not {value!r}")
         return raw
 
@@ -126,7 +128,8 @@ def payload_encode(
     and whose absent fields are zero.
     """
     station, wind_dir = record.station, record.wind_dir_deg
-    if wind_dir is not None and not 0 <= wind_dir < 360:
+    # a wind direction that is not a number is reported by its field below
+    if isinstance(wind_dir, (int, float)) and not 0 <= wind_dir < 360:
         raise PayloadError(f"wind direction {wind_dir} outside [0, 360)")
     layout, fields = _PAYLOADS[station.protocol]
     flags = _BATTERY_OK_BIT if record.sensor_battery_ok else 0

@@ -18,6 +18,7 @@ Codecs are pure functions and the framer holds no state between calls.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -127,99 +128,59 @@ LCW_FRAME_GAP_US = 10_000
 TOLERANCE = 0.35
 
 
-def _pairs(train: PulseTrain) -> list[tuple[int, int]]:
-    """(high, low) duration pairs; a leading low and a trailing lone high
-    cannot form a pair and are dropped."""
-    entries = train.entries
-    start = 1 if entries and entries[0][0] == "L" else 0
-    out = []
-    for i in range(start, len(entries) - 1, 2):
-        out.append((entries[i][1], entries[i + 1][1]))
-    return out
+_A5N1_CLASSES = (("S", *A5N1_SYNC_US), ("1", *A5N1_ONE_US), ("0", *A5N1_ZERO_US))
 
 
-def _rel(d: int, nominal: int) -> float:
-    return abs(d / nominal - 1.0)
+def _a5n1_token(high: int, low: int) -> str:
+    # The nearest pair class by joint relative distance, which keeps the
+    # classification stable under uniform scaling of the whole train (the
+    # individual duration bands overlap). An explicit loop: min() with a key
+    # function is twice as slow.
+    best = None
+    for token, nh, nl in _A5N1_CLASSES:
+        dh = abs(high / nh - 1.0)
+        dl = abs(low / nl - 1.0)
+        if best is None or dh + dl < best:
+            best = dh + dl
+            nearest = token if dh <= TOLERANCE and dl <= TOLERANCE else "x"
+    return nearest
 
 
-def _frame_a5n1(pairs: list[tuple[int, int]]) -> list[str]:
-    # Classify each pair jointly against the three pair classes; the joint
-    # relative distance keeps classification stable under uniform scaling
-    # of the whole train (the individual duration bands overlap).
-    classes = (("S", A5N1_SYNC_US), ("1", A5N1_ONE_US), ("0", A5N1_ZERO_US))
-    runs: list[str] = []
-    bits: list[str] = []
-    sync_count = 0
-    armed = False
-
-    def flush():
-        if bits:
-            runs.append("".join(bits))
-            bits.clear()
-
-    for h, l in pairs:
-        label = None
-        best = None
-        for name, (nh, nl) in classes:
-            score = _rel(h, nh) + _rel(l, nl)
-            if best is None or score < best:
-                best = score
-                label = name
-                nom = (nh, nl)
-        if _rel(h, nom[0]) > TOLERANCE or _rel(l, nom[1]) > TOLERANCE:
-            label = None
-        if label == "S":
-            flush()
-            sync_count += 1
-            armed = sync_count >= A5N1_SYNC_PAIRS
-        elif label is not None and armed:
-            bits.append(label)
-            sync_count = 0
-        else:
-            flush()
-            sync_count = 0
-            armed = False
-    flush()
-    return runs
+def _lcw_token(high: int, low: int) -> str:
+    # The bit value is carried by the high width alone; the low is a fixed
+    # separator. A low longer than the tolerance band is an inter-frame gap:
+    # the bit still counts but the run ends there.
+    d0 = abs(high / LCW_ZERO_HIGH_US - 1.0)
+    d1 = abs(high / LCW_ONE_HIGH_US - 1.0)
+    if min(d0, d1) > TOLERANCE or low < LCW_GAP_US * (1 - TOLERANCE):
+        return "x"
+    bit = "0" if d0 <= d1 else "1"
+    return bit + "|" if low > LCW_GAP_US * (1 + TOLERANCE) else bit
 
 
-def _frame_lcw(pairs: list[tuple[int, int]]) -> list[str]:
-    # Bit value is carried by the high width alone; the low is a fixed
-    # separator. A low longer than the tolerance band is an inter-frame
-    # gap: the bit still counts but the run ends there.
-    runs: list[str] = []
-    bits: list[str] = []
-
-    def flush():
-        if bits:
-            runs.append("".join(bits))
-            bits.clear()
-
-    for h, l in pairs:
-        d0 = _rel(h, LCW_ZERO_HIGH_US)
-        d1 = _rel(h, LCW_ONE_HIGH_US)
-        label = "0" if d0 <= d1 else "1"
-        if min(d0, d1) > TOLERANCE or l < LCW_GAP_US * (1 - TOLERANCE):
-            flush()
-            continue
-        bits.append(label)
-        if l > LCW_GAP_US * (1 + TOLERANCE):
-            flush()
-    flush()
-    return runs
+# Each protocol's pair tokenizer and the pattern of a frame's bits in the
+# joined tokens: "x" is an unclassifiable pair, "S" an A5N1 sync pair, and
+# "|" follows an LCW bit that ends a frame.
+_FRAMERS = {
+    Protocol.A5N1: (_a5n1_token, re.compile(f"(?<={'S' * A5N1_SYNC_PAIRS})[01]+")),
+    Protocol.LCW: (_lcw_token, re.compile("[01]+")),
+}
 
 
-def frame_pulses(train: PulseTrain, protocol: Protocol = Protocol.A5N1) -> list[str]:
+def frame_pulses(train: PulseTrain, protocol: Protocol) -> list[str]:
     """Slice a pulse train into candidate frame bitstrings.
 
-    Returns every maximal run of classifiable bits (sync-gated for A5N1).
-    Pulses that fail classification end the current run and are skipped;
-    there is no error path -- an unmatchable train yields an empty list.
+    Each (high, low) pair becomes one token; a leading low and a trailing
+    lone high form no pair. Returns every maximal run of bit tokens (for
+    A5N1, only a run right after the sync pairs). There is no error path --
+    an unmatchable train yields an empty list.
     """
-    pairs = _pairs(train)
-    if protocol is Protocol.A5N1:
-        return _frame_a5n1(pairs)
-    return _frame_lcw(pairs)
+    token, pattern = _FRAMERS[protocol]
+    entries = train.entries
+    start = 1 if entries and entries[0][0] == "L" else 0
+    highs = [d for _, d in entries[start::2]]
+    lows = [d for _, d in entries[start + 1::2]]
+    return pattern.findall("".join(map(token, highs, lows)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import enum
 import json
 import math
 import random
+import reprlib
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -108,15 +109,18 @@ _FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
 
 
 def _mistyped(prefix: str, spec) -> list[str]:
-    """One problem for each field of ``spec`` whose value has the wrong type,
-    or is a float field's integer too large for a float."""
+    """One problem for each field of ``spec`` whose value has the wrong type
+    or is too large: an int outside 64 bits, or an int too large for a float
+    in a float field. A value is echoed shortened, as it may be huge."""
     problems = []
     for f in dataclasses.fields(spec):
         if f.type in _FIELD_TYPES:
             types, what = _FIELD_TYPES[f.type]
             value = getattr(spec, f.name)
             if isinstance(value, bool) or not isinstance(value, types):
-                problems.append(f"{prefix}{f.name} must be {what}, not {value!r}")
+                problems.append(f"{prefix}{f.name} must be {what}, not {reprlib.repr(value)}")
+            elif f.type == "int" and not -2**63 <= value < 2**63:
+                problems.append(f"{prefix}{f.name} is too large")
             elif f.type == "float" and abs(value) > sys.float_info.max:
                 problems.append(f"{prefix}{f.name} is too large for a float")
     return problems
@@ -190,7 +194,7 @@ class SimConfig:
             return problems
         profile = energy_mod.PROFILES.get(tr.profile)
         if profile is None:
-            problems.append(f"transponder.profile {tr.profile!r} unknown "
+            problems.append(f"transponder.profile {reprlib.repr(tr.profile)} unknown "
                             f"(have {sorted(energy_mod.PROFILES)})")
         max_cycle_s = lorawan.PAYLOAD_RANGES["cycle_time_s"][1]
         if not 0 < tr.t_cycle_s <= max_cycle_s:
@@ -213,7 +217,7 @@ class SimConfig:
         def sub(spec_cls, key, **convert):
             raw = obj.get(key, {})
             if not isinstance(raw, dict):
-                raise SimConfigError([f"{key} must be an object, not {raw!r}"])
+                raise SimConfigError([f"{key} must be an object, not {reprlib.repr(raw)}"])
             raw = dict(raw)
             for k, fn in convert.items():
                 if k in raw:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import reprlib
 import sys
 
 import pytest
@@ -131,9 +132,16 @@ def _record_with(**changes) -> str:
     _record_with(frames_received=1.6),
     _record_with(frames_received=True),
     _record_with(sensor_battery_ok="no"),
+    # a value that is not a number
+    _record_with(board_temp_c=None),
+    _record_with(temperature_c="x"),
+    _record_with(humidity_pct=[1]),
+    _record_with(wind_dir_deg="x"),
+    _record_with(temperature_c=True),
 ], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object",
         "temperature_inf", "pressure_fraction", "battery_mv_fraction", "cycle_time_fraction",
-        "frames_received_fraction", "frames_received_bool", "sensor_battery_ok_str"])
+        "frames_received_fraction", "frames_received_bool", "sensor_battery_ok_str",
+        "board_temp_null", "temperature_str", "humidity_list", "wind_dir_str", "temperature_bool"])
 def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n{RECORD_LINE}\n",
                              monkeypatch=monkeypatch)
@@ -502,6 +510,13 @@ def test_simulate_config_errors_listed_together(tmp_path, capsys):
     *(pytest.param(field, 10 ** 400, id=f"{field}-huge-int")
       for field in ("duration_s", "station.emission_period_s", "transponder.rx_timeout_s",
                     "barometer.pressure_noise_pa", "barometer.temp_noise_c")),
+    # an int outside 64 bits, or a huge int where a string or an object goes
+    *(pytest.param(field, 10 ** 400, id=f"{field}-huge-int")
+      for field in ("seed", "station.id", "station.channel", "transponder.fport", "transponder.sf",
+                    "transponder.bandwidth_hz", "transponder.coding_rate",
+                    "barometer.pressure_pa", "transponder.profile", "station")),
+    pytest.param("seed", 2 ** 63, id="seed-2**63"),
+    pytest.param("station.id", -2 ** 63 - 1, id="station.id-below-int64"),
 ])
 def test_simulate_rejects_non_finite_durations(field, value, tmp_path, capsys):
     obj = {"duration_s": 3600}
@@ -529,13 +544,15 @@ def test_simulate_rejects_an_int_past_the_digit_limit(tmp_path, capsys):
     assert err == "config error: an integer in the config has too many digits\n"
 
 
-@pytest.mark.parametrize("text", ["[1]", "5", "null"])
+@pytest.mark.parametrize("text", ["[1]", "5", "null",
+                                  pytest.param(f"[{10 ** 400}]", id="[huge-int]")])
 def test_simulate_config_not_an_object_exits_3(text, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg), "--seed", "2"])
     assert (code, out) == (3, "")
-    assert err == f"config error: config must be a JSON object, not {json.loads(text)!r}\n"
+    assert err == f"config error: config must be a JSON object, not {reprlib.repr(json.loads(text))}\n"
+    assert len(err) < 200
 
 
 def test_simulate_loss_statistics(tmp_path, capsys):

@@ -127,6 +127,15 @@ def test_payload_encode_range_errors():
     for temperature_c in (400.0, float("inf"), float("nan")):
         with pytest.raises(PayloadError):
             payload_encode(full_record().replace(temperature_c=temperature_c))
+    # a value that is not a number: None in an always-carried field, text, a
+    # list, or a bool in a scaled field
+    for changes in (dict(board_temp_c=None), dict(battery_mv=None), dict(temperature_c="x"),
+                    dict(humidity_pct=[1]), dict(wind_dir_deg="x"), dict(temperature_c=True)):
+        with pytest.raises(PayloadError, match="must be a number"):
+            payload_encode(full_record().replace(**changes))
+    for meta in (PayloadMeta(frames_received=None), PayloadMeta(cycle_time_s="x")):
+        with pytest.raises(PayloadError, match="must be a number"):
+            payload_encode(full_record(), meta)
 
 
 # Each scaled field at both ends of its range, just beyond each end (some
