@@ -1,0 +1,60 @@
+"""The simulator's per-cycle rates against the exact distribution of
+``cycle_oracle``: each figure within four standard errors."""
+
+import math
+
+import pytest
+
+from cycle_oracle import cycle_outcomes, frame_success, mean_and_sd, observed_cycles, windows
+from wxkit.simkit import ChannelSpec, SimConfig, run
+
+DEFAULT_LOSSY = SimConfig(channel=ChannelSpec(frame_loss_p=0.3))
+
+
+def test_default_windows_and_exact_figures():
+    rx1, rx2 = windows(DEFAULT_LOSSY)
+    assert rx1 == [9.0, 27.0, 45.0]
+    assert rx2 == {9.0: [27.0, 45.0, 63.0], 27.0: [45.0, 63.0, 81.0],
+                   45.0: [63.0, 81.0, 99.0], 60.6: [81.0, 99.0, 117.0]}
+    outcomes = cycle_outcomes(DEFAULT_LOSSY, frame_success(DEFAULT_LOSSY))
+    assert sum(o.p for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+    # (1 - p^3) for RX1, then RX2's first catch at an odd offset
+    assert mean_and_sd(outcomes, lambda o: o.complete)[0] == pytest.approx(
+        (1 - 0.3**3) * (0.7 + 0.3**2 * 0.7), abs=1e-12)    # 0.7424
+    assert mean_and_sd(outcomes, lambda o: o.rx_on_s)[0] == pytest.approx(31.356, abs=5e-4)
+
+
+# Seeds and lengths are fixed; 30 days is 2880 cycles.
+CASES = {
+    "q0": SimConfig(duration_s=30 * 86_400.0, seed=4, channel=ChannelSpec(frame_loss_p=0.3)),
+    "q1e-3": SimConfig(duration_s=15 * 86_400.0, seed=5,
+                       channel=ChannelSpec(frame_loss_p=0.3, bit_flip_q=1e-3)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CASES))
+def case(request):
+    cfg = CASES[request.param]
+    trace = run(cfg)
+    # the oracle holds only while every cycle keeps its phase
+    assert not any(ev["ev"] == "governor_wait" for ev in trace.events)
+    return cycle_outcomes(cfg, frame_success(cfg)), observed_cycles(trace.events)
+
+
+def _within_4_sigma(outcomes, observed, value):
+    mean, sd = mean_and_sd(outcomes, value)
+    got = sum(value(o) for o in observed) / len(observed)
+    assert abs(got - mean) <= 4 * sd / math.sqrt(len(observed)), (got, mean, sd)
+
+
+def test_complete_record_rate(case):
+    _within_4_sigma(*case, lambda o: o.complete)
+
+
+def test_mean_receiver_on_time(case):
+    _within_4_sigma(*case, lambda o: o.rx_on_s)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_frames_received_frequencies(case, n):
+    _within_4_sigma(*case, lambda o: o.frames_received == n)
