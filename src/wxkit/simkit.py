@@ -3,10 +3,14 @@ a weather-station emitter, a lossy 433 MHz channel, the transponder's
 receive/repack/transmit state machine with an energy ledger and duty-cycle
 governor, and a gateway/server endpoint that verifies and decodes uplinks.
 
-Determinism contract: one seeded ``random.Random`` drives every stochastic
-decision, and identical (config, seed) pairs produce byte-identical traces.
-Time advances on two clocks, the next emission and the transponder's one
-wake timer; when both fall at the same time, the emission goes first.
+Determinism contract: four named ``random.Random`` substreams, seeded from
+``f"{seed}/{name}"``, drive the weather, the channel, the barometer and the
+gateway, so a change to one component leaves the others' draws alone, and
+identical (config, seed) pairs produce byte-identical traces. An emission
+that lands while the transponder is not listening only moves the weather
+on: it is counted, not traced, and draws nothing from the channel. Time
+advances on two clocks, the next emission and the transponder's one wake
+timer; when both fall at the same time, the emission goes first.
 """
 
 from __future__ import annotations
@@ -293,20 +297,24 @@ class _Emitter:
         self.rain_tips = 120
         self.msg_index = 0
 
-    def _walk(self):
-        r = self.rng
-        self.temp_c = min(55.0, max(-25.0, self.temp_c + r.uniform(-0.05, 0.05)))
-        self.humidity = min(99.0, max(5.0, self.humidity + r.uniform(-0.3, 0.3)))
-        self.wind_kph = min(80.0, max(0.0, self.wind_kph + r.uniform(-0.4, 0.4)))
-        self.dir_code = (self.dir_code + r.choice((-1, 0, 1))) % 16
-        if r.random() < 0.05:
+    def skip(self):
+        """Move the weather on by one emission that no receiver hears."""
+        # uniform steps as uniform(a, b) draws them, a + (b - a) * random()
+        r = self.rng.random
+        self.temp_c = min(55.0, max(-25.0, self.temp_c + (-0.05 + 0.1 * r())))
+        self.humidity = min(99.0, max(5.0, self.humidity + (-0.3 + 0.6 * r())))
+        self.wind_kph = min(80.0, max(0.0, self.wind_kph + (-0.4 + 0.8 * r())))
+        self.dir_code = (self.dir_code + int(3 * r()) - 1) % 16
+        if r() < 0.05:
             self.rain_tips += 1
+        self.msg_index += 1
 
     def emit(self) -> tuple[str, str, str]:
         """Returns (bits, message label, frame hex)."""
-        self._walk()
+        index = self.msg_index
+        self.skip()
         if self.spec.protocol is Protocol.A5N1:
-            if self.msg_index % 2 == 0:
+            if index % 2 == 0:
                 frame = rfdecode.build_a5n1_frame(
                     self.station, rfdecode.A5N1_MSG_WIND_DIR_RAIN,
                     wind_kph=self.wind_kph,
@@ -326,7 +334,7 @@ class _Emitter:
             bits = rfdecode.bytes_to_bits(frame)
             frame_hex = frame.hex()
         else:
-            quantity = LcwQuantity(self.msg_index % 5)
+            quantity = LcwQuantity(index % 5)
             value = {
                 LcwQuantity.TEMP: self.temp_c,
                 LcwQuantity.HUMIDITY: self.humidity,
@@ -339,7 +347,6 @@ class _Emitter:
             bits = rfdecode.nibbles_to_bits(nibbles)
             frame_hex = rfdecode.nibbles_to_hex(nibbles)
             label = quantity.name.lower()
-        self.msg_index += 1
         return bits, label, frame_hex
 
 
@@ -389,7 +396,10 @@ class Transponder:
     object and returns the trace events and at most one ``Uplink``, in the
     order they happen. The transponder keeps its own energy ledger: each
     ``sleep_energy`` and ``cycle_energy`` entry it returns is also added to
-    ``energy_by_state``.
+    ``energy_by_state``. The emissions that arrive while it is not listening
+    are added to ``unheard``; each state that ends with some writes one
+    ``frames_missed`` entry, and adds them to ``frames_ignored`` if the
+    receiver was powered, else to ``frames_missed``.
     """
 
     def __init__(self, spec: TransponderSpec, station: StationId,
@@ -414,16 +424,11 @@ class Transponder:
         self.energy_by_state: dict[str, float] = {}
         self.record = WeatherRecord(station)
         self.frames_received = 0
+        self.unheard = 0
+        self.frames_missed = 0
+        self.frames_ignored = 0
         self._pending_frame: bytes | None = None
         self._pending_t_air = 0.0
-
-    @property
-    def shr_listening(self) -> bool:
-        return self.state in RX_STATES
-
-    @property
-    def shr_powered(self) -> bool:
-        return self.state in SHR_ON_STATES
 
     def boot(self) -> list[dict]:
         return [{"ev": "state", "from": None, "to": self.state.value}]
@@ -437,10 +442,23 @@ class Transponder:
 
     def _enter(self, now: float, new_state: State, duration: float) -> list[dict]:
         self._accrue(now)
-        event = {"ev": "state", "from": self.state.value, "to": new_state.value}
+        events = self._unheard_entry()
+        events.append({"ev": "state", "from": self.state.value, "to": new_state.value})
         self.state = new_state
         self.wake_at = now + duration
-        return [event]
+        return events
+
+    def _unheard_entry(self) -> list[dict]:
+        """The emissions the current state did not hear, as one count."""
+        n = self.unheard
+        if not n:
+            return []
+        self.unheard = 0
+        if self.state in SHR_ON_STATES:
+            self.frames_ignored += n
+        else:
+            self.frames_missed += n
+        return [{"ev": "frames_missed", "state": self.state.value, "n": n}]
 
     def step(self, now: float, bits: str | None = None) -> list[dict | Uplink]:
         if bits is None:
@@ -588,12 +606,13 @@ class Transponder:
         self.state_time = {}
         return event
 
-    def flush_energy(self, now: float) -> list[dict]:
-        """Account the state in progress when the simulation ends. A partial
-        deep sleep is charged at sleep power; a partial active phase is
-        charged per-state at component rates (no lump for unfinished work)."""
+    def flush(self, now: float) -> list[dict]:
+        """Account the state in progress when the simulation ends: its
+        unheard emissions, and its energy. A partial deep sleep is charged
+        at sleep power; a partial active phase is charged per-state at
+        component rates (no lump for unfinished work)."""
         self._accrue(now)
-        events = self._sleep_entry(cycle=self.cycle)
+        events = self._unheard_entry() + self._sleep_entry(cycle=self.cycle)
         if self.state_time:
             mcu_uw = energy_mod.fit_component_power(self.profile)
             rates = {}
@@ -638,11 +657,13 @@ class Simulator:
         if problems:
             raise SimConfigError(problems)
         self.config = config
-        self.rng = random.Random(config.seed)
+        rng = {name: random.Random(f"{config.seed}/{name}")
+               for name in ("weather", "channel", "baro", "gateway")}
+        self.channel_rng, self.gateway_rng = rng["channel"], rng["gateway"]
         self.trace = SimTrace(config=config.to_dict())
-        self.emitter = _Emitter(config.station, self.rng)
+        self.emitter = _Emitter(config.station, rng["weather"])
         self.transponder = Transponder(
-            config.transponder, self.emitter.station, config.barometer, self.rng)
+            config.transponder, self.emitter.station, config.barometer, rng["baro"])
         self.server_session = lorawan.AbpSession(
             config.transponder.dev_addr, config.transponder.nwk_skey,
             config.transponder.app_skey, fport=config.transponder.fport)
@@ -670,22 +691,17 @@ class Simulator:
     # -- event handlers -----------------------------------------------------
 
     def _handle_emit(self, now: float):
+        """An emission the transponder is listening for."""
         bits, label, frame_hex = self.emitter.emit()
         self._record_event(now, {"ev": "emit", "msg": label, "frame_hex": frame_hex})
-        out = channel_apply(bits, self.config.channel, self.rng)
+        out = channel_apply(bits, self.config.channel, self.channel_rng)
         if out is None:
             self._record_event(now, {"ev": "channel_drop"})
             return
         if out is not bits:
             flips = sum(a != b for a, b in zip(out, bits))
             self._record_event(now, {"ev": "channel_corrupt", "flips": flips})
-        tr = self.transponder
-        if tr.shr_listening:
-            self._apply(now, tr.step(now, out))
-        elif tr.shr_powered:
-            self._record_event(now, {"ev": "frame_ignored", "state": tr.state.value})
-        else:
-            self._record_event(now, {"ev": "frame_missed", "state": tr.state.value})
+        self._apply(now, self.transponder.step(now, out))
 
     def _handle_uplink(self, t: float, uplink: Uplink):
         frame, t_air = uplink.frame, uplink.t_air
@@ -700,7 +716,7 @@ class Simulator:
         self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
         self._record_event(t, {"ev": "uplink_tx", "fcnt": self.transponder.session.fcnt_up - 1,
                                "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
-        if self.rng.random() < self.config.gateway.uplink_loss_p:
+        if self.gateway_rng.random() < self.config.gateway.uplink_loss_p:
             self._record_event(t, {"ev": "uplink_drop"})
             return
         try:
@@ -721,18 +737,23 @@ class Simulator:
     def run(self) -> SimTrace:
         cfg = self.config
         tr = self.transponder
+        skip = self.emitter.skip
         period = cfg.station.emission_period_s
         next_emit = period / 2.0
         self._apply(0.0, tr.boot())
         # two clocks: the next emission and the transponder's one timer; at
         # equal times the emission goes first
         while (now := min(next_emit, tr.wake_at)) <= cfg.duration_s:
-            if now == next_emit:
-                self._handle_emit(now)
-                next_emit += period
-            else:
+            if now != next_emit:
                 self._apply(now, tr.step(now))
-        self._apply(cfg.duration_s, tr.flush_energy(cfg.duration_s))
+                continue
+            if tr.state in RX_STATES:
+                self._handle_emit(now)
+            else:
+                skip()
+                tr.unheard += 1
+            next_emit += period
+        self._apply(cfg.duration_s, tr.flush(cfg.duration_s))
         self._finish_summary()
         return self.trace
 
@@ -754,6 +775,8 @@ class Simulator:
             "uplinks_delivered": self.uplinks_delivered,
             "records_decoded": self.uplinks_delivered,   # one record per delivered uplink
             "complete_records": self.complete_records,
+            "frames_missed": self.transponder.frames_missed,
+            "frames_ignored": self.transponder.frames_ignored,
             "energy_uwh_total": total,
             "energy_uwh_by_state": {k: energy_by_state[k] for k in sorted(energy_by_state)},
             "total_airtime_s": self.total_airtime,

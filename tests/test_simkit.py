@@ -239,13 +239,16 @@ def test_step_ill_targeted_frame_raises():
 
 
 def test_emission_goes_first_when_it_ties_with_a_wake():
-    # the first emission lands at half a period: 0.1 s, when RESET ends
+    # the first emission lands at half a period: 0.1 s, when RESET ends, so
+    # RESET misses it and INIT misses the two at 0.3 s and 0.5 s
     trace = run(short_config(duration_s=1.0, station=StationSpec(emission_period_s=0.2)))
-    first = trace.events[:4]
+    first = trace.events[:5]
     assert [(ev["t"], ev["ev"]) for ev in first] == [
-        (0.0, "state"), (0.1, "emit"), (0.1, "frame_missed"), (0.1, "state")]
-    assert first[2]["state"] == "reset"
-    assert (first[3]["from"], first[3]["to"]) == ("reset", "init")
+        (0.0, "state"), (0.1, "frames_missed"), (0.1, "state"),
+        (0.6, "frames_missed"), (0.6, "state")]
+    assert (first[1]["state"], first[1]["n"]) == ("reset", 1)
+    assert (first[2]["from"], first[2]["to"]) == ("reset", "init")
+    assert (first[3]["state"], first[3]["n"]) == ("init", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +313,19 @@ def test_total_loss_sends_empty_records():
             assert r["pressure_pa"] is not None   # the barometer is onboard
 
 
+def test_weather_is_common_across_cycle_lengths():
+    # the weather has its own random stream, so the frames a station sends
+    # do not depend on which of them a transponder hears
+    lossy = ChannelSpec(frame_loss_p=0.3, bit_flip_q=1e-3)
+    frames = [{ev["t"]: ev["frame_hex"] for ev in run(short_config(
+                  channel=lossy, transponder=TransponderSpec(t_cycle_s=t_cycle))).events
+               if ev["ev"] == "emit"}
+              for t_cycle in (300.0, 900.0)]
+    common = frames[0].keys() & frames[1].keys()
+    assert len(common) >= 10
+    assert all(frames[0][t] == frames[1][t] for t in common)
+
+
 def test_determinism_byte_identical():
     cfg = short_config(channel=ChannelSpec(frame_loss_p=0.3, bit_flip_q=0.01))
     a = run(cfg).to_jsonl()
@@ -327,18 +343,18 @@ GOLDEN_TRACES = [
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 1e-3},
       "transponder": {"t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "55d929178d50f37e4432f2696dee7dc83ae2e25508e3b6ef08893f913b65792f"),
+     "06825d63b358088f793d22ae521c41f3d5c428676742f496e3c3085ca285e49e"),
     ({"duration_s": 86_400.0, "seed": 3,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
-     "75c2c692ca2486d656c4921d0be45272bfca142531a04bd7f45cb35b7ff4951f"),
+     "f0073e58c0edb0f1d62dc6af2f5f6ccd15cafb396c5e46e04560b4af484c9aad"),
     # 52-bit frames with bit flips, so failed LCW decodes are pinned too
     ({"duration_s": 86_400.0, "seed": 5,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 0.01},
       "transponder": {"profile": "lopy4", "t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "2c7f7d0fcc025e065ed6532e657e09dcdd2befaa842a9f8ab9d49377248d7c38"),
+     "9997226a13ee8626846d4ed10681d9ab57e12e55f75e0dd563f03c1d6d1d27aa"),
 ]
 
 
@@ -364,7 +380,14 @@ def test_summary_is_derived_from_the_trace(obj):
     # every one-hour window, each starting at a transmission's end
     window_peak = max((sum(a for t, a in tx if t0 <= t <= t0 + 3600.0) for t0, _ in tx),
                       default=0.0)
+    unheard = [ev for ev in trace.events if ev["ev"] == "frames_missed"]
+    emissions = math.floor(obj["duration_s"] / 18.0 - 0.5) + 1
     s = trace.summary
+    assert s["frames_ignored"] == sum(ev["n"] for ev in unheard if ev["state"] == "inter_sleep")
+    assert s["frames_missed"] == sum(ev["n"] for ev in unheard if ev["state"] != "inter_sleep")
+    # every emission is either traced or counted
+    assert sum(ev["ev"] == "emit" for ev in trace.events) + s["frames_missed"] + \
+        s["frames_ignored"] == emissions
     assert s["uplinks_attempted"] == len(tx)
     assert s["records_decoded"] == len(records)
     assert s["complete_records"] == sum(all(r[f] is not None for f in FIELD_FLAGS)
