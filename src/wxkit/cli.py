@@ -77,16 +77,16 @@ def _data_lines(text: str) -> Iterator[tuple[str, str]]:
 
 
 def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str], str],
-                   output: str, errors=ValueError) -> int:
+                   output: str) -> int:
     """Write ``convert(origin, item)`` of each (origin, item) to ``output``, one
-    line each. An item whose conversion raises one of ``errors`` is reported
-    on stderr as ``origin: message`` and skipped. Exit 0 if any item
-    converted, else 2."""
+    line each. An item whose conversion raises a ValueError is reported on
+    stderr as ``origin: message`` and skipped. Exit 0 if any item converted,
+    else 2."""
     lines = []
     for origin, item in items:
         try:
             lines.append(convert(origin, item))
-        except errors as exc:
+        except ValueError as exc:
             print(f"{origin}: {exc}", file=sys.stderr)
     _write_output(output, "".join(line + "\n" for line in lines))
     return EXIT_OK if lines else EXIT_NO_DATA
@@ -183,11 +183,12 @@ def cmd_encode(args) -> int:
 
 def _payload_of_json(_, line: str) -> str:
     obj = json.loads(line)
+    record = record_from_obj(obj)
     meta = lorawan.PayloadMeta(
         frames_received=obj.get("frames_received", 0),
         cycle_time_s=obj.get("cycle_time_s", 0),
     )
-    return lorawan.payload_encode(record_from_obj(obj), meta).hex()
+    return lorawan.payload_encode(record, meta).hex()
 
 
 def _json_of_payload(_, line: str) -> str:
@@ -197,9 +198,7 @@ def _json_of_payload(_, line: str) -> str:
 
 def cmd_payload(args) -> int:
     convert = _json_of_payload if args.decode else _payload_of_json
-    # a wrongly typed JSON field surfaces as KeyError, TypeError or AttributeError
-    return _convert_lines(_data_lines(_read_input(args.input)), convert, args.output,
-                          (ValueError, KeyError, TypeError, AttributeError))
+    return _convert_lines(_data_lines(_read_input(args.input)), convert, args.output)
 
 
 def _session_from(args) -> lorawan.AbpSession:

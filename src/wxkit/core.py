@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import reprlib
 from dataclasses import dataclass
 
 
@@ -25,14 +26,17 @@ class Protocol(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Protocol":
-        try:
+        if isinstance(label, str) and label.upper() in cls.__members__:
             return cls[label.upper()]
-        except KeyError:
-            raise ValueError(f"unknown protocol {label!r}") from None
+        raise ValueError(f"unknown protocol {reprlib.repr(label)}")
 
 
 class StationMismatchError(ValueError):
     """Raised when merging records that belong to different stations."""
+
+
+class RecordError(ValueError):
+    """A plain-dict record that does not describe a weather record."""
 
 
 MAX_STATION_ID = 0x3FFF  # 14-bit id space
@@ -46,10 +50,14 @@ class StationId:
     channel: int = 0
 
     def __post_init__(self):
+        for name in ("id", "channel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"station {name} must be an integer, not {reprlib.repr(value)}")
         if not 0 <= self.id <= MAX_STATION_ID:
-            raise ValueError(f"station id {self.id} does not fit 14 bits")
+            raise ValueError(f"station id {reprlib.repr(self.id)} does not fit 14 bits")
         if not 0 <= self.channel <= 3:
-            raise ValueError(f"channel {self.channel} does not fit 2 bits")
+            raise ValueError(f"channel {reprlib.repr(self.channel)} does not fit 2 bits")
         if self.protocol is Protocol.LCW:
             if self.channel != 0:
                 raise ValueError("lcw stations use channel 0 only")
@@ -106,8 +114,8 @@ class WeatherRecord:
     battery_mv: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.seq, int) and 0 <= self.seq <= 0xFFFF):
-            raise ValueError(f"seq {self.seq} is not a 16-bit integer")
+        if isinstance(self.seq, bool) or not (isinstance(self.seq, int) and 0 <= self.seq <= 0xFFFF):
+            raise ValueError(f"seq {reprlib.repr(self.seq)} is not a 16-bit integer")
 
     def replace(self, **changes) -> "WeatherRecord":
         return dataclasses.replace(self, **changes)
@@ -157,11 +165,19 @@ def record_to_obj(record: WeatherRecord) -> dict:
 
 
 def record_from_obj(obj: dict) -> WeatherRecord:
-    st = obj["station"]
-    station = StationId(Protocol.from_label(st["protocol"]), st["id"], st.get("channel", 0))
+    """The record a plain dict describes, as ``record_to_obj`` writes it.
+    Any object that does not describe one raises a ValueError: a
+    ``RecordError`` for its shape, a plain one for a station or seq out of
+    range. The measurement values are checked where they are encoded."""
+    if not isinstance(obj, dict):
+        raise RecordError(f"a record must be an object, not {reprlib.repr(obj)}")
+    st = obj.get("station")
+    if not isinstance(st, dict):
+        raise RecordError(f"station must be an object, not {reprlib.repr(st)}")
+    station = StationId(Protocol.from_label(st.get("protocol")), st.get("id"), st.get("channel", 0))
     battery_ok = obj.get("sensor_battery_ok", False)
     if not isinstance(battery_ok, bool):
-        raise ValueError(f"sensor_battery_ok must be true or false, not {battery_ok!r}")
+        raise RecordError(f"sensor_battery_ok must be true or false, not {reprlib.repr(battery_ok)}")
     return WeatherRecord(
         station,
         seq=obj.get("seq", 0),

@@ -10,6 +10,7 @@ independent hand-rolled CMAC oracle to keep the integrity check two-sided.
 from __future__ import annotations
 
 import math
+import reprlib
 import struct
 from dataclasses import dataclass, field
 
@@ -70,15 +71,15 @@ class _Field:
 
     def wire(self, value: float) -> int:
         if type(value) is not float and type(value) is not int:
-            raise PayloadError(f"{self.label} must be a number, not {value!r}")
+            raise PayloadError(f"{self.label} must be a number, not {reprlib.repr(value)}")
         try:
             raw = round(value * self.scale)
         except (OverflowError, ValueError):     # NaN or infinity, given or reached by scaling
             raw = None
         if raw is None or not self.lo <= raw <= self.hi:
-            raise PayloadError(f"{self.label} value {value} outside representable range")
+            raise PayloadError(f"{self.label} value {reprlib.repr(value)} outside representable range")
         if self.scale == 1 and raw != value:
-            raise PayloadError(f"{self.label} must be a whole number, not {value!r}")
+            raise PayloadError(f"{self.label} must be a whole number, not {reprlib.repr(value)}")
         return raw
 
     def value(self, raw: int) -> float | int:
@@ -130,7 +131,7 @@ def payload_encode(
     station, wind_dir = record.station, record.wind_dir_deg
     # a wind direction that is not a number is reported by its field below
     if isinstance(wind_dir, (int, float)) and not 0 <= wind_dir < 360:
-        raise PayloadError(f"wind direction {wind_dir} outside [0, 360)")
+        raise PayloadError(f"wind direction {reprlib.repr(wind_dir)} outside [0, 360)")
     layout, fields = _PAYLOADS[station.protocol]
     flags = _BATTERY_OK_BIT if record.sensor_battery_ok else 0
     raws = []

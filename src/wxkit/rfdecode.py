@@ -18,6 +18,7 @@ Codecs are pure functions and the framer holds no state between calls.
 from __future__ import annotations
 
 import enum
+import reprlib
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -62,6 +63,11 @@ class ValueRangeError(DecodeError):
 # ---------------------------------------------------------------------------
 # Pulse trains
 
+# The longest pulse a train may hold, about 71 minutes: the framer divides
+# durations as floats, which a longer one could overflow.
+MAX_PULSE_US = 2**32
+
+
 @dataclass(frozen=True)
 class PulseTrain:
     """Demodulated OOK capture: alternating ('H'|'L', duration_us) entries."""
@@ -73,8 +79,9 @@ class PulseTrain:
         for i, (level, dur) in enumerate(self.entries):
             if level not in ("H", "L"):
                 raise ValueError(f"entry {i}: level must be 'H' or 'L', got {level!r}")
-            if dur <= 0:
-                raise ValueError(f"entry {i}: duration must be positive, got {dur}")
+            if not 0 < dur <= MAX_PULSE_US:
+                raise ValueError(f"entry {i}: duration must be in 1..{MAX_PULSE_US} us, "
+                                 f"got {reprlib.repr(dur)}")
             if level == prev:
                 raise ValueError(f"entry {i}: levels must strictly alternate")
             prev = level

@@ -131,12 +131,10 @@ def _mistyped(prefix: str, spec) -> list[str]:
 
 
 def _protocol(label):
-    if isinstance(label, str):
-        try:
-            return Protocol.from_label(label)
-        except ValueError:
-            pass
-    return label
+    try:
+        return Protocol.from_label(label)
+    except ValueError:
+        return label
 
 
 @dataclass(frozen=True)

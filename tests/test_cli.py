@@ -101,6 +101,16 @@ def test_decode_malformed_pulses_reports_line(capsys, monkeypatch):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("protocol", ["a5n1", "lcw"])
+def test_decode_huge_pulse_duration_is_validation_error(protocol, capsys, monkeypatch):
+    # a duration too large for a float division in the framer
+    code, out, err = run_cli(capsys, ["decode", "--protocol", protocol, "--format", "pulses"],
+                             stdin=f"H 1{'0' * 400}\nL 600\n", monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: entry 0: duration") and err.count("\n") == 1
+    assert len(err) < 120
+
+
 # ---------------------------------------------------------------------------
 # payload / frame
 
@@ -138,10 +148,18 @@ def _record_with(**changes) -> str:
     _record_with(humidity_pct=[1]),
     _record_with(wind_dir_deg="x"),
     _record_with(temperature_c=True),
+    # a record or station of the wrong shape
+    "{}",
+    _record_with(station=1),
+    _record_with(station={"protocol": "a5n1", "channel": 0}),
+    _record_with(station={"protocol": "a5n1", "id": 1.5, "channel": 0}),
+    _record_with(station={"protocol": "a5n1", "id": True, "channel": 0}),
+    _record_with(station={"protocol": "a5n1", "id": 7, "channel": "0"}),
 ], ids=["id_str", "frames_received_str", "protocol_int", "lcw_id_128", "not_object",
         "temperature_inf", "pressure_fraction", "battery_mv_fraction", "cycle_time_fraction",
         "frames_received_fraction", "frames_received_bool", "sensor_battery_ok_str",
-        "board_temp_null", "temperature_str", "humidity_list", "wind_dir_str", "temperature_bool"])
+        "board_temp_null", "temperature_str", "humidity_list", "wind_dir_str", "temperature_bool",
+        "empty_object", "station_int", "id_missing", "id_float", "id_bool", "channel_str"])
 def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n{RECORD_LINE}\n",
                              monkeypatch=monkeypatch)
@@ -151,6 +169,18 @@ def test_payload_bad_record_reports_line_and_goes_on(bad, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n", monkeypatch=monkeypatch)
     assert (code, out) == (2, "")
     assert err.startswith("line 1: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", [
+    _record_with(station={"protocol": "a5n1", "id": 10**400, "channel": 0}),
+    _record_with(battery_mv=10**400),
+    _record_with(seq=10**400),
+    _record_with(station={"protocol": "x" * 400, "id": 7}),
+], ids=["id", "battery_mv", "seq", "protocol"])
+def test_payload_echoes_huge_values_shortened(bad, capsys, monkeypatch):
+    code, _, err = run_cli(capsys, ["payload"], stdin=f"{bad}\n", monkeypatch=monkeypatch)
+    assert code == 2
+    assert err.startswith("line 1: ") and err.count("\n") == 1 and len(err) < 120
 
 
 def test_payload_roundtrip(capsys, monkeypatch):
@@ -280,12 +310,13 @@ TRANSCRIPT = [
                 _record_with(temperature_c=float("inf")), LCW_RECORD]) + "\n",
      0, f"{PAYLOAD_A5N1}\n{PAYLOAD_LCW}\n",
      "line 2: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
-     "line 3: 'list' object has no attribute 'get'\n"
-     "line 4: 'station'\n"
-     "line 5: '<=' not supported between instances of 'int' and 'str'\n"
+     "line 3: a record must be an object, not [1]\n"
+     "line 4: station must be an object, not None\n"
+     "line 5: station id must be an integer, not '7'\n"
      "line 6: temperature value inf outside representable range\n"),
     (["payload"], "{}\n[]\n",
-     2, "", "line 1: 'station'\nline 2: 'list' object has no attribute 'get'\n"),
+     2, "", "line 1: station must be an object, not None\n"
+            "line 2: a record must be an object, not []\n"),
     (["payload", "--decode"],
      f"{PAYLOAD_A5N1}\n{PAYLOAD_A5N1[:-1]}\n{PAYLOAD_A5N1[:-2]}\n03{PAYLOAD_A5N1[2:]}\n{PAYLOAD_LCW}\n",
      0, RECORD_LINE + "\n"

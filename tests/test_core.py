@@ -1,10 +1,11 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wxkit.core import (
+    RecordError,
     FIELD_FLAGS,
     Protocol,
     StationId,
@@ -15,6 +16,7 @@ from wxkit.core import (
     record_from_obj,
     record_to_obj,
 )
+from wxkit.lorawan import payload_encode
 
 A5N1_STATION = StationId(Protocol.A5N1, 1234, 2)
 
@@ -29,6 +31,13 @@ def test_station_id_invariants():
     with pytest.raises(ValueError):
         StationId(Protocol.LCW, 128, 0)
     StationId(Protocol.LCW, 127, 0)
+
+
+@pytest.mark.parametrize("id_,channel", [(1.5, 0), (True, 0), ("7", 0), (None, 0),
+                                         (7, 1.0), (7, False)])
+def test_station_id_and_channel_are_ints(id_, channel):
+    with pytest.raises(ValueError, match="must be an integer"):
+        StationId(Protocol.A5N1, id_, channel)
 
 
 def test_merge_disjoint_union():
@@ -129,3 +138,44 @@ def test_record_seq_range():
         WeatherRecord(station=A5N1_STATION, seq=0x10000)
     with pytest.raises(ValueError):
         WeatherRecord(station=A5N1_STATION, seq=0.5)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [1], {"station": 1}, {"station": {"protocol": 5, "id": 7}},
+    {"station": {"protocol": "a5n1"}}, {"station": {"protocol": "a5n1", "id": "7"}},
+    {"station": {"protocol": "a5n1", "id": 1.5}},
+])
+def test_record_from_obj_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        record_from_obj(obj)
+    if not isinstance(obj, dict) or not isinstance(obj.get("station"), dict):
+        with pytest.raises(RecordError):
+            record_from_obj(obj)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6)
+# records that pass some of the reader's checks: known keys, often plausible values
+STATIONS = st.fixed_dictionaries({}, optional={
+    "protocol": st.sampled_from(["a5n1", "lcw", "A5N1"]) | JSON_VALUES,
+    "id": st.integers(0, 0x4000) | JSON_VALUES,
+    "channel": st.integers(0, 4) | JSON_VALUES,
+})
+RECORD_OBJECTS = st.one_of(JSON_VALUES, st.fixed_dictionaries({}, optional={
+    "station": STATIONS | JSON_VALUES,
+    **{key: st.floats(-1e3, 1e5) | st.integers(0, 0x10000) | JSON_VALUES
+       for key in ("seq", "sensor_battery_ok", *FIELD_FLAGS, "board_temp_c", "battery_mv")},
+}))
+
+
+@settings(max_examples=200)
+@given(RECORD_OBJECTS)
+def test_arbitrary_json_record_raises_only_value_error(obj):
+    try:
+        payload_encode(record_from_obj(obj))
+    except ValueError:
+        pass
