@@ -167,8 +167,9 @@ def record_to_obj(record: WeatherRecord) -> dict:
 def record_from_obj(obj: dict) -> WeatherRecord:
     """The record a plain dict describes, as ``record_to_obj`` writes it.
     Any object that does not describe one raises a ValueError: a
-    ``RecordError`` for its shape, a plain one for a station or seq out of
-    range. The measurement values are checked where they are encoded."""
+    ``RecordError`` for its shape, else the error of the protocol label,
+    ``StationId`` or ``WeatherRecord`` that rejects a value. The measurements
+    are checked where they are encoded."""
     if not isinstance(obj, dict):
         raise RecordError(f"a record must be an object, not {reprlib.repr(obj)}")
     st = obj.get("station")

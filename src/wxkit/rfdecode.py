@@ -18,8 +18,8 @@ Codecs are pure functions and the framer holds no state between calls.
 from __future__ import annotations
 
 import enum
-import reprlib
 import re
+import reprlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 

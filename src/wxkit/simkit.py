@@ -295,8 +295,9 @@ class _Emitter:
         self.rain_tips = 120
         self.msg_index = 0
 
-    def skip(self):
-        """Move the weather on by one emission that no receiver hears."""
+    def advance(self):
+        """Move the weather and the message index on by one emission: all
+        that an emission no receiver hears does."""
         # uniform steps as uniform(a, b) draws them, a + (b - a) * random()
         r = self.rng.random
         self.temp_c = min(55.0, max(-25.0, self.temp_c + (-0.05 + 0.1 * r())))
@@ -310,7 +311,7 @@ class _Emitter:
     def emit(self) -> tuple[str, str, str]:
         """Returns (bits, message label, frame hex)."""
         index = self.msg_index
-        self.skip()
+        self.advance()
         if self.spec.protocol is Protocol.A5N1:
             if index % 2 == 0:
                 frame = rfdecode.build_a5n1_frame(
@@ -735,7 +736,7 @@ class Simulator:
     def run(self) -> SimTrace:
         cfg = self.config
         tr = self.transponder
-        skip = self.emitter.skip
+        advance = self.emitter.advance
         period = cfg.station.emission_period_s
         next_emit = period / 2.0
         self._apply(0.0, tr.boot())
@@ -748,7 +749,7 @@ class Simulator:
             if tr.state in RX_STATES:
                 self._handle_emit(now)
             else:
-                skip()
+                advance()
                 tr.unheard += 1
             next_emit += period
         self._apply(cfg.duration_s, tr.flush(cfg.duration_s))
