@@ -26,9 +26,10 @@ class Protocol(enum.Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Protocol":
-        if isinstance(label, str) and label.upper() in cls.__members__:
+        try:
             return cls[label.upper()]
-        raise ValueError(f"unknown protocol {reprlib.repr(label)}")
+        except (KeyError, AttributeError):     # AttributeError: not a string
+            raise ValueError(f"unknown protocol {reprlib.repr(label)}") from None
 
 
 class StationMismatchError(ValueError):
@@ -50,10 +51,10 @@ class StationId:
     channel: int = 0
 
     def __post_init__(self):
-        for name in ("id", "channel"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"station {name} must be an integer, not {reprlib.repr(value)}")
+        # exactly int: a bool or an int subclass is not an id
+        if type(self.id) is not int or type(self.channel) is not int:
+            name, value = ("channel", self.channel) if type(self.id) is int else ("id", self.id)
+            raise ValueError(f"station {name} must be an integer, not {reprlib.repr(value)}")
         if not 0 <= self.id <= MAX_STATION_ID:
             raise ValueError(f"station id {reprlib.repr(self.id)} does not fit 14 bits")
         if not 0 <= self.channel <= 3:
@@ -114,7 +115,7 @@ class WeatherRecord:
     battery_mv: int = 0
 
     def __post_init__(self):
-        if isinstance(self.seq, bool) or not (isinstance(self.seq, int) and 0 <= self.seq <= 0xFFFF):
+        if type(self.seq) is not int or not 0 <= self.seq <= 0xFFFF:
             raise ValueError(f"seq {reprlib.repr(self.seq)} is not a 16-bit integer")
 
     def replace(self, **changes) -> "WeatherRecord":
