@@ -381,7 +381,8 @@ def test_summary_is_derived_from_the_trace(obj):
     window_peak = max((sum(a for t, a in tx if t0 <= t <= t0 + 3600.0) for t0, _ in tx),
                       default=0.0)
     unheard = [ev for ev in trace.events if ev["ev"] == "frames_missed"]
-    emissions = math.floor(obj["duration_s"] / 18.0 - 0.5) + 1
+    period = trace.config["station"]["emission_period_s"]
+    emissions = math.floor(obj["duration_s"] / period - 0.5) + 1
     s = trace.summary
     assert s["frames_ignored"] == sum(ev["n"] for ev in unheard if ev["state"] == "inter_sleep")
     assert s["frames_missed"] == sum(ev["n"] for ev in unheard if ev["state"] != "inter_sleep")
