@@ -19,6 +19,7 @@ from . import energy, lorawan, rfdecode, simkit
 from .core import (
     Protocol,
     StationId,
+    data_lines,
     record_from_obj,
     record_to_obj,
 )
@@ -69,11 +70,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _data_lines(text: str) -> Iterator[tuple[str, str]]:
-    """("line N", line) for each non-empty line, its comment stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield f"line {lineno}", line
+    """``data_lines`` of ``text``, each number as its "line N" origin."""
+    return ((f"line {lineno}", line) for lineno, line in data_lines(text))
 
 
 def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str], str],
@@ -139,8 +137,8 @@ def cmd_encode(args) -> int:
     protocol = Protocol.from_label(args.protocol)
     battery_ok = not args.battery_low
     try:
+        station = StationId(protocol, args.id, args.channel)
         if protocol is Protocol.A5N1:
-            station = StationId(protocol, args.id, args.channel)
             msg_type = int(args.message_type, 16)
             frame = rfdecode.build_a5n1_frame(
                 station, msg_type,
@@ -157,7 +155,6 @@ def cmd_encode(args) -> int:
         else:
             if args.quantity is None or args.value is None:
                 raise UsageError("--quantity and --value are required for lcw")
-            station = StationId(protocol, args.id, 0)
             quantity = rfdecode.LcwQuantity[args.quantity.upper()]
             nibbles = rfdecode.build_lcw_frame(
                 quantity, args.value, station, battery_ok=battery_ok)

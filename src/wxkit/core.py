@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import reprlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -188,3 +189,13 @@ def record_from_obj(obj: dict) -> WeatherRecord:
         battery_mv=obj.get("battery_mv", 0),
         **{field: obj.get(field) for field in FIELD_FLAGS},
     )
+
+
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of ``text`` that is not blank once
+    its ``#`` comment and surrounding whitespace are stripped; lines count
+    from 1. The one comment rule of every line-based input."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line

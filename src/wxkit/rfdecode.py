@@ -23,7 +23,7 @@ import reprlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .core import Protocol, StationId, WeatherRecord
+from .core import Protocol, StationId, WeatherRecord, data_lines
 
 
 class DecodeError(ValueError):
@@ -70,52 +70,49 @@ MAX_PULSE_US = 2**32
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """Demodulated OOK capture: alternating ('H'|'L', duration_us) entries."""
+    """Demodulated OOK capture: the level of the first pulse, 'H' or 'L',
+    and every pulse's duration in us; the levels alternate from there."""
 
-    entries: tuple[tuple[str, int], ...]
+    first: str
+    durations: tuple[int, ...]
 
     def __post_init__(self):
-        prev = None
-        for i, (level, dur) in enumerate(self.entries):
-            if level not in ("H", "L"):
-                raise ValueError(f"entry {i}: level must be 'H' or 'L', got {level!r}")
-            if not 0 < dur <= MAX_PULSE_US:
-                raise ValueError(f"entry {i}: duration must be in 1..{MAX_PULSE_US} us, "
-                                 f"got {reprlib.repr(dur)}")
-            if level == prev:
-                raise ValueError(f"entry {i}: levels must strictly alternate")
-            prev = level
-
-    def scaled(self, factor: float) -> "PulseTrain":
-        return PulseTrain(tuple((lv, max(1, round(d * factor))) for lv, d in self.entries))
+        if self.first not in ("H", "L"):
+            raise ValueError(f"first level must be 'H' or 'L', got {reprlib.repr(self.first)}")
+        if self.durations and not (min(self.durations) > 0 and max(self.durations) <= MAX_PULSE_US):
+            raise ValueError(f"durations must be in 1..{MAX_PULSE_US} us")
 
     def to_text(self) -> str:
-        return "\n".join(f"{lv} {d}" for lv, d in self.entries) + "\n"
+        levels = ("H", "L") if self.first == "H" else ("L", "H")
+        return "".join(f"{levels[i % 2]} {d}\n" for i, d in enumerate(self.durations))
 
     @classmethod
     def from_text(cls, text: str) -> "PulseTrain":
-        entries = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        """Parse ``H <us>``/``L <us>`` lines, levels alternating and durations
+        ASCII decimal. A ValueError names the first bad line; a text with no
+        pulse gives ``PulseTrain("H", ())``."""
+        first = prev = None
+        durations = []
+        for lineno, line in data_lines(text):
             parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("H", "L") or not parts[1].isdigit():
-                raise ValueError(f"line {lineno}: expected 'H <us>' or 'L <us>', got {raw!r}")
-            entries.append((parts[0], int(parts[1])))
-        return cls(tuple(entries))
-
-    @classmethod
-    def concat(cls, trains: "list[PulseTrain]") -> "PulseTrain":
-        """Join trains, merging the seam when levels would repeat."""
-        entries: list[tuple[str, int]] = []
-        for train in trains:
-            for lv, d in train.entries:
-                if entries and entries[-1][0] == lv:
-                    entries[-1] = (lv, entries[-1][1] + d)
-                else:
-                    entries.append((lv, d))
-        return cls(tuple(entries))
+            if (len(parts) != 2 or parts[0] not in ("H", "L")
+                    or not (parts[1].isascii() and parts[1].isdigit())):
+                raise ValueError(f"line {lineno}: expected 'H <us>' or 'L <us>', "
+                                 f"got {reprlib.repr(line)}")
+            level, digits = parts
+            if level == prev:
+                raise ValueError(f"line {lineno}: levels must strictly alternate")
+            try:
+                us = int(digits)
+            except ValueError:   # more digits than int() converts: out of bounds
+                us = 0
+            if not 0 < us <= MAX_PULSE_US:
+                raise ValueError(f"line {lineno}: duration must be in 1..{MAX_PULSE_US} us, "
+                                 f"got {reprlib.repr(digits)}")
+            first = first or level
+            prev = level
+            durations.append(us)
+        return cls(first or "H", tuple(durations))
 
 
 # Nominal PWM durations (us) per protocol plus the shared tolerance. The
@@ -183,11 +180,9 @@ def frame_pulses(train: PulseTrain, protocol: Protocol) -> list[str]:
     an unmatchable train yields an empty list.
     """
     token, pattern = _FRAMERS[protocol]
-    entries = train.entries
-    start = 1 if entries and entries[0][0] == "L" else 0
-    highs = [d for _, d in entries[start::2]]
-    lows = [d for _, d in entries[start + 1::2]]
-    return pattern.findall("".join(map(token, highs, lows)))
+    durations = train.durations
+    start = 1 if train.first == "L" else 0
+    return pattern.findall("".join(map(token, durations[start::2], durations[start + 1::2])))
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +379,10 @@ def build_a5n1_frame(
 
 
 def a5n1_to_pulses(data: bytes) -> PulseTrain:
-    entries: list[tuple[str, int]] = []
-    for _ in range(A5N1_SYNC_PAIRS):
-        entries.append(("H", A5N1_SYNC_US[0]))
-        entries.append(("L", A5N1_SYNC_US[1]))
+    durations = list(A5N1_SYNC_US * A5N1_SYNC_PAIRS)
     for bit in bytes_to_bits(data):
-        h, l = A5N1_ONE_US if bit == "1" else A5N1_ZERO_US
-        entries.append(("H", h))
-        entries.append(("L", l))
-    return PulseTrain(tuple(entries))
+        durations += A5N1_ONE_US if bit == "1" else A5N1_ZERO_US
+    return PulseTrain("H", tuple(durations))
 
 
 def rain_counter_delta(prev: int, curr: int) -> float:
@@ -563,20 +553,17 @@ def build_lcw_frame(
 
 
 def lcw_to_pulses(nibbles: tuple[int, ...]) -> PulseTrain:
-    entries: list[tuple[str, int]] = []
-    bits = nibbles_to_bits(nibbles)
-    for bit in bits:
-        high = LCW_ONE_HIGH_US if bit == "1" else LCW_ZERO_HIGH_US
-        entries.append(("H", high))
-        entries.append(("L", LCW_GAP_US))
-    entries[-1] = ("L", LCW_FRAME_GAP_US)
-    return PulseTrain(tuple(entries))
+    durations = []
+    for bit in nibbles_to_bits(nibbles):
+        durations += (LCW_ONE_HIGH_US if bit == "1" else LCW_ZERO_HIGH_US, LCW_GAP_US)
+    durations[-1] = LCW_FRAME_GAP_US
+    return PulseTrain("H", tuple(durations))
 
 
 # The longest one frame takes on air, in seconds: every A5N1 bit takes one bit
 # period, and a zero is the longer LCW bit.
 FRAME_AIR_S = {
-    protocol: sum(d for _, d in train.entries) / 1e6
+    protocol: sum(train.durations) / 1e6
     for protocol, train in ((Protocol.A5N1, a5n1_to_pulses(bytes(8))),
                             (Protocol.LCW, lcw_to_pulses((0,) * 13)))
 }

@@ -64,6 +64,14 @@ def test_encode_decode_hex_roundtrip_lcw(tmp_path, capsys):
     assert record["temperature_c"] == pytest.approx(25.3)
 
 
+def test_encode_lcw_rejects_channel(capsys):
+    code, out, err = run_cli(capsys, [
+        "encode", "--protocol", "lcw", "--id", "42", "--channel", "2",
+        "--quantity", "temp", "--value", "25.3"])
+    assert (code, out) == (3, "")
+    assert err == "error: lcw stations use channel 0 only\n"
+
+
 def test_decode_empty_input_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["decode", "--protocol", "a5n1",
                                       "--format", "bits"],
@@ -93,12 +101,21 @@ def test_decode_missing_file_exits_1(capsys):
     assert code == 1
 
 
-def test_decode_malformed_pulses_reports_line(capsys, monkeypatch):
+@pytest.mark.parametrize("stdin, prefix", [
+    ("H 600\nL 600\nwat\n", "line 3: expected"),
+    ("H 600\nL \u00b2\n", "line 2: expected"),
+    ("H \u0661\u0662\n", "line 1: expected"),
+    (f"# capture\n\nH 1{'0' * 400}\nL 600\n", "line 3: duration"),
+    (f"H {'1' * 5000}\n", "line 1: duration"),
+    ("H 600\n\n# x\nH 600\n", "line 4: levels must strictly alternate"),
+], ids=["shape", "superscript_digit", "arabic_indic_digits", "huge_after_comment",
+        "too_many_digits", "repeat_after_comment"])
+def test_decode_malformed_pulses_reports_line(stdin, prefix, capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["decode", "--protocol", "a5n1"],
-                             stdin="H 600\nL 600\nwat\n",
-                             monkeypatch=monkeypatch)
-    assert code == 3
-    assert "line 3" in err
+                             stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+    assert len(err) < 120
 
 
 @pytest.mark.parametrize("protocol", ["a5n1", "lcw"])
@@ -107,7 +124,7 @@ def test_decode_huge_pulse_duration_is_validation_error(protocol, capsys, monkey
     code, out, err = run_cli(capsys, ["decode", "--protocol", protocol, "--format", "pulses"],
                              stdin=f"H 1{'0' * 400}\nL 600\n", monkeypatch=monkeypatch)
     assert (code, out) == (3, "")
-    assert err.startswith("error: entry 0: duration") and err.count("\n") == 1
+    assert err.startswith("error: line 1: duration") and err.count("\n") == 1
     assert len(err) < 120
 
 
@@ -271,7 +288,8 @@ DECODED_31 = ('{"station": {"protocol": "a5n1", "id": 1234, "channel": 2}, "seq"
 
 
 def _pulses(*frames: str) -> str:
-    return PulseTrain.concat([a5n1_to_pulses(bytes.fromhex(f)) for f in frames]).to_text()
+    return PulseTrain("H", sum((a5n1_to_pulses(bytes.fromhex(f)).durations for f in frames),
+                               ())).to_text()
 
 
 def _bits(frame: str) -> str:

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wxkit.core import Protocol, StationId
@@ -23,6 +23,7 @@ from wxkit.rfdecode import (
     FRAME_BITS,
     DigitRepeatError,
     LcwQuantity,
+    MAX_PULSE_US,
     ParityError,
     PulseTrain,
     SyncError,
@@ -46,6 +47,10 @@ STATION = StationId(Protocol.A5N1, 0x2A7, 2)
 LCW_STATION = StationId(Protocol.LCW, 42, 0)
 
 
+def _scaled(train: PulseTrain, factor: float) -> PulseTrain:
+    return PulseTrain(train.first, tuple(max(1, round(d * factor)) for d in train.durations))
+
+
 # ---------------------------------------------------------------------------
 # pulse framing
 
@@ -61,20 +66,19 @@ def test_frame_pulses_tolerates_20pct_scaling():
     train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN,
                                             wind_kph=12.0, wind_dir_deg=90.0, rain_mm=5.08))
     runs = frame_pulses(train, protocol=Protocol.A5N1)
-    scaled = frame_pulses(train.scaled(1.2), protocol=Protocol.A5N1)
+    scaled = frame_pulses(_scaled(train, 1.2), protocol=Protocol.A5N1)
     assert scaled == runs
 
 
 def test_frame_pulses_uniform_train_yields_nothing():
-    train = PulseTrain(tuple(("H", 1000) if i % 2 == 0 else ("L", 1000)
-                             for i in range(40)))
+    train = PulseTrain("H", (1000,) * 40)
     assert frame_pulses(train, protocol=Protocol.A5N1) == []
 
 
 def test_frame_pulses_back_to_back_frames():
     t1 = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=10.0))
     t2 = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_dir_deg=45.0))
-    joined = PulseTrain.concat([t1, t2])
+    joined = PulseTrain("H", t1.durations + t2.durations)
     runs = frame_pulses(joined, protocol=Protocol.A5N1)
     assert [len(r) for r in runs] == [64, 64]
 
@@ -82,7 +86,7 @@ def test_frame_pulses_back_to_back_frames():
 def test_frame_pulses_lcw_concatenation():
     t1 = lcw_to_pulses(build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION))
     t2 = lcw_to_pulses(build_lcw_frame(LcwQuantity.HUMIDITY, 60.0, LCW_STATION))
-    joined = PulseTrain.concat([t1, t2])
+    joined = PulseTrain("H", t1.durations + t2.durations)
     runs = frame_pulses(joined, protocol=Protocol.LCW)
     assert [len(r) for r in runs] == [52, 52]
 
@@ -92,7 +96,7 @@ def test_frame_pulses_lcw_concatenation():
 def test_frame_pulses_scale_property(factor):
     train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY,
                                             temperature_c=3.3, humidity_pct=70, wind_kph=20.0))
-    assert frame_pulses(train.scaled(factor), protocol=Protocol.A5N1) == \
+    assert frame_pulses(_scaled(train, factor), protocol=Protocol.A5N1) == \
         frame_pulses(train, protocol=Protocol.A5N1)
 
 
@@ -100,7 +104,7 @@ def test_frame_pulses_scale_property(factor):
 @given(st.floats(0.7, 1.3))
 def test_frame_pulses_scale_property_lcw(factor):
     train = lcw_to_pulses(build_lcw_frame(LcwQuantity.WIND_SPEED, 4.4, LCW_STATION))
-    assert frame_pulses(train.scaled(factor), protocol=Protocol.LCW) == \
+    assert frame_pulses(_scaled(train, factor), protocol=Protocol.LCW) == \
         frame_pulses(train, protocol=Protocol.LCW)
 
 
@@ -108,8 +112,7 @@ def test_frame_pulses_scale_property_lcw(factor):
 @given(st.lists(st.integers(1, 20_000), min_size=0, max_size=80),
        st.booleans(), st.sampled_from((Protocol.A5N1, Protocol.LCW)))
 def test_frame_pulses_never_raises_on_arbitrary_trains(durations, starts_low, protocol):
-    levels = ("L", "H") if starts_low else ("H", "L")
-    train = PulseTrain(tuple((levels[i % 2], d) for i, d in enumerate(durations)))
+    train = PulseTrain("L" if starts_low else "H", tuple(durations))
     for run in frame_pulses(train, protocol=protocol):
         assert set(run) <= {"0", "1"}
 
@@ -142,14 +145,13 @@ def framer_corpus():
                       for _ in range(rng.randint(1, 3))]
             scale = rng.uniform(0.6, 1.4)
             durations = [max(1, round(d * scale * rng.uniform(0.9, 1.1)))
-                         for _, d in PulseTrain.concat(frames).entries]
+                         for frame in frames for d in frame.durations]
             for _ in range(rng.randint(0, 5)):
                 durations[rng.randrange(len(durations))] = rng.randint(1, 20_000)
             front = rng.randint(0, 3)
             durations = durations[front:len(durations) - rng.randint(0, 3)]
             starts_low = front % 2 == 1
-        levels = ("L", "H") if starts_low else ("H", "L")
-        yield PulseTrain(tuple((levels[i % 2], d) for i, d in enumerate(durations)))
+        yield PulseTrain("L" if starts_low else "H", tuple(durations))
 
 
 def test_frame_pulses_pinned():
@@ -166,18 +168,25 @@ def test_frame_pulses_pinned():
     assert h.hexdigest() == "8285c192afde3ce448ecaf6df21cea613d34614d2c8891a7c4640e043b3e9dd4"
 
 
-def test_pulse_train_text_roundtrip():
-    train = a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
+@settings(max_examples=100)
+@given(st.sampled_from("HL"), st.lists(st.integers(1, MAX_PULSE_US), min_size=1, max_size=40))
+@example("H", a5n1_to_pulses(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY)).durations)
+@example("H", ())   # a comment-only text is the one empty train, PulseTrain("H", ())
+def test_pulse_train_text_roundtrip(first, durations):
+    train = PulseTrain(first, tuple(durations))
     text = train.to_text()
     assert PulseTrain.from_text(text) == train
     assert PulseTrain.from_text("# comment\n\n" + text) == train
 
 
 def test_pulse_train_alternation_enforced():
-    with pytest.raises(ValueError):
-        PulseTrain((("H", 100), ("H", 100)))
-    with pytest.raises(ValueError):
-        PulseTrain((("H", 0),))
+    with pytest.raises(ValueError, match="line 2: levels must strictly alternate"):
+        PulseTrain.from_text("H 100\nH 100\n")
+    with pytest.raises(ValueError, match="first level"):
+        PulseTrain("X", (100,))
+    for bad in (0, MAX_PULSE_US + 1):
+        with pytest.raises(ValueError, match="durations must be in"):
+            PulseTrain("H", (600, bad))
 
 
 # ---------------------------------------------------------------------------

@@ -559,7 +559,7 @@ def test_frame_air_time_bounds_every_emitted_frame():
                 train = a5n1_to_pulses(bytes.fromhex(frame_hex))
             else:
                 train = lcw_to_pulses(tuple(int(c, 16) for c in frame_hex))
-            assert sum(d for _, d in train.entries) / 1e6 <= FRAME_AIR_S[station.protocol]
+            assert sum(train.durations) / 1e6 <= FRAME_AIR_S[station.protocol]
 
 
 def test_short_cycle_rejected():
