@@ -365,14 +365,25 @@ def cmd_simulate(args) -> int:
     if args.duration_s is not None:
         obj["duration_s"] = args.duration_s
     try:
-        trace = simkit.run(simkit.SimConfig.from_dict(obj))
+        config = simkit.SimConfig.from_dict(obj)
     except simkit.SimConfigError as exc:
-        for p in exc.problems:
+        problems = exc.problems
+    else:
+        problems = config.validate()
+    if problems:        # before --out is opened, so a bad config leaves it alone
+        for p in problems:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.out:
+    if not args.out:
+        # only the summary is printed: each event is dropped as it happens
+        trace = simkit.run(config, sink=lambda event: None)
+    else:
+        # each line is written as it happens, so memory does not grow with the run
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(trace.to_jsonl())
+            write, line = fh.write, simkit.trace_line
+            write(line({"config": config.to_dict()}))
+            trace = simkit.run(config, sink=lambda event: write(line(event)))
+            write(line({"summary": trace.summary}))
     print(json.dumps(trace.summary, sort_keys=True))
     if not trace.ok:
         for v in trace.summary["violations"]:

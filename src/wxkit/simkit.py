@@ -23,6 +23,7 @@ import random
 import reprlib
 import sys
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import energy as energy_mod
@@ -103,7 +104,8 @@ class BarometerSpec:
 PRESSURE_PA_RANGE = lorawan.PAYLOAD_RANGES["pressure_pa"]
 BOARD_TEMP_C_RANGE = lorawan.PAYLOAD_RANGES["board_temp_c"]
 
-# The longest run a config may ask for: the trace is held in memory.
+# The longest run a config may ask for, as a sanity bound: a streamed run
+# holds nothing that grows with its length.
 MAX_DURATION_S = 366 * 86_400.0
 
 
@@ -630,6 +632,12 @@ class Transponder:
 _to_json = json.JSONEncoder(sort_keys=True).encode
 
 
+def trace_line(obj: dict) -> str:
+    """One line of a JSON-lines trace: ``{"config": ...}`` first, then one
+    per event, then ``{"summary": ...}``."""
+    return _to_json(obj) + "\n"
+
+
 @dataclass
 class SimTrace:
     config: dict
@@ -641,17 +649,18 @@ class SimTrace:
         return bool(self.summary.get("invariants_ok"))
 
     def to_jsonl(self) -> str:
-        lines = [_to_json({"config": self.config})]
-        lines += map(_to_json, self.events)
-        lines.append(_to_json({"summary": self.summary}))
-        return "\n".join(lines) + "\n"
+        return "".join(map(trace_line, [{"config": self.config}, *self.events,
+                                        {"summary": self.summary}]))
 
 
 # ---------------------------------------------------------------------------
 # Simulator
 
 class Simulator:
-    def __init__(self, config: SimConfig):
+    """Runs one config. Each trace event goes to ``sink`` as it happens; by
+    default the trace keeps it in ``events``."""
+
+    def __init__(self, config: SimConfig, sink: Callable[[dict], object] | None = None):
         problems = config.validate()
         if problems:
             raise SimConfigError(problems)
@@ -660,6 +669,7 @@ class Simulator:
                for name in ("weather", "channel", "baro", "gateway")}
         self.channel_rng, self.gateway_rng = rng["channel"], rng["gateway"]
         self.trace = SimTrace(config=config.to_dict())
+        self.sink = self.trace.events.append if sink is None else sink
         self.emitter = _Emitter(config.station, rng["weather"])
         self.transponder = Transponder(
             config.transponder, self.emitter.station, config.barometer, rng["baro"])
@@ -678,7 +688,7 @@ class Simulator:
         self.max_hour_airtime = 0.0
 
     def _record_event(self, t: float, event: dict):
-        self.trace.events.append({"t": round(t, 6), **event})
+        self.sink({"t": round(t, 6), **event})
 
     def _apply(self, now: float, out: list[dict | Uplink]):
         for item in out:
@@ -786,6 +796,8 @@ class Simulator:
         }
 
 
-def run(config: SimConfig) -> SimTrace:
-    """Run a simulation to completion. Deterministic for a given config."""
-    return Simulator(config).run()
+def run(config: SimConfig, sink: Callable[[dict], object] | None = None) -> SimTrace:
+    """Run a simulation to completion. Deterministic for a given config.
+    With a ``sink``, each event is handed to it as it happens and the
+    returned trace keeps none, so memory does not grow with the run."""
+    return Simulator(config, sink).run()
