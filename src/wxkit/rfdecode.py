@@ -79,6 +79,10 @@ class PulseTrain:
     def __post_init__(self):
         if self.first not in ("H", "L"):
             raise ValueError(f"first level must be 'H' or 'L', got {reprlib.repr(self.first)}")
+        # exactly int, as ``to_text`` writes it: a float or a bool is not a duration
+        if {*map(type, self.durations)} - {int}:
+            bad = next(d for d in self.durations if type(d) is not int)
+            raise ValueError(f"durations must be integers, not {reprlib.repr(bad)}")
         if self.durations and not (min(self.durations) > 0 and max(self.durations) <= MAX_PULSE_US):
             raise ValueError(f"durations must be in 1..{MAX_PULSE_US} us")
 

@@ -189,6 +189,16 @@ def test_pulse_train_alternation_enforced():
             PulseTrain("H", (600, bad))
 
 
+@pytest.mark.parametrize("durations,bad", [
+    ((1.5, True), "1.5"), ((600, True), "True"), ((600, 600.0), "600.0"),
+    ((600, "600"), "'600'"), ((600, None), "None"),
+])
+def test_pulse_train_rejects_non_int_durations(durations, bad):
+    # to_text would write a line from_text rejects, e.g. 'H 1.5\nL True\n'
+    with pytest.raises(ValueError, match=f"^durations must be integers, not {bad}$"):
+        PulseTrain("H", durations)
+
+
 # ---------------------------------------------------------------------------
 # a5n1 decode
 
