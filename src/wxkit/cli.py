@@ -375,15 +375,15 @@ def cmd_simulate(args) -> int:
             print(f"config error: {p}", file=sys.stderr)
         return EXIT_VALIDATION
     if not args.out:
-        # only the summary is printed: each event is dropped as it happens
-        trace = simkit.run(config, sink=lambda event: None)
+        # only the summary is printed: the events are dropped as they come
+        trace = simkit.run(config, sink=lambda events: None)
     else:
-        # each line is written as it happens, so memory does not grow with the run
+        # the lines are written as the run goes on, so memory does not grow with it
         with open(args.out, "w", encoding="ascii") as fh:
-            write, line = fh.write, simkit.trace_line
-            write(line({"config": config.to_dict()}))
-            trace = simkit.run(config, sink=lambda event: write(line(event)))
-            write(line({"summary": trace.summary}))
+            line = simkit.trace_line
+            fh.write(line({"config": config.to_dict()}))
+            trace = simkit.run(config, sink=lambda events: fh.writelines(map(line, events)))
+            fh.write(line({"summary": trace.summary}))
     print(json.dumps(trace.summary, sort_keys=True))
     if not trace.ok:
         for v in trace.summary["violations"]:

@@ -3,6 +3,7 @@ import io
 import json
 import reprlib
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -618,6 +619,47 @@ def test_simulate_loss_statistics(tmp_path, capsys):
     assert summary["uplinks_delivered"] == summary["uplinks_attempted"] == 144
     assert summary["records_decoded"] == 144
     assert 0 < summary["complete_records"] <= 144
+
+
+@pytest.mark.parametrize("config", [{"nope": 1}, {"duration_s": -5}],
+                         ids=["unknown_option", "invalid_value"])
+@pytest.mark.parametrize("existing", [b"an earlier trace\n", None], ids=["existing", "absent"])
+def test_simulate_config_error_leaves_out_alone(config, existing, tmp_path, capsys):
+    # the config is checked before --out is opened for writing
+    cfg, out = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
+    cfg.write_text(json.dumps(config))
+    if existing is not None:
+        out.write_bytes(existing)
+    code, stdout, err = run_cli(capsys, ["simulate", "--config", str(cfg), "--out", str(out)])
+    assert (code, stdout) == (3, "")
+    assert err.startswith("config error: ")
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["no_out", "out"])
+def test_simulate_memory_does_not_grow_with_duration(out, tmp_path, capsys):
+    # Holding the events, 4 more days cost about 1.1 MB (dropped) and 2.3 MB
+    # (written to --out) more at the peak. Rare emissions and short receive
+    # windows keep the run cheap under tracemalloc.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"station": {"emission_period_s": 600},
+                               "transponder": {"t_cycle_s": 1800, "rx_timeout_s": 5}}))
+    argv = ["simulate", "--config", str(cfg), *(["--out", str(tmp_path / "t.jsonl")] * out)]
+
+    def peak_bytes(days: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--duration-s", str(days * 86_400)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main([*argv, "--duration-s", "3600"]) == 0   # first-call allocations
+    one_day = peak_bytes(1)
+    assert peak_bytes(5) - one_day < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

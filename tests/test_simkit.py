@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wxkit import energy
+from wxkit import cli, energy
 from wxkit.core import (
     FIELD_FLAGS,
     PAYLOAD_STEP,
@@ -364,6 +365,19 @@ def test_golden_trace(obj, sha256):
     trace = run(SimConfig.from_dict(obj)).to_jsonl()
     actual = hashlib.sha256(trace.encode()).hexdigest()
     assert actual == sha256, f"trace sha256 {actual} != pinned {sha256}"
+
+
+@pytest.mark.parametrize("obj,sha256", GOLDEN_TRACES,
+                         ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy"])
+def test_golden_trace_streamed_by_cli(obj, sha256, tmp_path, capsys):
+    # the file `simulate --out` writes line by line holds the same bytes
+    cfg, out = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
+    cfg.write_text(json.dumps(obj))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    actual = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert actual == sha256, f"trace sha256 {actual} != pinned {sha256}"
+    last = json.loads(out.read_bytes().splitlines()[-1])
+    assert last == {"summary": json.loads(capsys.readouterr().out)}
 
 
 @pytest.mark.parametrize("obj", [obj for obj, _ in GOLDEN_TRACES] + [
