@@ -11,6 +11,10 @@ that lands while the transponder is not listening only moves the weather
 on: it is counted, not traced, and draws nothing from the channel. Time
 advances on two clocks, the next emission and the transponder's one wake
 timer; when both fall at the same time, the emission goes first.
+
+The trace events go to a sink, in order, as the run goes on; by default the
+returned ``SimTrace`` keeps them. With any other sink the run holds nothing
+that grows with ``duration_s``.
 """
 
 from __future__ import annotations
@@ -628,8 +632,9 @@ class Transponder:
 # Trace
 
 # One encoder for every line; ``json.dumps(..., sort_keys=True)`` would build
-# a new one per call and write the same text.
-_to_json = json.JSONEncoder(sort_keys=True).encode
+# a new one per call and write the same text. A line is a tree of fresh dicts
+# and lists the simulator builds, never a cycle, so the cycle check is skipped.
+_to_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def trace_line(obj: dict) -> str:
