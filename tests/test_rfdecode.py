@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wxkit.core import Protocol, StationId
+from wxkit.core import Protocol, StationId, record_to_obj
 from wxkit.rfdecode import (
     A5N1_ONE_US,
     A5N1_SYNC_US,
@@ -483,6 +484,94 @@ def test_decode_lcw_never_panics(value):
         decode_lcw(bits)
     except DecodeError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# decoder pin
+
+def _flip(bits: str, pos: int) -> str:
+    return bits[:pos] + ("1" if bits[pos] == "0" else "0") + bits[pos + 1:]
+
+
+def _valid_frame(rng: random.Random, protocol: Protocol) -> str:
+    """The bits of a builder frame with random in-range fields."""
+    battery = rng.random() < 0.5
+    if protocol is Protocol.A5N1:
+        station = StationId(Protocol.A5N1, rng.randrange(0x4000), rng.randrange(4))
+        return bytes_to_bits(build_a5n1_frame(
+            station, rng.choice((A5N1_MSG_WIND_DIR_RAIN, A5N1_MSG_TEMP_HUMIDITY)),
+            battery_ok=battery, wind_kph=rng.uniform(0.0, 100.0),
+            wind_dir_deg=rng.randrange(16) * 22.5, rain_mm=rng.uniform(0.0, 4000.0),
+            temperature_c=rng.uniform(-40.0, 73.0), humidity_pct=rng.randrange(101)))
+    station = StationId(Protocol.LCW, rng.randrange(128), 0)
+    quantity = LcwQuantity(rng.randrange(5))
+    v = rng.randrange(16 if quantity is LcwQuantity.WIND_DIR else 1000)
+    physical = (v / 10 - 40, v / 10, v * 0.518, v / 10, v * 22.5)[quantity]
+    return nibbles_to_bits(build_lcw_frame(quantity, physical, station, battery_ok=battery))
+
+
+def _with_checksum(bits: str, protocol: Protocol) -> str:
+    """``bits`` with its checksum recomputed, so the later checks run."""
+    if protocol is Protocol.A5N1:
+        data = bits_to_bytes(bits)
+        return bytes_to_bits(data[:7] + bytes([sum(data[:7]) & 0xFF]))
+    n = bits_to_nibbles(bits)
+    return nibbles_to_bits(n[:12] + (sum(n[:12]) % 16,))
+
+
+def decoder_corpus(protocol: Protocol):
+    """Seeded bitstrings for the decoder pin, in five kinds: valid frames
+    from the builder; the same frames with 1-3 random bit flips; such
+    frames with their checksum recomputed; random bitstrings of the frame's
+    length; and random bitstrings of any other length up to 80, or of the
+    frame's length with one character that is not a bit."""
+    rng = random.Random(f"decoder/{protocol.label}")
+    nbits = FRAME_BITS[protocol]
+    for n in range(1500):
+        kind = n % 5
+        if kind < 3:
+            bits = _valid_frame(rng, protocol)
+            if kind > 0:
+                for pos in rng.sample(range(nbits), rng.randint(1, 3)):
+                    bits = _flip(bits, pos)
+            if kind == 2:
+                bits = _with_checksum(bits, protocol)
+        elif kind == 3:
+            bits = "".join(rng.choice("01") for _ in range(nbits))
+        elif rng.random() < 0.5:
+            length = rng.choice([k for k in range(81) if k != nbits])
+            bits = "".join(rng.choice("01") for _ in range(length))
+        else:
+            pos = rng.randrange(nbits)
+            bits = _valid_frame(rng, protocol)
+            bits = bits[:pos] + rng.choice("2 _+x") + bits[pos + 1:]
+        yield bits
+
+
+def test_decoders_pinned():
+    """Each corpus outcome, the decoded record or the exception's class and
+    message, is pinned: a codec rewrite must keep this hash."""
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for protocol, decode in ((Protocol.A5N1, decode_a5n1), (Protocol.LCW, decode_lcw)):
+        for bits in decoder_corpus(protocol):
+            try:
+                _, record = decode(bits)
+                kind, line = "record", json.dumps(record_to_obj(record))
+            except ValueError as exc:
+                kind = type(exc).__name__
+                line = f"{kind}: {exc}"
+            outcomes[protocol.label, kind] += 1
+            h.update(f"{protocol.label} {bits} {line}\n".encode())
+    assert outcomes == {
+        ("a5n1", "record"): 378, ("a5n1", "ChecksumError"): 594, ("a5n1", "ParityError"): 227,
+        ("a5n1", "UnknownMessageTypeError"): 1, ("a5n1", "ValueError"): 300,
+        ("lcw", "record"): 406, ("lcw", "SyncError"): 375, ("lcw", "ChecksumError"): 259,
+        ("lcw", "DigitRepeatError"): 138, ("lcw", "BcdError"): 7,
+        ("lcw", "UnknownMessageTypeError"): 13, ("lcw", "ValueRangeError"): 2,
+        ("lcw", "ValueError"): 300,
+    }
+    assert h.hexdigest() == "b5cc7eaea204ca090d52fb3d4e34b899d3ca730997806808b55c5c1a902b97fc"
 
 
 def test_bits_nibbles_helpers():
