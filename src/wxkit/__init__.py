@@ -9,8 +9,6 @@ from .core import (
     quantize_roundtrip_bounds,
 )
 from .rfdecode import (
-    A5N1Frame,
-    LCWFrame,
     PulseTrain,
     decode_a5n1,
     decode_lcw,

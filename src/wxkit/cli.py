@@ -128,7 +128,7 @@ def cmd_decode(args) -> int:
     def convert(_, bits: str) -> str:
         if len(bits) != nbits:
             raise rfdecode.DecodeError(f"skipped, {len(bits)} bits (need {nbits})")
-        return json.dumps(record_to_obj(decode(bits)[1]))
+        return json.dumps(record_to_obj(decode(bits)))
 
     return _convert_lines(candidates, convert, args.output)
 

@@ -210,44 +210,6 @@ def _odd_parity(byte: int) -> int:
     return byte.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class A5N1Frame:
-    """Validated 8-byte frame. Construction runs the integrity checks:
-    checksum first, then per-byte parity on bytes 2..6, then the message
-    type. Every failure raises a typed DecodeError."""
-
-    data: bytes
-
-    def __post_init__(self):
-        data = self.data
-        if len(data) != 8:
-            raise ValueError("a5n1 frame must be exactly 8 bytes")
-        checksum = _a5n1_checksum(data)
-        if data[7] != checksum:
-            raise ChecksumError(f"checksum {data[7]:#04x} != computed {checksum:#04x}")
-        for i in range(2, 7):
-            if _odd_parity(data[i]):
-                raise ParityError(i)
-        if data[2] & 0x3F not in A5N1_MESSAGE_TYPES:
-            raise UnknownMessageTypeError(f"message type {data[2] & 0x3F:#04x}")
-
-    @property
-    def channel(self) -> int:
-        return self.data[0] >> 6
-
-    @property
-    def station_id(self) -> int:
-        return (self.data[0] & 0x3F) << 8 | self.data[1]
-
-    @property
-    def battery_ok(self) -> bool:
-        return bool(self.data[2] & 0x40)
-
-    @property
-    def message_type(self) -> int:
-        return self.data[2] & 0x3F
-
-
 # Deletes every 0/1 character: a bitstring translates to "".
 _DROP_BITS = str.maketrans("", "", "01")
 
@@ -271,39 +233,47 @@ def c_to_f(deg_c: float) -> float:
     return deg_c * 9.0 / 5.0 + 32.0
 
 
-def decode_a5n1(bits: str) -> tuple[A5N1Frame, WeatherRecord]:
+def decode_a5n1(bits: str) -> WeatherRecord:
     """Validate a 64-bit string and extract the partial weather record.
 
-    The integrity checks are those of ``A5N1Frame``.
+    The checks run in order: checksum, the even parity of bytes 2..6, then
+    the message type. Every failure raises a typed DecodeError.
     """
     if len(bits) != 64:
         raise ValueError(f"expected 64 bits, got {len(bits)}")
-    frame = A5N1Frame(bits_to_bytes(bits))
-    data = frame.data
-    station = StationId(Protocol.A5N1, frame.station_id, frame.channel)
+    data = bits_to_bytes(bits)
+    checksum = _a5n1_checksum(data)
+    if data[7] != checksum:
+        raise ChecksumError(f"checksum {data[7]:#04x} != computed {checksum:#04x}")
+    for i in range(2, 7):
+        if _odd_parity(data[i]):
+            raise ParityError(i)
+    message_type = data[2] & 0x3F
+    if message_type not in A5N1_MESSAGE_TYPES:
+        raise UnknownMessageTypeError(f"message type {message_type:#04x}")
+    station = StationId(Protocol.A5N1, (data[0] & 0x3F) << 8 | data[1], data[0] >> 6)
+    battery_ok = bool(data[2] & 0x40)
     wind_raw = data[3] & 0x7F
     wind_kph = 0.0 if wind_raw == 0 else _WIND_SLOPE * wind_raw + 1.0
 
-    if frame.message_type == A5N1_MSG_WIND_DIR_RAIN:
+    if message_type == A5N1_MSG_WIND_DIR_RAIN:
         dir_code = data[4] & 0x0F
         counter = (data[5] & 0x7F) << 7 | (data[6] & 0x7F)
-        record = WeatherRecord(
+        return WeatherRecord(
             station,
-            sensor_battery_ok=frame.battery_ok,
+            sensor_battery_ok=battery_ok,
             wind_speed_kph=wind_kph,
             wind_dir_deg=dir_code * DIR_STEP_DEG,
             rain_mm=counter * RAIN_MM_PER_TIP,
         )
-    else:
-        temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
-        record = WeatherRecord(
-            station,
-            sensor_battery_ok=frame.battery_ok,
-            wind_speed_kph=wind_kph,
-            temperature_c=f_to_c(temp_raw / 10.0 - 40.0),
-            humidity_pct=float(data[6] & 0x7F),
-        )
-    return frame, record
+    temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
+    return WeatherRecord(
+        station,
+        sensor_battery_ok=battery_ok,
+        wind_speed_kph=wind_kph,
+        temperature_c=f_to_c(temp_raw / 10.0 - 40.0),
+        humidity_pct=float(data[6] & 0x7F),
+    )
 
 
 def _with_parity(byte: int) -> int:
@@ -417,45 +387,6 @@ class LcwQuantity(enum.IntEnum):
     WIND_DIR = 4
 
 
-@dataclass(frozen=True)
-class LCWFrame:
-    """Validated 13-nibble frame. Construction runs the integrity checks
-    in order: sync nibble, checksum, digit repeat, BCD digits, quantity
-    type. Every failure raises a typed DecodeError."""
-
-    nibbles: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.nibbles
-        if len(n) != 13 or any(not 0 <= x <= 0xF for x in n):
-            raise ValueError("lcw frame must be 13 nibbles")
-        if n[0] != LCW_SYNC_NIBBLE:
-            raise SyncError(f"sync nibble {n[0]:#x} != 0x9")
-        checksum = _lcw_checksum(n)
-        if n[12] != checksum:
-            raise ChecksumError(f"checksum {n[12]:#x} != computed {checksum:#x}")
-        if n[10] != n[4] or n[11] != n[5]:
-            raise DigitRepeatError(
-                f"repeat nibbles {n[10]:#x}{n[11]:#x} != digits {n[4]:#x}{n[5]:#x}"
-            )
-        if any(d > 9 for d in n[4:7]):
-            raise BcdError(f"non-BCD digit in value nibbles {n[4]:#x}{n[5]:#x}{n[6]:#x}")
-        if n[1] not in tuple(LcwQuantity):
-            raise UnknownMessageTypeError(f"quantity type {n[1]:#x}")
-
-    @property
-    def quantity(self) -> LcwQuantity:
-        return LcwQuantity(self.nibbles[1])
-
-    @property
-    def station_id(self) -> int:
-        return self.nibbles[2] << 3 | self.nibbles[3] >> 1
-
-    @property
-    def battery_ok(self) -> bool:
-        return bool(self.nibbles[3] & 1)
-
-
 def bits_to_nibbles(bits: str) -> tuple[int, ...]:
     if len(bits) % 4 or bits.translate(_DROP_BITS):
         raise ValueError("bitstring must be 0/1 characters in whole nibbles")
@@ -470,40 +401,51 @@ def nibbles_to_hex(nibbles: tuple[int, ...]) -> str:
     return "".join(f"{x:x}" for x in nibbles)
 
 
-def decode_lcw(bits: str) -> tuple[LCWFrame, WeatherRecord]:
+def decode_lcw(bits: str) -> WeatherRecord:
     """Validate a 52-bit string and extract the single reported quantity.
 
-    The integrity checks are those of ``LCWFrame``; a wind direction code
-    above 15 then raises ValueRangeError.
+    The checks run in order: sync nibble, checksum, digit repeat, BCD
+    digits, quantity type; a wind direction code above 15 then raises
+    ValueRangeError. Every failure raises a typed DecodeError.
     """
     if len(bits) != 52:
         raise ValueError(f"expected 52 bits, got {len(bits)}")
-    frame = LCWFrame(bits_to_nibbles(bits))
-    n = frame.nibbles
+    n = bits_to_nibbles(bits)
+    if n[0] != LCW_SYNC_NIBBLE:
+        raise SyncError(f"sync nibble {n[0]:#x} != 0x9")
+    checksum = _lcw_checksum(n)
+    if n[12] != checksum:
+        raise ChecksumError(f"checksum {n[12]:#x} != computed {checksum:#x}")
+    if n[10] != n[4] or n[11] != n[5]:
+        raise DigitRepeatError(
+            f"repeat nibbles {n[10]:#x}{n[11]:#x} != digits {n[4]:#x}{n[5]:#x}"
+        )
+    if any(d > 9 for d in n[4:7]):
+        raise BcdError(f"non-BCD digit in value nibbles {n[4]:#x}{n[5]:#x}{n[6]:#x}")
+    if n[1] not in tuple(LcwQuantity):
+        raise UnknownMessageTypeError(f"quantity type {n[1]:#x}")
     value = n[4] * 100 + n[5] * 10 + n[6]
-    station = StationId(Protocol.LCW, frame.station_id, 0)
-    common = dict(sensor_battery_ok=frame.battery_ok)
-    q = frame.quantity
+    station = StationId(Protocol.LCW, n[2] << 3 | n[3] >> 1, 0)
+    common = dict(sensor_battery_ok=bool(n[3] & 1))
+    q = LcwQuantity(n[1])
     if q is LcwQuantity.TEMP:
-        record = WeatherRecord(station, temperature_c=value / 10.0 - 40.0, **common)
-    elif q is LcwQuantity.HUMIDITY:
-        record = WeatherRecord(station, humidity_pct=value / 10.0, **common)
-    elif q is LcwQuantity.RAIN:
-        record = WeatherRecord(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
-    elif q is LcwQuantity.WIND_SPEED:
+        return WeatherRecord(station, temperature_c=value / 10.0 - 40.0, **common)
+    if q is LcwQuantity.HUMIDITY:
+        return WeatherRecord(station, humidity_pct=value / 10.0, **common)
+    if q is LcwQuantity.RAIN:
+        return WeatherRecord(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
+    if q is LcwQuantity.WIND_SPEED:
         # value is m/s * 10 on the wire; records store km/h
-        record = WeatherRecord(station, wind_speed_kph=value / 10.0 * 3.6, **common)
-    else:
-        if value > 15:
-            raise ValueRangeError(f"wind direction code {value} outside 0..15")
-        record = WeatherRecord(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
-    return frame, record
+        return WeatherRecord(station, wind_speed_kph=value / 10.0 * 3.6, **common)
+    if value > 15:
+        raise ValueRangeError(f"wind direction code {value} outside 0..15")
+    return WeatherRecord(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
 
 
 FRAME_BITS = {Protocol.A5N1: 64, Protocol.LCW: 52}
 
 
-def decoder(protocol: Protocol) -> Callable[[str], tuple[A5N1Frame | LCWFrame, WeatherRecord]]:
+def decoder(protocol: Protocol) -> Callable[[str], WeatherRecord]:
     """The frame decoder of ``protocol``."""
     return decode_a5n1 if protocol is Protocol.A5N1 else decode_lcw
 

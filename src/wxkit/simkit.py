@@ -474,7 +474,7 @@ class Transponder:
         if self.state not in RX_STATES:
             raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
         try:
-            _, partial = rfdecode.decoder(self.station.protocol)(bits)
+            partial = rfdecode.decoder(self.station.protocol)(bits)
             if partial.station != self.station:
                 raise rfdecode.DecodeError("foreign station")
         except rfdecode.DecodeError as exc:

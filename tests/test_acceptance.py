@@ -118,7 +118,7 @@ def test_criterion_4_roundtrip_property_suite():
                 wind_kph=wind, wind_dir_deg=dir_deg, rain_mm=rain))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1 and len(runs[0]) == 64
-            _, rec = decode_a5n1(runs[0])
+            rec = decode_a5n1(runs[0])
             assert rec.wind_dir_deg == dir_deg
             assert abs(rec.rain_mm - rain) <= 0.127 + 1e-9       # 0.254 mm/tip
         else:
@@ -129,7 +129,7 @@ def test_criterion_4_roundtrip_property_suite():
                 wind_kph=wind, temperature_c=temp, humidity_pct=hum))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1 and len(runs[0]) == 64
-            _, rec = decode_a5n1(runs[0])
+            rec = decode_a5n1(runs[0])
             assert abs(rec.temperature_c - temp) <= (0.1 * 5 / 9) / 2 + 1e-9
             assert rec.humidity_pct == hum
         assert rec.station == station
@@ -156,7 +156,7 @@ def test_criterion_4_roundtrip_property_suite():
         train = lcw_to_pulses(build_lcw_frame(quantity, physical, station, battery_ok=battery))
         runs = frame_pulses(train, protocol=Protocol.LCW)
         assert len(runs) == 1 and len(runs[0]) == 52
-        _, rec = decode_lcw(runs[0])
+        rec = decode_lcw(runs[0])
         got = getattr(rec, field)
         expect = physical * 3.6 if quantity is LcwQuantity.WIND_SPEED else physical
         bound = step * (3.6 if quantity is LcwQuantity.WIND_SPEED else 1.0) / 2

@@ -210,7 +210,7 @@ def _bits(station=STATION, msg=A5N1_MSG_TEMP_HUMIDITY, **kw) -> str:
 def test_decode_a5n1_temp_frame_offsets_cancel():
     # raw 400 -> 0.0 F; zero wind stays zero
     bits = _bits(temperature_c=(0.0 - 32) * 5 / 9, humidity_pct=45, wind_kph=0.0)
-    _, rec = decode_a5n1(bits)
+    rec = decode_a5n1(bits)
     assert rec.wind_speed_kph == 0.0
     assert rec.temperature_c == pytest.approx(-17.7778, abs=1e-3)
     assert rec.humidity_pct == 45.0
@@ -224,13 +224,13 @@ def test_decode_a5n1_temp_raw_1115():
     frame[4] = _with_parity(raw >> 4)
     frame[5] = _with_parity((raw & 0xF) << 3)
     frame[7] = sum(frame[:7]) & 0xFF
-    _, rec = decode_a5n1(bytes_to_bits(bytes(frame)))
+    rec = decode_a5n1(bytes_to_bits(bytes(frame)))
     assert rec.temperature_c == pytest.approx(21.9444, abs=1e-3)
 
 
 def test_decode_a5n1_wind_dir_rain():
     bits = _bits(msg=A5N1_MSG_WIND_DIR_RAIN, wind_dir_deg=90.0, rain_mm=0.254)
-    _, rec = decode_a5n1(bits)
+    rec = decode_a5n1(bits)
     assert rec.wind_dir_deg == 90.0
     assert rec.rain_mm == pytest.approx(0.254)
     assert rec.wind_dir_deg is not None and rec.rain_mm is not None and rec.temperature_c is None
@@ -262,14 +262,14 @@ def test_decode_a5n1_unknown_message_type():
 
 def test_decode_a5n1_station_identity():
     bits = _bits()
-    _, rec = decode_a5n1(bits)
+    rec = decode_a5n1(bits)
     assert rec.station == STATION
     assert rec.sensor_battery_ok
 
 
 def test_decode_a5n1_battery_low():
     bits = _bits(battery_ok=False)
-    _, rec = decode_a5n1(bits)
+    rec = decode_a5n1(bits)
     assert not rec.sensor_battery_ok
 
 
@@ -324,7 +324,7 @@ def test_encode_decode_a5n1_random_field_sets():
                                                     rain_mm=tips * 0.254))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1
-            _, rec = decode_a5n1(runs[0])
+            rec = decode_a5n1(runs[0])
             assert rec.wind_dir_deg == dir_code * 22.5
             assert rec.rain_mm == pytest.approx(tips * 0.254)
         else:
@@ -336,7 +336,7 @@ def test_encode_decode_a5n1_random_field_sets():
                                                     temperature_c=temp_c, humidity_pct=hum))
             runs = frame_pulses(train, protocol=Protocol.A5N1)
             assert len(runs) == 1
-            _, rec = decode_a5n1(runs[0])
+            rec = decode_a5n1(runs[0])
             assert rec.temperature_c == pytest.approx(temp_c, abs=0.006)
             assert rec.humidity_pct == hum
         assert rec.station == station
@@ -361,14 +361,14 @@ def test_decode_lcw_temp():
     nibbles = build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION)
     assert nibbles[4:7] == (6, 5, 3)
     assert nibbles[12] == sum(nibbles[:12]) % 16
-    _, rec = decode_lcw(nibbles_to_bits(nibbles))
+    rec = decode_lcw(nibbles_to_bits(nibbles))
     assert rec.temperature_c == pytest.approx(25.3)
     assert rec.station == LCW_STATION
 
 
 def test_decode_lcw_zero_humidity():
     nibbles = build_lcw_frame(LcwQuantity.HUMIDITY, 0.0, LCW_STATION)
-    _, rec = decode_lcw(nibbles_to_bits(nibbles))
+    rec = decode_lcw(nibbles_to_bits(nibbles))
     assert rec.humidity_pct == 0.0
     assert rec.humidity_pct is not None
 
@@ -414,7 +414,7 @@ def test_decode_lcw_unknown_quantity():
 
 def test_decode_lcw_wind_dir_range():
     nibbles = list(build_lcw_frame(LcwQuantity.WIND_DIR, 337.5, LCW_STATION))
-    assert decode_lcw(nibbles_to_bits(tuple(nibbles)))[1].wind_dir_deg == 337.5
+    assert decode_lcw(nibbles_to_bits(tuple(nibbles))).wind_dir_deg == 337.5
     nibbles[1] = int(LcwQuantity.WIND_DIR)
     nibbles[4], nibbles[5], nibbles[6] = 0, 1, 6   # code 16 is out of range
     nibbles[10], nibbles[11] = nibbles[4], nibbles[5]
@@ -460,8 +460,7 @@ def test_encode_decode_lcw_random_values():
         train = lcw_to_pulses(build_lcw_frame(quantity, physical, station, battery_ok=battery))
         runs = frame_pulses(train, protocol=Protocol.LCW)
         assert len(runs) == 1
-        frame, rec = decode_lcw(runs[0])
-        assert frame.quantity == quantity
+        rec = decode_lcw(runs[0])
         assert rec.station == station
         assert rec.sensor_battery_ok == battery
         expected_kph = physical * 3.6 if quantity is LcwQuantity.WIND_SPEED else None
@@ -556,7 +555,7 @@ def test_decoders_pinned():
     for protocol, decode in ((Protocol.A5N1, decode_a5n1), (Protocol.LCW, decode_lcw)):
         for bits in decoder_corpus(protocol):
             try:
-                _, record = decode(bits)
+                record = decode(bits)
                 kind, line = "record", json.dumps(record_to_obj(record))
             except ValueError as exc:
                 kind = type(exc).__name__

@@ -126,7 +126,7 @@ def test_emitter_rain_counter_wraps_at_14_bits():
         emitter.rain_tips += 1
         bits, label, frame_hex = emitter.emit()
         assert frame_hex == f"{int(bits, 2):016x}"
-        _, rec = decode_a5n1(bits)
+        rec = decode_a5n1(bits)
         if label == "0x31":
             tips.append(emitter.rain_tips)
             counters.append(round(rec.rain_mm / 0.254))
@@ -141,7 +141,7 @@ def test_emitter_lcw_rain_count_wraps_at_1000(tips):
     emitter.rain_tips = tips
     emitter.msg_index = LcwQuantity.RAIN
     bits, label, _ = emitter.emit()
-    _, rec = decode_lcw(bits)
+    rec = decode_lcw(bits)
     assert label == "rain"
     # four tips to a count, as the station sends them
     assert round(rec.rain_mm / 0.518) == round(emitter.rain_tips / 4) % 1000
