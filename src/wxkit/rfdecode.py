@@ -237,7 +237,8 @@ def decode_a5n1(bits: str) -> WeatherRecord:
     """Validate a 64-bit string and extract the partial weather record.
 
     The checks run in order: checksum, the even parity of bytes 2..6, then
-    the message type. Every failure raises a typed DecodeError.
+    the message type; a humidity above 100 then raises ValueRangeError.
+    Every failure raises a typed DecodeError.
     """
     if len(bits) != 64:
         raise ValueError(f"expected 64 bits, got {len(bits)}")
@@ -267,12 +268,15 @@ def decode_a5n1(bits: str) -> WeatherRecord:
             rain_mm=counter * RAIN_MM_PER_TIP,
         )
     temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
+    humidity = data[6] & 0x7F
+    if humidity > 100:
+        raise ValueRangeError(f"humidity {humidity} outside 0..100")
     return WeatherRecord(
         station,
         sensor_battery_ok=battery_ok,
         wind_speed_kph=wind_kph,
         temperature_c=f_to_c(temp_raw / 10.0 - 40.0),
-        humidity_pct=float(data[6] & 0x7F),
+        humidity_pct=float(humidity),
     )
 
 
@@ -343,8 +347,8 @@ def build_a5n1_frame(
         if not 0 <= temp_raw <= 0x7FF:
             raise ValueRangeError(f"temperature {temperature_c} C outside the 11-bit range")
         hum = _round(humidity_pct, f"humidity {humidity_pct}")
-        if not 0 <= hum <= 127:
-            raise ValueRangeError(f"humidity {humidity_pct} outside 0..127")
+        if not 0 <= hum <= 100:
+            raise ValueRangeError(f"humidity {humidity_pct} outside 0..100")
         b[4] = _with_parity(temp_raw >> 4)
         b[5] = _with_parity((temp_raw & 0x0F) << 3)
         b[6] = _with_parity(hum)

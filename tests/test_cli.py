@@ -73,6 +73,14 @@ def test_encode_lcw_rejects_channel(capsys):
     assert err == "error: lcw stations use channel 0 only\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--protocol", "a5n1", "--humidity-pct", "127"], "humidity 127.0 outside 0..100"),
+])
+def test_encode_out_of_range_value_exits_3(argv, message, capsys):
+    code, out, err = run_cli(capsys, ["encode", "--id", "42", *argv])
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_decode_empty_input_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["decode", "--protocol", "a5n1",
                                       "--format", "bits"],

@@ -260,6 +260,18 @@ def test_decode_a5n1_unknown_message_type():
         decode_a5n1(bytes_to_bits(bytes(frame)))
 
 
+@pytest.mark.parametrize("humidity", [101, 127])
+def test_decode_a5n1_humidity_above_100_rejected(humidity):
+    # the payload carries 0..100 %, so a decoded record must stay within it
+    frame = bytearray(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, humidity_pct=100))
+    assert decode_a5n1(bytes_to_bits(bytes(frame))).humidity_pct == 100.0
+    from wxkit.rfdecode import _with_parity
+    frame[6] = _with_parity(humidity)
+    frame[7] = sum(frame[:7]) & 0xFF
+    with pytest.raises(ValueRangeError, match=f"^humidity {humidity} outside 0..100$"):
+        decode_a5n1(bytes_to_bits(bytes(frame)))
+
+
 def test_decode_a5n1_station_identity():
     bits = _bits()
     rec = decode_a5n1(bits)
@@ -294,8 +306,9 @@ def test_encode_a5n1_mostly_zero_checksum():
 
 
 def test_encode_a5n1_range_errors():
-    with pytest.raises(ValueRangeError):
-        build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, humidity_pct=128)
+    for humidity in (101, 127, 128, -1):
+        with pytest.raises(ValueRangeError, match="outside 0..100"):
+            build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, humidity_pct=humidity)
     with pytest.raises(ValueRangeError):
         build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=100.0)
     with pytest.raises(ValueRangeError):

@@ -219,6 +219,24 @@ def test_step_corrupt_frame_stays_in_rx():
     assert tr.state is State.INTER_SLEEP
 
 
+def test_step_out_of_range_humidity_rejected_and_cycle_goes_on():
+    # checksum and parity hold, but the payload cannot carry 127 %
+    tr = make_transponder()
+    tr.boot()
+    fire(tr)
+    fire(tr)
+    frame = bytearray(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
+    frame[6] = 0xFF   # 127 with its parity bit set
+    frame[7] = sum(frame[:7]) & 0xFF
+    out = tr.step(5.0, bytes_to_bits(bytes(frame)))
+    assert out == [{"ev": "frame_rx", "state": "rx1", "ok": False,
+                    "reason": "humidity 127 outside 0..100"}]
+    assert tr.record.humidity_pct is None
+    while tr.state is not State.DEEP_SLEEP:
+        out = fire(tr)
+    assert type(out[0]) is Uplink
+
+
 def test_step_foreign_station_rejected():
     tr = make_transponder()
     tr.boot()
