@@ -310,6 +310,13 @@ def _wind_raw(wind_kph: float) -> int:
     return raw
 
 
+def _dir_code(wind_dir_deg: float) -> int:
+    """The 4-bit code of a wind direction in [0, 360) degrees, either codec."""
+    if not 0 <= wind_dir_deg < 360:
+        raise ValueRangeError(f"wind direction {wind_dir_deg} outside [0, 360)")
+    return round(wind_dir_deg / DIR_STEP_DEG) % 16
+
+
 def build_a5n1_frame(
     station: StationId,
     message_type: int,
@@ -332,14 +339,12 @@ def build_a5n1_frame(
     b[2] = _with_parity((0x40 if battery_ok else 0x00) | message_type)
     b[3] = _with_parity(_wind_raw(wind_kph))
     if message_type == A5N1_MSG_WIND_DIR_RAIN:
-        if not 0 <= wind_dir_deg < 360:
-            raise ValueRangeError(f"wind direction {wind_dir_deg} outside [0, 360)")
+        b[4] = _with_parity(_dir_code(wind_dir_deg))
         if rain_mm < 0:
             raise ValueRangeError("rain total is negative")
         tips = _round(rain_mm / RAIN_MM_PER_TIP, f"rain total {rain_mm} mm")
         if tips > 0x3FFF:
             raise ValueRangeError(f"rain total {rain_mm} mm exceeds the 14-bit counter")
-        b[4] = _with_parity(round(wind_dir_deg / DIR_STEP_DEG) % 16)
         b[5] = _with_parity(tips >> 7)
         b[6] = _with_parity(tips & 0x7F)
     else:
@@ -455,19 +460,17 @@ def decoder(protocol: Protocol) -> Callable[[str], WeatherRecord]:
 
 
 def _lcw_value(quantity: LcwQuantity, value: float) -> int:
+    if quantity is LcwQuantity.WIND_DIR:
+        return _dir_code(value)
     if quantity is LcwQuantity.TEMP:
         scaled = (value + 40.0) * 10.0
     elif quantity is LcwQuantity.HUMIDITY:
         scaled = value * 10.0
     elif quantity is LcwQuantity.RAIN:
         scaled = value / LCW_RAIN_MM_PER_COUNT
-    elif quantity is LcwQuantity.WIND_SPEED:
-        scaled = value * 10.0   # value given in m/s
     else:
-        scaled = value / DIR_STEP_DEG
+        scaled = value * 10.0   # wind speed, given in m/s
     v = _round(scaled, f"{quantity.name.lower()} value {value}")
-    if quantity is LcwQuantity.WIND_DIR:
-        v %= 16
     if not 0 <= v <= 999:
         raise ValueRangeError(f"{quantity.name.lower()} value {value} is not encodable")
     return v

@@ -75,6 +75,10 @@ def test_encode_lcw_rejects_channel(capsys):
 
 @pytest.mark.parametrize("argv,message", [
     (["--protocol", "a5n1", "--humidity-pct", "127"], "humidity 127.0 outside 0..100"),
+    (["--protocol", "lcw", "--quantity", "wind_dir", "--value", "400"],
+     "wind direction 400.0 outside [0, 360)"),
+    (["--protocol", "lcw", "--quantity", "wind_dir", "--value=-22.5"],
+     "wind direction -22.5 outside [0, 360)"),
 ])
 def test_encode_out_of_range_value_exits_3(argv, message, capsys):
     code, out, err = run_cli(capsys, ["encode", "--id", "42", *argv])

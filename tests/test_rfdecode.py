@@ -443,6 +443,13 @@ def test_encode_lcw_value_range():
         build_lcw_frame(LcwQuantity.HUMIDITY, -1.0, LCW_STATION)
     with pytest.raises(ValueRangeError):
         build_lcw_frame(LcwQuantity.TEMP, float("inf"), LCW_STATION)
+    # the A5N1 rule: [0, 360), no wrap
+    for deg in (360.0, 400.0, -22.5, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueRangeError, match=r"outside \[0, 360\)"):
+            build_lcw_frame(LcwQuantity.WIND_DIR, deg, LCW_STATION)
+    for deg, decoded in ((0.0, 0.0), (337.5, 337.5), (349.0, 0.0), (359.9, 0.0)):
+        bits = nibbles_to_bits(build_lcw_frame(LcwQuantity.WIND_DIR, deg, LCW_STATION))
+        assert decode_lcw(bits).wind_dir_deg == decoded
 
 
 def test_lcw_single_nibble_substitutions_detected():
