@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -591,6 +592,50 @@ def test_decoders_pinned():
         ("lcw", "ValueError"): 300,
     }
     assert h.hexdigest() == "b5cc7eaea204ca090d52fb3d4e34b899d3ca730997806808b55c5c1a902b97fc"
+
+
+# ---------------------------------------------------------------------------
+# corrupted frames that still decode
+
+def two_bit_flip_outcomes(protocol: Protocol) -> Counter:
+    """Decode every 2-bit flip of six seeded builder frames; count "sender"
+    (a record for the sending station), "foreign" (a record for another
+    station) and each exception class."""
+    decode = decode_a5n1 if protocol is Protocol.A5N1 else decode_lcw
+    rng = random.Random(f"flips/{protocol.label}")
+    outcomes = Counter()
+    for _ in range(6):
+        bits = _valid_frame(rng, protocol)
+        sender = decode(bits).station
+        for i, j in itertools.combinations(range(len(bits)), 2):
+            try:
+                record = decode(_flip(_flip(bits, i), j))
+            except DecodeError as exc:
+                outcomes[type(exc).__name__] += 1
+            else:
+                outcomes["sender" if record.station == sender else "foreign"] += 1
+    return outcomes
+
+
+def test_a5n1_two_bit_flips_never_decode_for_the_sender():
+    # A record needs an even number of flips in each of bytes 2..6 (parity)
+    # and an unchanged byte sum against byte 7 (checksum). Two flips in one
+    # of bytes 2..6 move the sum by +-2^a +-2^b, never 0 mod 256, and leave
+    # byte 7 alone; two flips in byte 7 move it but not the sum. So a frame
+    # that decodes has a flip in byte 0 or 1, and all 16 of those bits are
+    # the station's channel and id.
+    outcomes = two_bit_flip_outcomes(Protocol.A5N1)
+    assert sum(outcomes.values()) == 6 * 2016
+    assert outcomes["sender"] == 0
+    assert outcomes["foreign"] == 80
+
+
+def test_lcw_two_bit_flips_that_decode_for_the_sender_pinned():
+    # the 4-bit checksum and the repeated digits are the only redundancy,
+    # so a few corrupted frames still pass as the sender's: 142 of 7956
+    outcomes = two_bit_flip_outcomes(Protocol.LCW)
+    assert sum(outcomes.values()) == 6 * 1326
+    assert outcomes["sender"] == 142
 
 
 def test_bits_nibbles_helpers():
