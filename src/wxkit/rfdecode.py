@@ -3,10 +3,14 @@ sensor families.
 
 The pipeline starts at the demodulated pulse level: a capture is a sequence
 of alternating high/low durations. ``frame_pulses`` slices it into candidate
-bitstrings, ``decode_a5n1``/``decode_lcw`` validate and extract physical
-values. ``build_a5n1_frame``/``build_lcw_frame`` with ``a5n1_to_pulses``/
-``lcw_to_pulses`` run the whole thing backwards for simulation and
-round-trip testing.
+bitstrings. ``decode_a5n1``/``decode_lcw`` check one bitstring and return
+the station's partial ``WeatherRecord``, or raise a typed DecodeError at
+the first failed check: A5N1 checks the checksum, the parity of bytes 2..6,
+the message type and then the humidity range; LCW the sync nibble, the
+checksum, the digit repeat, the BCD digits, the quantity type and then the
+wind direction code. ``build_a5n1_frame``/``build_lcw_frame`` with
+``a5n1_to_pulses``/``lcw_to_pulses`` run the whole thing backwards for
+simulation and round-trip testing.
 
 Bit layouts, timings and scale factors are normative for this toolkit (the
 device vendors publish none of it); they follow the publicly documented
