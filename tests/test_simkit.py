@@ -232,9 +232,9 @@ def test_step_out_of_range_humidity_rejected_and_cycle_goes_on():
     assert out == [{"ev": "frame_rx", "state": "rx1", "ok": False,
                     "reason": "humidity 127 outside 0..100"}]
     assert tr.record.humidity_pct is None
-    while tr.state is not State.DEEP_SLEEP:
+    for _ in range(6):   # RX1 timeout, RX2 and its timeout, baro, build, transmit
         out = fire(tr)
-    assert type(out[0]) is Uplink
+    assert tr.state is State.DEEP_SLEEP and type(out[0]) is Uplink
 
 
 def test_step_foreign_station_rejected():
