@@ -229,7 +229,6 @@ def cmd_frame(args) -> int:
         if not args.parse:
             return lorawan.frame_build(session, data).hex()
         payload, fcnt = lorawan.frame_parse(data, session)
-        session.fcnt_up = fcnt + 1
         print(f"{origin}: fcnt {fcnt}", file=sys.stderr)
         return payload.hex()
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import reprlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 from cryptography.hazmat.primitives import cmac as _cmac
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -183,12 +184,13 @@ MHDR_UNCONFIRMED_UP = 0x40
 MAX_FRM_PAYLOAD = 222
 MAX_PHY_PAYLOAD = 255    # the LoRa PHY length field is one byte
 FCNT_RESYNC_WINDOW = 16
-_AES_CACHE_MAX = 4       # NwkSKey and AppSKey, plus one reassignment of each
 
 
 def _parse_key(value: bytes | str, length: int, name: str) -> bytes:
     if isinstance(value, str):
         value = bytes.fromhex(value)
+    elif not isinstance(value, (bytes, bytearray, memoryview)):
+        raise ValueError(f"{name} must be hex text or bytes, not {type(value).__name__}")
     if len(value) != length:
         raise ValueError(f"{name} must be {length} bytes")
     return bytes(value)
@@ -207,49 +209,46 @@ class _AesContexts:
         self.cmac = _cmac.CMAC(aes)
 
 
-@dataclass
 class AbpSession:
     """Statically provisioned session state. ``fcnt_up`` is the next uplink
     counter on the device side, or the next expected counter on the server
-    side.
+    side; ``frame_build`` and ``frame_parse`` each advance it past their frame.
 
-    The session keeps its keyed AES contexts in a small cache keyed by the
-    key bytes, so assigning a new ``nwk_skey`` or ``app_skey`` takes effect
-    on the next frame. A new key is checked as the constructor checks it:
-    a hex string is accepted, and a key that is not 16 bytes makes
-    ``frame_build`` and ``frame_parse`` raise ``ValueError``. The cache is
-    not a field: it stays out of ``repr`` and ``==``. The contexts are
-    reused across calls, so a session has a single writer: no two threads
-    may build or parse with it at once."""
+    The identity (``dev_addr``, ``nwk_skey``, ``app_skey``, ``fport``) is
+    fixed at construction, as ABP provisions it once: it is parsed and keyed
+    into AES contexts there, and assigning it later raises ``AttributeError``.
+    An address or key is hex text or bytes, ``fcnt_up`` and ``fport`` are
+    ints (not bools); anything else raises ``ValueError``. The keys stay out
+    of ``repr``. The contexts are reused across calls, so a session has a
+    single writer: no two threads may build or parse with it at once."""
 
-    dev_addr: bytes
-    nwk_skey: bytes = field(repr=False, default=b"\x00" * 16)
-    app_skey: bytes = field(repr=False, default=b"\x00" * 16)
-    fcnt_up: int = 0
-    fport: int = 1
+    __slots__ = ("fcnt_up", "_dev_addr", "_nwk_skey", "_app_skey", "_fport", "_nwk", "_app")
 
-    def __post_init__(self):
-        self.dev_addr = _parse_key(self.dev_addr, 4, "dev_addr")
-        self.nwk_skey = _parse_key(self.nwk_skey, 16, "nwk_skey")
-        self.app_skey = _parse_key(self.app_skey, 16, "app_skey")
-        if not 1 <= self.fport <= 223:
-            raise ValueError(f"fport {self.fport} outside application range 1..223")
-        if not 0 <= self.fcnt_up < 2**32:
-            raise ValueError("fcnt_up must be a 32-bit counter")
-        self._aes_cache: dict[bytes, _AesContexts] = {}
+    def __init__(self, dev_addr: bytes | str, nwk_skey: bytes | str = bytes(16),
+                 app_skey: bytes | str = bytes(16), fcnt_up: int = 0, fport: int = 1):
+        self._dev_addr = _parse_key(dev_addr, 4, "dev_addr")
+        self._nwk_skey = _parse_key(nwk_skey, 16, "nwk_skey")
+        self._app_skey = _parse_key(app_skey, 16, "app_skey")
+        # exactly int: a bool is not a port or a counter
+        if type(fport) is not int or not 1 <= fport <= 223:
+            raise ValueError(f"fport {reprlib.repr(fport)} outside application range 1..223")
+        if type(fcnt_up) is not int or not 0 <= fcnt_up < 2**32:
+            raise ValueError(f"fcnt_up {reprlib.repr(fcnt_up)} is not a 32-bit counter")
+        self._nwk, self._app = _AesContexts(self._nwk_skey), _AesContexts(self._app_skey)
+        self.fcnt_up, self._fport = fcnt_up, fport
 
-    def _aes(self, key: bytes) -> _AesContexts:
-        try:
-            ctx = self._aes_cache.get(key)
-        except TypeError:       # a bytearray is unhashable: look it up by value
-            key = bytes(key)
-            ctx = self._aes_cache.get(key)
-        if ctx is None:
-            raw = _parse_key(key, 16, "session key")
-            if len(self._aes_cache) >= _AES_CACHE_MAX:
-                self._aes_cache.clear()
-            ctx = self._aes_cache[key] = _AesContexts(raw)
-        return ctx
+    # read-only, and read in C; the frame functions read the slots themselves
+    dev_addr = property(attrgetter("_dev_addr"))
+    nwk_skey = property(attrgetter("_nwk_skey"))
+    app_skey = property(attrgetter("_app_skey"))
+    fport = property(attrgetter("_fport"))
+
+    def __repr__(self) -> str:
+        return f"AbpSession(dev_addr={self._dev_addr!r}, fcnt_up={self.fcnt_up}, fport={self._fport})"
+
+    def __eq__(self, other) -> bool:    # defining it leaves the session unhashable
+        state = attrgetter("_dev_addr", "_nwk_skey", "_app_skey", "fcnt_up", "_fport")
+        return type(other) is AbpSession and state(self) == state(other)
 
 
 def _block_head(first: int, dev_addr_le: bytes, fcnt32: int) -> bytes:
@@ -285,24 +284,25 @@ def frame_build(session: AbpSession, payload: bytes) -> bytes:
     if session.fcnt_up >= 2**32:
         raise CounterError("uplink counter exhausted")
     fcnt32 = session.fcnt_up
-    dev_addr_le = session.dev_addr[::-1]
+    dev_addr_le = session._dev_addr[::-1]
     msg = bytes([MHDR_UNCONFIRMED_UP]) + dev_addr_le + b"\x00" + struct.pack("<H", fcnt32 & 0xFFFF)
     if payload:
-        msg += bytes([session.fport])
-        msg += _keystream_xor(session._aes(session.app_skey), dev_addr_le, fcnt32, payload)
-    mic = _mic(session._aes(session.nwk_skey), dev_addr_le, fcnt32, msg)
+        msg += bytes([session._fport])
+        msg += _keystream_xor(session._app, dev_addr_le, fcnt32, payload)
+    mic = _mic(session._nwk, dev_addr_le, fcnt32, msg)
     session.fcnt_up += 1
     return msg + mic
 
 
 def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
-    """Verify and decrypt an uplink frame.
+    """Verify and decrypt an uplink frame and advance the session counter.
 
     The 16-bit counter in the frame is rolled forward from the session
     counter; frames more than 16 counts ahead, not strictly advancing, or
     past the 32-bit counter space are rejected before the MIC is even
     checked, as are frames from another DevAddr. The MIC is verified before
-    any decryption.
+    any decryption. Once it verifies, ``session.fcnt_up`` becomes the
+    frame's 32-bit counter + 1; a rejected frame leaves it unchanged.
     """
     if not 12 <= len(data) <= MAX_PHY_PAYLOAD:
         raise FrameError(f"frame of {len(data)} bytes is outside 12..{MAX_PHY_PAYLOAD} bytes")
@@ -310,11 +310,10 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
         raise UnsupportedMhdrError(f"MHDR {data[0]:#04x} is not an unconfirmed uplink")
     if data[5] & 0x0F:
         raise FrameError("frames with FOpts are not supported")
-    dev_addr_le = session.dev_addr[::-1]
+    dev_addr_le = session._dev_addr[::-1]
     if data[1:5] != dev_addr_le:
-        raise FrameError(
-            f"DevAddr {data[4:0:-1].hex()} is not this session's {session.dev_addr.hex()}"
-        )
+        raise FrameError(f"DevAddr {data[4:0:-1].hex()} is not this session's "
+                         f"{session._dev_addr.hex()}")
     fcnt16 = struct.unpack("<H", data[6:8])[0]
 
     expected = session.fcnt_up
@@ -329,13 +328,13 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
         raise CounterError(f"counter {fcnt16} rolls past the 32-bit counter space")
 
     msg, mic = data[:-4], data[-4:]
-    if _mic(session._aes(session.nwk_skey), dev_addr_le, fcnt32, msg) != mic:
+    if _mic(session._nwk, dev_addr_le, fcnt32, msg) != mic:
         raise MicMismatchError("MIC verification failed")
+    session.fcnt_up = fcnt32 + 1
     if len(msg) == 8:
         return b"", fcnt32
-    frm = msg[9:]
-    key = session.app_skey if msg[8] != 0 else session.nwk_skey
-    return _keystream_xor(session._aes(key), dev_addr_le, fcnt32, frm), fcnt32
+    aes = session._app if msg[8] != 0 else session._nwk
+    return _keystream_xor(aes, dev_addr_le, fcnt32, msg[9:]), fcnt32
 
 
 # ---------------------------------------------------------------------------

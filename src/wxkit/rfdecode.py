@@ -403,7 +403,8 @@ class LcwQuantity(enum.IntEnum):
 def bits_to_nibbles(bits: str) -> tuple[int, ...]:
     if len(bits) % 4 or bits.translate(_DROP_BITS):
         raise ValueError("bitstring must be 0/1 characters in whole nibbles")
-    return tuple(int(bits[i:i + 4], 2) for i in range(0, len(bits), 4))
+    v = int(bits or "0", 2)
+    return tuple(v >> shift & 0xF for shift in range(len(bits) - 4, -4, -4))
 
 
 def nibbles_to_bits(nibbles: tuple[int, ...]) -> str:
@@ -435,12 +436,13 @@ def decode_lcw(bits: str) -> WeatherRecord:
         )
     if any(d > 9 for d in n[4:7]):
         raise BcdError(f"non-BCD digit in value nibbles {n[4]:#x}{n[5]:#x}{n[6]:#x}")
-    if n[1] not in tuple(LcwQuantity):
-        raise UnknownMessageTypeError(f"quantity type {n[1]:#x}")
+    try:
+        q = LcwQuantity(n[1])
+    except ValueError:
+        raise UnknownMessageTypeError(f"quantity type {n[1]:#x}") from None
     value = n[4] * 100 + n[5] * 10 + n[6]
     station = StationId(Protocol.LCW, n[2] << 3 | n[3] >> 1, 0)
     common = dict(sensor_battery_ok=bool(n[3] & 1))
-    q = LcwQuantity(n[1])
     if q is LcwQuantity.TEMP:
         return WeatherRecord(station, temperature_c=value / 10.0 - 40.0, **common)
     if q is LcwQuantity.HUMIDITY:

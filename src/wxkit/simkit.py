@@ -750,7 +750,6 @@ class Simulator:
             self.violations.append(f"t={t}: delivered uplink failed to decode: {exc}")
             self._record_event(t, {"ev": "uplink_error", "reason": str(exc)})
             return
-        self.server_session.fcnt_up = fcnt + 1
         self.uplinks_delivered += 1
         self.complete_records += all(getattr(record, field) is not None for field in FIELD_FLAGS)
         self._record_event(t, {"ev": "record", "fcnt": fcnt,

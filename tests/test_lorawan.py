@@ -1,14 +1,16 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorawan_oracle import OracleError, aes_block, parse_uplink
+from lorawan_oracle import aes_block, parse_uplink
 from lorawan_oracle import cmac as oracle_cmac
 from wxkit.core import FIELD_FLAGS, Protocol, StationId, WeatherRecord
 from wxkit.lorawan import (
+    FCNT_RESYNC_WINDOW,
     MAX_FRM_PAYLOAD,
     MAX_PHY_PAYLOAD,
     AbpSession,
@@ -299,7 +301,6 @@ def test_frame_roundtrip_and_replay():
     got, fcnt = frame_parse(frame, server)
     assert got == payload
     assert fcnt == 0
-    server.fcnt_up = fcnt + 1
     with pytest.raises(CounterError):        # replayed frame, same counter
         frame_parse(frame, server)
 
@@ -400,57 +401,78 @@ def test_long_lived_session_against_independent_oracle():
         parsed = parse_uplink(frame, nwk, app)
         assert (parsed["payload"], parsed["fcnt"], parsed["fport"]) == (payload, i, 7)
         assert frame_parse(frame, server) == (payload, i)
-        server.fcnt_up = i + 1
 
 
-def test_session_key_reassignment_takes_effect():
-    old_nwk = bytes.fromhex(KEYS["nwk_skey"])
-    new_nwk, new_app = bytes(range(16)), bytes(range(16, 32))
-    payload = payload_encode(full_record())
-    device, server = fresh_session(), fresh_session()
-    assert frame_parse(frame_build(device, payload), server) == (payload, 0)
-    server.fcnt_up = 1
+def test_session_identity_fixed_at_construction():
+    session = fresh_session()
+    for name, value in (("dev_addr", bytes(4)), ("nwk_skey", bytes(16)),
+                        ("app_skey", bytes(16)), ("fport", 2)):
+        with pytest.raises(AttributeError):
+            setattr(session, name, value)
+    assert session == fresh_session()
+    session.fcnt_up = 7                                 # the counter alone moves
+    assert frame_parse(frame_build(fresh_session(fcnt_up=7), b"\x01"), session) == (b"\x01", 7)
 
-    device.app_skey = new_app
-    frame = frame_build(device, payload)
-    assert parse_uplink(frame, old_nwk, new_app)["payload"] == payload
-    assert frame_parse(frame, server)[0] != payload     # server still has the old AppSKey
-    server.app_skey = new_app
-    assert frame_parse(frame, server) == (payload, 1)
-    server.fcnt_up = 2
 
-    device.nwk_skey = new_nwk
-    frame = frame_build(device, payload)
-    assert parse_uplink(frame, new_nwk, new_app)["payload"] == payload
-    with pytest.raises(OracleError):
-        parse_uplink(frame, old_nwk, new_app)
-    with pytest.raises(MicMismatchError):
-        frame_parse(frame, server)
-    server.nwk_skey = new_nwk
-    assert frame_parse(frame, server) == (payload, 2)
-    server.fcnt_up = 3
+@pytest.mark.parametrize("kw", [
+    {"dev_addr": None}, {"dev_addr": 5}, {"nwk_skey": None}, {"app_skey": list(range(16))},
+    {"fport": "1"}, {"fport": True}, {"fport": 1.0},
+    {"fcnt_up": 1.5}, {"fcnt_up": True}, {"fcnt_up": "0"}, {"fcnt_up": None},
+])
+def test_session_rejects_wrong_types(kw):
+    with pytest.raises(ValueError):
+        AbpSession(**{**KEYS, **kw})
 
-    # a new key is checked as the constructor checks it
-    device.app_skey = new_app.hex()
-    assert frame_parse(frame_build(device, payload), server) == (payload, 3)
-    server.fcnt_up = 4
-    device.app_skey = bytearray(new_app)
-    assert frame_parse(frame_build(device, payload), server) == (payload, 4)
-    server.fcnt_up = 5
-    device.app_skey[0] ^= 1                             # a mutable key changed in place
-    server.app_skey = bytes(device.app_skey)
-    assert frame_parse(frame_build(device, payload), server) == (payload, 5)
-    device.nwk_skey = bytes(5)
-    with pytest.raises(ValueError, match="16 bytes"):
-        frame_build(device, payload)
-    assert device.fcnt_up == 6
+
+def test_session_takes_bytes_like_keys():
+    raw = {name: bytes.fromhex(value) for name, value in KEYS.items()}
+    assert AbpSession(**{name: bytearray(v) for name, v in raw.items()}) == fresh_session()
+    assert AbpSession(**{name: memoryview(v) for name, v in raw.items()}) == fresh_session()
+
+
+def test_frame_parse_advances_counter_only_past_accepted_frames():
+    # one server session fed a seeded mix; it starts below a 16-bit rollover
+    rng = random.Random(15)
+    server = fresh_session(fcnt_up=0xFFF0)
+    accepted, seen = [], Counter()
+    for _ in range(500):
+        kind = rng.choice(("accepted", "tampered", "replayed", "foreign", "beyond window"))
+        if kind == "replayed" and not accepted:
+            kind = "accepted"
+        seen[kind] += 1
+        expected = server.fcnt_up
+        fcnt = expected + rng.randrange(FCNT_RESYNC_WINDOW + 1)
+        payload = rng.randbytes(rng.randrange(30))
+        if kind == "accepted":
+            frame = frame_build(fresh_session(fcnt_up=fcnt), payload)
+            assert frame_parse(frame, server) == (payload, fcnt)
+            assert server.fcnt_up == fcnt + 1
+            accepted.append(frame)
+            continue
+        if kind == "tampered":
+            frame = bytearray(frame_build(fresh_session(fcnt_up=fcnt), payload))
+            frame[-1 - rng.randrange(4)] ^= 1 << rng.randrange(8)
+            error = MicMismatchError
+        elif kind == "replayed":
+            frame, error = rng.choice(accepted), CounterError
+        elif kind == "foreign":
+            foreign = AbpSession("26011158", KEYS["nwk_skey"], KEYS["app_skey"], fcnt_up=fcnt)
+            frame, error = frame_build(foreign, payload), FrameError
+        else:
+            beyond = fresh_session(fcnt_up=expected + FCNT_RESYNC_WINDOW + 1 + rng.randrange(1000))
+            frame, error = frame_build(beyond, payload), CounterError
+        with pytest.raises(error):
+            frame_parse(bytes(frame), server)
+        assert server.fcnt_up == expected
+    assert min(seen.values()) >= 50
+    assert server.fcnt_up > 0x10000
 
 
 def test_session_cache_stays_out_of_eq_and_repr():
     used = fresh_session()
     frame_parse(frame_build(fresh_session(), b"\x01"), used)
-    assert used == fresh_session()
-    assert repr(used) == repr(fresh_session())
+    assert used == fresh_session(fcnt_up=1)
+    assert repr(used) == repr(fresh_session(fcnt_up=1))
 
 
 def test_frame_parse_fport0_decrypts_with_nwk_skey():
@@ -469,11 +491,10 @@ def test_frame_parse_fport0_decrypts_with_nwk_skey():
           + fcnt.to_bytes(4, "little") + bytes([0, len(msg)]))
     frame = msg + oracle_cmac(nwk, b0 + msg)[:4]
 
-    # an application frame first, so the session has contexts for both keys
+    # an application frame first: one session then decrypts with each of its two keys
     server = fresh_session(fcnt_up=4)
     app_frame = frame_build(fresh_session(fcnt_up=4), b"\x09" * 20)
     assert frame_parse(app_frame, server) == (b"\x09" * 20, 4)
-    server.fcnt_up = 5
     assert frame_parse(frame, server) == (plain, fcnt)
 
 
