@@ -85,6 +85,20 @@ def test_encode_out_of_range_value_exits_3(argv, message, capsys):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+def test_encode_bits_format(capsys):
+    code, out, err = run_cli(capsys, [
+        "encode", "--protocol", "a5n1", "--id", "1234", "--channel", "2", "--temp-c", "21.5",
+        "--humidity-pct", "45", "--wind-kph", "9.3", "--format", "bits"])
+    assert (code, out, err) == (0, _bits(GOOD_38) + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [[], ["--quantity", "temp"], ["--value", "25.3"]],
+                         ids=["neither", "no_value", "no_quantity"])
+def test_encode_lcw_without_quantity_and_value_is_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, ["encode", "--protocol", "lcw", "--id", "42", *argv])
+    assert (code, out, err) == (3, "", "usage error: --quantity and --value are required for lcw\n")
+
+
 def test_decode_empty_input_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["decode", "--protocol", "a5n1",
                                       "--format", "bits"],
@@ -277,6 +291,18 @@ def test_frame_missing_keys_is_validation_error(capsys, monkeypatch):
     assert code == 3
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "WXKIT_" in err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--devaddr", "2601", "dev_addr must be 4 bytes"),
+    ("--devaddr", "2601115700", "dev_addr must be 4 bytes"),
+    ("--nwkskey", "2b7e15", "nwk_skey must be 16 bytes"),
+])
+def test_frame_malformed_session_is_validation_error(flag, value, message, capsys, monkeypatch):
+    argv = list(KEY_ARGS)
+    argv[argv.index(flag) + 1] = value
+    code, out, err = run_cli(capsys, ["frame", *argv], stdin="01\n", monkeypatch=monkeypatch)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +542,12 @@ def test_battery_unknown_platform(capsys):
     assert code == 3   # shorter than the active phase
 
 
+def test_battery_without_platform_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["battery", "--interval-s", "300"])
+    assert (code, out, err) == (
+        3, "", "usage error: --platform and --interval-s are required without --table\n")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -527,6 +559,17 @@ def test_simulate_lossless_summary(tmp_path, capsys):
     summary = json.loads(out)
     assert summary["uplinks_delivered"] == summary["uplinks_attempted"]
     assert summary["invariants_ok"]
+
+
+def test_simulate_flags_override_config(tmp_path, capsys):
+    flagged, expected = tmp_path / "flagged.json", tmp_path / "expected.json"
+    flagged.write_text(json.dumps({"duration_s": 3600, "seed": 4}))
+    expected.write_text(json.dumps({"duration_s": 600, "seed": 9}))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(flagged),
+                                      "--seed", "9", "--duration-s", "600"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == 9 and json.loads(out)["duration_s"] == 600.0
+    assert run_cli(capsys, ["simulate", "--config", str(expected)]) == (0, out, "")
 
 
 def test_simulate_deterministic_trace_files(tmp_path, capsys):
