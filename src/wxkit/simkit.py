@@ -222,6 +222,8 @@ class SimConfig:
     def from_dict(cls, obj: dict) -> "SimConfig":
         """Numbers and known protocol labels are converted; any other value
         is kept as it is, for ``validate`` to report against its field."""
+        if not isinstance(obj, dict):
+            raise SimConfigError([f"config must be a JSON object, not {reprlib.repr(obj)}"])
         def sub(spec_cls, key, **convert):
             raw = obj.get(key, {})
             if not isinstance(raw, dict):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import reprlib
 
 import pytest
 from hypothesis import given
@@ -565,6 +566,14 @@ def test_config_rejects_unknown_keys():
         SimConfig.from_dict({"stations": {}})
     with pytest.raises(SimConfigError):
         SimConfig.from_dict({"station": {"ids": 4}})
+
+
+@pytest.mark.parametrize("obj", [5, None, "ab", [1], 10 ** 400],
+                         ids=["int", "none", "str", "list", "huge-int"])
+def test_config_not_an_object_is_a_config_error(obj):
+    with pytest.raises(SimConfigError) as info:
+        SimConfig.from_dict(obj)
+    assert info.value.problems == [f"config must be a JSON object, not {reprlib.repr(obj)}"]
 
 
 @pytest.mark.parametrize("station", [
