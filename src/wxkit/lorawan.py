@@ -218,9 +218,11 @@ class AbpSession:
     fixed at construction, as ABP provisions it once: it is parsed and keyed
     into AES contexts there, and assigning it later raises ``AttributeError``.
     An address or key is hex text or bytes, ``fcnt_up`` and ``fport`` are
-    ints (not bools); anything else raises ``ValueError``. The keys stay out
-    of ``repr``. The contexts are reused across calls, so a session has a
-    single writer: no two threads may build or parse with it at once."""
+    ints (not bools); anything else raises ``ValueError``. A ``fcnt_up``
+    assigned later that is not an int in 0..2^32-1 makes the frame
+    functions raise ``CounterError``. The keys stay out of ``repr``. The
+    contexts are reused across calls, so a session has a single writer: no
+    two threads may build or parse with it at once."""
 
     __slots__ = ("fcnt_up", "_dev_addr", "_nwk_skey", "_app_skey", "_fport", "_nwk", "_app")
 
@@ -273,6 +275,14 @@ def _mic(aes: _AesContexts, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> byte
     return c.finalize()[:4]
 
 
+def _bad_counter(fcnt) -> CounterError:
+    """The error for a session counter that is not an int in 0..2^32-1, as
+    an assignment to ``fcnt_up`` can leave it."""
+    if type(fcnt) is int and fcnt >= 2**32:
+        return CounterError("uplink counter exhausted")
+    return CounterError(f"fcnt_up {reprlib.repr(fcnt)} is not a 32-bit counter")
+
+
 def frame_build(session: AbpSession, payload: bytes) -> bytes:
     """Build an unconfirmed uplink and advance the session counter.
 
@@ -281,16 +291,16 @@ def frame_build(session: AbpSession, payload: bytes) -> bytes:
     """
     if len(payload) > MAX_FRM_PAYLOAD:
         raise PayloadError(f"payload of {len(payload)} bytes exceeds {MAX_FRM_PAYLOAD}")
-    if session.fcnt_up >= 2**32:
-        raise CounterError("uplink counter exhausted")
     fcnt32 = session.fcnt_up
+    if type(fcnt32) is not int or not 0 <= fcnt32 < 2**32:
+        raise _bad_counter(fcnt32)
     dev_addr_le = session._dev_addr[::-1]
     msg = bytes([MHDR_UNCONFIRMED_UP]) + dev_addr_le + b"\x00" + struct.pack("<H", fcnt32 & 0xFFFF)
     if payload:
         msg += bytes([session._fport])
         msg += _keystream_xor(session._app, dev_addr_le, fcnt32, payload)
     mic = _mic(session._nwk, dev_addr_le, fcnt32, msg)
-    session.fcnt_up += 1
+    session.fcnt_up = fcnt32 + 1
     return msg + mic
 
 
@@ -317,6 +327,8 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
     fcnt16 = struct.unpack("<H", data[6:8])[0]
 
     expected = session.fcnt_up
+    if type(expected) is not int or not 0 <= expected < 2**32:
+        raise _bad_counter(expected)
     fcnt32 = (expected & 0xFFFF0000) | fcnt16
     if fcnt32 < expected:
         fcnt32 += 0x10000

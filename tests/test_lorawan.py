@@ -424,6 +424,28 @@ def test_session_rejects_wrong_types(kw):
         AbpSession(**{**KEYS, **kw})
 
 
+@pytest.mark.parametrize("fcnt,message", [
+    (1.5, "fcnt_up 1.5 is not a 32-bit counter"),
+    (-1, "fcnt_up -1 is not a 32-bit counter"),
+    (True, "fcnt_up True is not a 32-bit counter"),
+    (None, "fcnt_up None is not a 32-bit counter"),
+    (2**32, "uplink counter exhausted"),
+    (2**40, "uplink counter exhausted"),
+])
+def test_frame_functions_reject_an_assigned_bad_counter(fcnt, message):
+    # the constructor checks the counter, but fcnt_up stays assignable
+    device, server = fresh_session(), fresh_session()
+    frame = frame_build(fresh_session(), b"\x01")
+    device.fcnt_up = server.fcnt_up = fcnt
+    with pytest.raises(CounterError) as info:
+        frame_build(device, b"\x01")
+    assert str(info.value) == message
+    with pytest.raises(CounterError) as info:
+        frame_parse(frame, server)
+    assert str(info.value) == message
+    assert device.fcnt_up is fcnt and server.fcnt_up is fcnt
+
+
 def test_session_takes_bytes_like_keys():
     raw = {name: bytes.fromhex(value) for name, value in KEYS.items()}
     assert AbpSession(**{name: bytearray(v) for name, v in raw.items()}) == fresh_session()
