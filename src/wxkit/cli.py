@@ -3,7 +3,10 @@ and simulate subcommands over the file formats the library defines.
 
 Machine-readable output goes to stdout, diagnostics to stderr, and the two
 never interleave. Exit codes: 0 success, 1 I/O or run failure, 2 no data
-decoded, 3 validation/usage error.
+decoded, 3 validation/usage error. The subcommands raise, and ``main`` alone
+maps an error to its exit code and stderr line: exit 3 prints ``usage error:``
+for the command line, ``config error:`` for each problem of a simulation
+config, and ``error:`` for any other invalid input.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import reprlib
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
@@ -38,7 +40,7 @@ class UsageError(Exception):
     pass
 
 
-class InputEncodingError(Exception):
+class InputEncodingError(ValueError):
     """An input file that is not text in the expected encoding."""
 
     def __init__(self, path: str, exc: UnicodeDecodeError):
@@ -116,13 +118,7 @@ def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, 
 def cmd_decode(args) -> int:
     protocol = Protocol.from_label(args.protocol)
     nbits = rfdecode.FRAME_BITS[protocol]
-    text = _read_input(args.input)
-    try:
-        candidates = _candidate_bits(text, args.format, protocol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    candidates = _candidate_bits(_read_input(args.input), args.format, protocol)
     decode = rfdecode.decoder(protocol)
 
     def convert(_, bits: str) -> str:
@@ -136,34 +132,29 @@ def cmd_decode(args) -> int:
 def cmd_encode(args) -> int:
     protocol = Protocol.from_label(args.protocol)
     battery_ok = not args.battery_low
-    try:
-        station = StationId(protocol, args.id, args.channel)
-        if protocol is Protocol.A5N1:
-            msg_type = int(args.message_type, 16)
-            frame = rfdecode.build_a5n1_frame(
-                station, msg_type,
-                battery_ok=battery_ok,
-                wind_kph=args.wind_kph,
-                wind_dir_deg=args.wind_dir_deg,
-                rain_mm=args.rain_mm,
-                temperature_c=args.temp_c,
-                humidity_pct=args.humidity_pct,
-            )
-            bits = rfdecode.bytes_to_bits(frame)
-            hexstr = frame.hex()
-            train = rfdecode.a5n1_to_pulses(frame)
-        else:
-            if args.quantity is None or args.value is None:
-                raise UsageError("--quantity and --value are required for lcw")
-            quantity = rfdecode.LcwQuantity[args.quantity.upper()]
-            nibbles = rfdecode.build_lcw_frame(
-                quantity, args.value, station, battery_ok=battery_ok)
-            bits = rfdecode.nibbles_to_bits(nibbles)
-            hexstr = rfdecode.nibbles_to_hex(nibbles)
-            train = rfdecode.lcw_to_pulses(nibbles)
-    except (rfdecode.DecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    station = StationId(protocol, args.id, args.channel)
+    if protocol is Protocol.A5N1:
+        frame = rfdecode.build_a5n1_frame(
+            station, int(args.message_type, 16),
+            battery_ok=battery_ok,
+            wind_kph=args.wind_kph,
+            wind_dir_deg=args.wind_dir_deg,
+            rain_mm=args.rain_mm,
+            temperature_c=args.temp_c,
+            humidity_pct=args.humidity_pct,
+        )
+        bits = rfdecode.bytes_to_bits(frame)
+        hexstr = frame.hex()
+        train = rfdecode.a5n1_to_pulses(frame)
+    else:
+        if args.quantity is None or args.value is None:
+            raise UsageError("--quantity and --value are required for lcw")
+        quantity = rfdecode.LcwQuantity[args.quantity.upper()]
+        nibbles = rfdecode.build_lcw_frame(
+            quantity, args.value, station, battery_ok=battery_ok)
+        bits = rfdecode.nibbles_to_bits(nibbles)
+        hexstr = rfdecode.nibbles_to_hex(nibbles)
+        train = rfdecode.lcw_to_pulses(nibbles)
 
     if args.format == "pulses":
         text = train.to_text()
@@ -215,11 +206,7 @@ def _session_from(args) -> lorawan.AbpSession:
 
 
 def cmd_frame(args) -> int:
-    try:
-        session = _session_from(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    session = _session_from(args)
 
     def convert(origin: str, line: str) -> str:
         try:
@@ -329,11 +316,9 @@ def cmd_battery(args) -> int:
     if args.platform is None or args.interval_s is None:
         raise UsageError("--platform and --interval-s are required without --table")
     profile = energy.PROFILES[args.platform]     # argparse has checked the choice
+    model = energy.daily_energy if args.daily else energy.battery_life_days
     try:
-        if args.daily:
-            print(f"{energy.daily_energy(profile, args.interval_s):.1f}")
-        else:
-            print(f"{energy.battery_life_days(profile, args.interval_s):.1f}")
+        print(f"{model(profile, args.interval_s):.1f}")
     except energy.EnergyModelError as exc:
         raise UsageError(str(exc)) from None
     return EXIT_OK
@@ -349,30 +334,17 @@ def cmd_simulate(args) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError(f"config is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputEncodingError(args.config, exc) from None
         except ValueError:      # an integer literal beyond the int-from-text digit limit
-            print("config error: an integer in the config has too many digits", file=sys.stderr)
-            return EXIT_VALIDATION
-    if not isinstance(obj, dict):
-        print(f"config error: config must be a JSON object, not {reprlib.repr(obj)}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.duration_s is not None:
-        obj["duration_s"] = args.duration_s
-    try:
-        config = simkit.SimConfig.from_dict(obj)
-    except simkit.SimConfigError as exc:
-        problems = exc.problems
-    else:
-        problems = config.validate()
-    if problems:        # before --out is opened, so a bad config leaves it alone
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_VALIDATION
+            raise simkit.SimConfigError(["an integer in the config has too many digits"]) from None
+    if isinstance(obj, dict):   # from_dict reports anything else
+        flags = {"seed": args.seed, "duration_s": args.duration_s}
+        obj |= {key: value for key, value in flags.items() if value is not None}
+    config = simkit.SimConfig.from_dict(obj)
+    if problems := config.validate():   # before --out is opened, so it is left alone
+        raise simkit.SimConfigError(problems)
     if not args.out:
         # only the summary is printed: the events are dropped as they come
         trace = simkit.run(config, sink=lambda events: None)
@@ -479,7 +451,11 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except InputEncodingError as exc:
+    except simkit.SimConfigError as exc:
+        for problem in exc.problems:
+            print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ValueError as exc:   # every library input error, InputEncodingError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BrokenPipeError:

@@ -8,7 +8,9 @@ the station's partial ``WeatherRecord``, or raise a typed DecodeError at
 the first failed check: A5N1 checks the checksum, the parity of bytes 2..6,
 the message type and then the humidity range; LCW the sync nibble, the
 checksum, the digit repeat, the BCD digits, the quantity type and then the
-wind direction code. ``build_a5n1_frame``/``build_lcw_frame`` with
+wind direction code. A bitstring of the wrong length, or with a character
+other than 0/1, is not a frame to check: it raises a plain ValueError, the
+one failure that is not a DecodeError. ``build_a5n1_frame``/``build_lcw_frame`` with
 ``a5n1_to_pulses``/``lcw_to_pulses`` run the whole thing backwards for
 simulation and round-trip testing.
 
@@ -242,7 +244,8 @@ def decode_a5n1(bits: str) -> WeatherRecord:
 
     The checks run in order: checksum, the even parity of bytes 2..6, then
     the message type; a humidity above 100 then raises ValueRangeError.
-    Every failure raises a typed DecodeError.
+    Each failed check raises a typed DecodeError; a bitstring that is not
+    64 characters of 0/1 raises a plain ValueError.
     """
     if len(bits) != 64:
         raise ValueError(f"expected 64 bits, got {len(bits)}")
@@ -420,7 +423,8 @@ def decode_lcw(bits: str) -> WeatherRecord:
 
     The checks run in order: sync nibble, checksum, digit repeat, BCD
     digits, quantity type; a wind direction code above 15 then raises
-    ValueRangeError. Every failure raises a typed DecodeError.
+    ValueRangeError. Each failed check raises a typed DecodeError; a
+    bitstring that is not 52 characters of 0/1 raises a plain ValueError.
     """
     if len(bits) != 52:
         raise ValueError(f"expected 52 bits, got {len(bits)}")

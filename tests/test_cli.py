@@ -432,6 +432,19 @@ def test_input_file_not_text_is_validation_error(argv, tmp_path, capsys):
     ["decode", "--protocol", "a5n1"],
     ["payload"],
     ["frame", *KEY_ARGS],
+])
+def test_stdin_not_text_is_validation_error(argv, capsys, monkeypatch):
+    # a strict UTF-8 stdin that is not UTF-8
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"0102\n\xff\n"), "utf-8"))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--protocol", "a5n1"],
+    ["payload"],
+    ["frame", *KEY_ARGS],
     ["simulate", "--config"],
 ])
 def test_missing_input_file_exits_1(argv, tmp_path, capsys):
