@@ -3,10 +3,9 @@ and simulate subcommands over the file formats the library defines.
 
 Machine-readable output goes to stdout, diagnostics to stderr, and the two
 never interleave. Exit codes: 0 success, 1 I/O or run failure, 2 no data
-decoded, 3 validation/usage error. The subcommands raise, and ``main`` alone
-maps an error to its exit code and stderr line: exit 3 prints ``usage error:``
-for the command line, ``config error:`` for each problem of a simulation
-config, and ``error:`` for any other invalid input.
+decoded, 3 validation/usage error. Subcommands raise, and only ``main`` maps
+an error to a code. Exit 3 prints ``usage error:`` for the command line,
+``config error:`` per simulation config problem, ``error:`` for other input.
 """
 
 from __future__ import annotations
@@ -340,8 +339,10 @@ def cmd_simulate(args) -> int:
         except ValueError:      # an integer literal beyond the int-from-text digit limit
             raise simkit.SimConfigError(["an integer in the config has too many digits"]) from None
     if isinstance(obj, dict):   # from_dict reports anything else
-        flags = {"seed": args.seed, "duration_s": args.duration_s}
-        obj |= {key: value for key, value in flags.items() if value is not None}
+        if args.seed is not None:
+            obj["seed"] = args.seed
+        if args.duration_s is not None:
+            obj["duration_s"] = args.duration_s
     config = simkit.SimConfig.from_dict(obj)
     if problems := config.validate():   # before --out is opened, so it is left alone
         raise simkit.SimConfigError(problems)

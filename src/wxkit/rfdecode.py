@@ -10,9 +10,9 @@ the message type and then the humidity range; LCW the sync nibble, the
 checksum, the digit repeat, the BCD digits, the quantity type and then the
 wind direction code. A bitstring of the wrong length, or with a character
 other than 0/1, is not a frame to check: it raises a plain ValueError, the
-one failure that is not a DecodeError. ``build_a5n1_frame``/``build_lcw_frame`` with
-``a5n1_to_pulses``/``lcw_to_pulses`` run the whole thing backwards for
-simulation and round-trip testing.
+one failure that is not a DecodeError. ``build_a5n1_frame``/
+``build_lcw_frame`` with ``a5n1_to_pulses``/``lcw_to_pulses`` run the whole
+thing backwards for simulation and round-trip testing.
 
 Bit layouts, timings and scale factors are normative for this toolkit (the
 device vendors publish none of it); they follow the publicly documented
