@@ -143,7 +143,6 @@ def cmd_encode(args) -> int:
             humidity_pct=args.humidity_pct,
         )
         bits = rfdecode.bytes_to_bits(frame)
-        hexstr = frame.hex()
         train = rfdecode.a5n1_to_pulses(frame)
     else:
         if args.quantity is None or args.value is None:
@@ -152,7 +151,6 @@ def cmd_encode(args) -> int:
         nibbles = rfdecode.build_lcw_frame(
             quantity, args.value, station, battery_ok=battery_ok)
         bits = rfdecode.nibbles_to_bits(nibbles)
-        hexstr = rfdecode.nibbles_to_hex(nibbles)
         train = rfdecode.lcw_to_pulses(nibbles)
 
     if args.format == "pulses":
@@ -160,7 +158,7 @@ def cmd_encode(args) -> int:
     elif args.format == "bits":
         text = bits + "\n"
     else:
-        text = hexstr + "\n"
+        text = rfdecode.bits_to_hex(bits) + "\n"
     _write_output(args.output, text)
     return EXIT_OK
 

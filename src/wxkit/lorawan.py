@@ -187,9 +187,11 @@ FCNT_RESYNC_WINDOW = 16
 
 
 def _parse_key(value: bytes | str, length: int, name: str) -> bytes:
-    if isinstance(value, str):
-        value = bytes.fromhex(value)
-    elif not isinstance(value, (bytes, bytearray, memoryview)):
+    try:
+        value = bytes.fromhex(value) if isinstance(value, str) else value
+    except ValueError as exc:   # its position, never the key text
+        raise ValueError(f"{name}: {exc}") from None
+    if not isinstance(value, (bytes, bytearray, memoryview)):
         raise ValueError(f"{name} must be hex text or bytes, not {type(value).__name__}")
     if len(value) != length:
         raise ValueError(f"{name} must be {length} bytes")

@@ -335,7 +335,10 @@ def build_a5n1_frame(
     temperature_c: float = 0.0,
     humidity_pct: float = 0.0,
 ) -> bytes:
-    """Assemble a valid frame; parity and checksum are always computed."""
+    """Assemble a valid frame; parity and checksum are always computed. A
+    0x31 frame carries the wind direction and the rain, a 0x38 frame the
+    temperature and the humidity, and both the wind speed; a frame ignores
+    the fields of the other type."""
     if station.protocol is not Protocol.A5N1:
         raise ValueError("station protocol must be A5N1")
     if message_type not in A5N1_MESSAGE_TYPES:
@@ -403,19 +406,19 @@ class LcwQuantity(enum.IntEnum):
     WIND_DIR = 4
 
 
-def bits_to_nibbles(bits: str) -> tuple[int, ...]:
+def bits_to_hex(bits: str) -> str:
+    """One lowercase hex digit per 4 bits, as ``bytes.hex`` writes a frame."""
     if len(bits) % 4 or bits.translate(_DROP_BITS):
         raise ValueError("bitstring must be 0/1 characters in whole nibbles")
-    v = int(bits or "0", 2)
-    return tuple(v >> shift & 0xF for shift in range(len(bits) - 4, -4, -4))
+    return f"{int(bits, 2):0{len(bits) // 4}x}" if bits else ""
+
+
+def bits_to_nibbles(bits: str) -> tuple[int, ...]:
+    return tuple(map("0123456789abcdef".index, bits_to_hex(bits)))
 
 
 def nibbles_to_bits(nibbles: tuple[int, ...]) -> str:
     return "".join(f"{x:04b}" for x in nibbles)
-
-
-def nibbles_to_hex(nibbles: tuple[int, ...]) -> str:
-    return "".join(f"{x:x}" for x in nibbles)
 
 
 def decode_lcw(bits: str) -> WeatherRecord:

@@ -119,9 +119,9 @@ _FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
 
 
 def _mistyped(prefix: str, spec) -> list[str]:
-    """One problem for each field of ``spec`` whose value has the wrong type
-    or is too large: an int outside 64 bits, or an int too large for a float
-    in a float field. A value is echoed shortened, as it may be huge."""
+    """One problem per field of ``spec`` whose value has the wrong type or is
+    too large: an int outside 64 bits, or, in a float field, an int too large
+    for a float. A value is echoed shortened, as it may be huge."""
     problems = []
     for f in dataclasses.fields(spec):
         if f.type in _FIELD_TYPES:
@@ -131,16 +131,36 @@ def _mistyped(prefix: str, spec) -> list[str]:
                 problems.append(f"{prefix}{f.name} must be {what}, not {reprlib.repr(value)}")
             elif f.type == "int" and not -2**63 <= value < 2**63:
                 problems.append(f"{prefix}{f.name} is too large")
-            elif f.type == "float" and abs(value) > sys.float_info.max:
+            elif f.type == "float" and type(value) is int and abs(value) > sys.float_info.max:
                 problems.append(f"{prefix}{f.name} is too large for a float")
     return problems
 
 
-def _protocol(label):
-    try:
-        return Protocol.from_label(label)
-    except ValueError:
-        return label
+def _from_obj(spec_cls, obj: dict, where: str):
+    """``spec_cls`` from the JSON object ``obj``, checked for unknown options
+    first. A nested spec is built from its own object, a protocol label is
+    converted, and an absent option keeps its field's default."""
+    fields = dataclasses.fields(spec_cls)
+    unknown = set(obj) - {f.name for f in fields}
+    if unknown:
+        raise SimConfigError([f"unknown {where} option(s): {sorted(unknown)}"])
+    values = dict(obj)
+    for f in fields:
+        if dataclasses.is_dataclass(f.default):
+            raw = obj.get(f.name, {})
+            if not isinstance(raw, dict):
+                raise SimConfigError([f"{f.name} must be an object, not {reprlib.repr(raw)}"])
+            values[f.name] = _from_obj(type(f.default), raw, f.name)
+        elif f.type == "Protocol" and f.name in obj:
+            try:
+                values[f.name] = Protocol.from_label(obj[f.name])
+            except ValueError:
+                pass    # kept as it is, for ``validate`` to report
+    return spec_cls(**values)
+
+
+def _session(spec: TransponderSpec) -> lorawan.AbpSession:
+    return lorawan.AbpSession(spec.dev_addr, spec.nwk_skey, spec.app_skey, fport=spec.fport)
 
 
 @dataclass(frozen=True)
@@ -212,48 +232,22 @@ class SimConfig:
         if not 0 < tr.rx_timeout_s < math.inf:
             problems.append("transponder.rx_timeout_s must be positive and finite")
         check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
-        check("transponder session", lorawan.AbpSession,
-              tr.dev_addr, tr.nwk_skey, tr.app_skey, fport=tr.fport)
+        check("transponder session", _session, tr)
         check("transponder radio settings", lorawan.RadioParams,
               sf=tr.sf, bandwidth_hz=tr.bandwidth_hz, coding_rate=tr.coding_rate)
         return problems
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
-        """Numbers and known protocol labels are converted; any other value
-        is kept as it is, for ``validate`` to report against its field."""
+        """Options as ``_from_obj`` reads them; an int ``duration_s`` becomes a
+        float. Any value not converted is kept as it is, for ``validate`` to
+        report against its field."""
         if not isinstance(obj, dict):
             raise SimConfigError([f"config must be a JSON object, not {reprlib.repr(obj)}"])
-        def sub(spec_cls, key, **convert):
-            raw = obj.get(key, {})
-            if not isinstance(raw, dict):
-                raise SimConfigError([f"{key} must be an object, not {reprlib.repr(raw)}"])
-            raw = dict(raw)
-            for k, fn in convert.items():
-                if k in raw:
-                    raw[k] = fn(raw[k])
-            known = {f.name for f in dataclasses.fields(spec_cls)}
-            unknown = set(raw) - known
-            if unknown:
-                raise SimConfigError([f"unknown {key} option(s): {sorted(unknown)}"])
-            return spec_cls(**raw)
-
-        top = {k for k in obj if k not in
-               ("duration_s", "seed", "station", "channel", "transponder", "gateway", "barometer")}
-        if top:
-            raise SimConfigError([f"unknown config option(s): {sorted(top)}"])
-        duration_s = obj.get("duration_s", 86_400.0)
+        duration_s = obj.get("duration_s")
         if type(duration_s) is int and abs(duration_s) <= sys.float_info.max:
-            duration_s = float(duration_s)
-        return cls(
-            duration_s=duration_s,
-            seed=obj.get("seed", 1),
-            station=sub(StationSpec, "station", protocol=_protocol),
-            channel=sub(ChannelSpec, "channel"),
-            transponder=sub(TransponderSpec, "transponder"),
-            gateway=sub(GatewaySpec, "gateway"),
-            barometer=sub(BarometerSpec, "barometer"),
-        )
+            obj = {**obj, "duration_s": float(duration_s)}
+        return _from_obj(cls, obj, "config")
 
     def to_dict(self) -> dict:
         obj = dataclasses.asdict(self)
@@ -321,25 +315,17 @@ class _Emitter:
         index = self.msg_index
         self.advance()
         if self.spec.protocol is Protocol.A5N1:
-            if index % 2 == 0:
-                frame = rfdecode.build_a5n1_frame(
-                    self.station, rfdecode.A5N1_MSG_WIND_DIR_RAIN,
-                    wind_kph=self.wind_kph,
-                    wind_dir_deg=self.dir_code * DIR_STEP_DEG,
-                    # the station's tip counter is 14 bits and wraps
-                    rain_mm=(self.rain_tips % 0x4000) * RAIN_MM_PER_TIP,
-                )
-                label = "0x31"
-            else:
-                frame = rfdecode.build_a5n1_frame(
-                    self.station, rfdecode.A5N1_MSG_TEMP_HUMIDITY,
-                    wind_kph=self.wind_kph,
-                    temperature_c=self.temp_c,
-                    humidity_pct=self.humidity,
-                )
-                label = "0x38"
-            bits = rfdecode.bytes_to_bits(frame)
-            frame_hex = frame.hex()
+            message_type = rfdecode.A5N1_MESSAGE_TYPES[index % 2]
+            bits = rfdecode.bytes_to_bits(rfdecode.build_a5n1_frame(
+                self.station, message_type,
+                wind_kph=self.wind_kph,
+                wind_dir_deg=self.dir_code * DIR_STEP_DEG,
+                # the station's tip counter is 14 bits and wraps
+                rain_mm=(self.rain_tips % 0x4000) * RAIN_MM_PER_TIP,
+                temperature_c=self.temp_c,
+                humidity_pct=self.humidity,
+            ))
+            label = f"{message_type:#04x}"
         else:
             quantity = LcwQuantity(index % 5)
             value = {
@@ -350,11 +336,9 @@ class _Emitter:
                 LcwQuantity.WIND_SPEED: self.wind_kph / 3.6,
                 LcwQuantity.WIND_DIR: self.dir_code * DIR_STEP_DEG,
             }[quantity]
-            nibbles = rfdecode.build_lcw_frame(quantity, value, self.station)
-            bits = rfdecode.nibbles_to_bits(nibbles)
-            frame_hex = rfdecode.nibbles_to_hex(nibbles)
+            bits = rfdecode.nibbles_to_bits(rfdecode.build_lcw_frame(quantity, value, self.station))
             label = quantity.name.lower()
-        return bits, label, frame_hex
+        return bits, label, rfdecode.bits_to_hex(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +371,9 @@ RX_EXITS = {State.RX1: (State.INTER_SLEEP, INTER_SLEEP_S), State.RX2: (State.REA
 
 @dataclass(frozen=True, slots=True)
 class Uplink:
-    """A frame the transponder has just finished transmitting."""
+    """A frame the transponder has just finished transmitting, with its counter."""
     frame: bytes
+    fcnt: int
     t_air: float
     record: dict
 
@@ -416,8 +401,7 @@ class Transponder:
         self.baro = baro
         self.rng = rng
         self.profile = energy_mod.PROFILES[spec.profile]
-        self.session = lorawan.AbpSession(
-            spec.dev_addr, spec.nwk_skey, spec.app_skey, fport=spec.fport)
+        self.session = _session(spec)
         self.radio = lorawan.RadioParams(
             sf=spec.sf, bandwidth_hz=spec.bandwidth_hz, coding_rate=spec.coding_rate)
         self.governor = lorawan.DutyCycleGovernor(spec.duty_limit)
@@ -552,7 +536,7 @@ class Transponder:
         t_air = self._pending_t_air
         self._pending_frame = None
         self.governor.note_transmission(now, t_air)
-        uplink = Uplink(frame, t_air, record_to_obj(self.record))
+        uplink = Uplink(frame, self.session.fcnt_up - 1, t_air, record_to_obj(self.record))
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
         events = self._enter(now, State.DEEP_SLEEP, sleep_s)
         return [uplink, *events, self._cycle_entry(self._active_ledger(), t_air=t_air)]
@@ -687,9 +671,7 @@ class Simulator:
         self.emitter = _Emitter(config.station, rng["weather"])
         self.transponder = Transponder(
             config.transponder, self.emitter.station, config.barometer, rng["baro"])
-        self.server_session = lorawan.AbpSession(
-            config.transponder.dev_addr, config.transponder.nwk_skey,
-            config.transponder.app_skey, fport=config.transponder.fport)
+        self.server_session = _session(config.transponder)
         self.violations: list[str] = []
         self.uplinks_attempted = 0
         self.uplinks_delivered = 0
@@ -740,7 +722,7 @@ class Simulator:
         while t - self.last_hour[0][0] > 3600.0:
             self.last_hour_airtime -= self.last_hour.popleft()[1]
         self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
-        self._record_event(t, {"ev": "uplink_tx", "fcnt": self.transponder.session.fcnt_up - 1,
+        self._record_event(t, {"ev": "uplink_tx", "fcnt": uplink.fcnt,
                                "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
         if self.gateway_rng.random() < self.config.gateway.uplink_loss_p:
             self._record_event(t, {"ev": "uplink_drop"})

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wxkit import simkit
 from wxkit.cli import main
 from wxkit.core import FIELD_FLAGS, Protocol, StationId
 from wxkit.rfdecode import (
@@ -297,6 +298,8 @@ def test_frame_missing_keys_is_validation_error(capsys, monkeypatch):
     ("--devaddr", "2601", "dev_addr must be 4 bytes"),
     ("--devaddr", "2601115700", "dev_addr must be 4 bytes"),
     ("--nwkskey", "2b7e15", "nwk_skey must be 16 bytes"),
+    # the key is named and its position given, but its text is not echoed
+    ("--nwkskey", "zz", "nwk_skey: non-hexadecimal number found in fromhex() arg at position 0"),
 ])
 def test_frame_malformed_session_is_validation_error(flag, value, message, capsys, monkeypatch):
     argv = list(KEY_ARGS)
@@ -474,6 +477,20 @@ def test_unwritable_output_exits_1(argv, stdin, tmp_path, capsys, monkeypatch):
     assert str(path) in err
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_pipe_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["encode", "--protocol", "lcw", "--id", "42", "--quantity", "temp",
+                 "--value", "25.3", "--format", "hex"]) == 1
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # airtime / battery
 
@@ -583,6 +600,16 @@ def test_simulate_flags_override_config(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["seed"] == 9 and json.loads(out)["duration_s"] == 600.0
     assert run_cli(capsys, ["simulate", "--config", str(expected)]) == (0, out, "")
+
+
+def test_simulate_failed_invariants_exit_1(capsys, monkeypatch):
+    violations = ["duty cycle exceeded: 40.000 s airtime in one hour",
+                  "t=900.0: delivered uplink failed to decode: MIC mismatch"]
+    summary = {"invariants_ok": False, "violations": violations}
+    monkeypatch.setattr(simkit, "run", lambda config, sink: simkit.SimTrace({}, summary=summary))
+    code, out, err = run_cli(capsys, ["simulate", "--duration-s", "60"])
+    assert (code, out) == (1, json.dumps(summary, sort_keys=True) + "\n")
+    assert err == "".join(f"invariant violated: {v}\n" for v in violations)
 
 
 def test_simulate_deterministic_trace_files(tmp_path, capsys):

@@ -92,6 +92,9 @@ def test_profile_validation():
         EnergyProfile("bad", 3.3, 0.0, 100.0, 50.0, 1e6)
     with pytest.raises(EnergyModelError):
         EnergyProfile("bad", 3.3, 10.0, 100.0, 50.0, 1e6)   # components exceed lump
+    for supply_v, i_sleep_ua, battery_uwh in ((0.0, 50.0, 1e6), (3.3, -1.0, 1e6), (3.3, 50.0, 0.0)):
+        with pytest.raises(EnergyModelError, match="supply, sleep current and battery"):
+            EnergyProfile("bad", supply_v, 42.0, 449.0, i_sleep_ua, battery_uwh)
 
 
 def test_builtin_profile_values():

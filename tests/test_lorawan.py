@@ -595,6 +595,9 @@ def test_airtime_domain_errors():
         RadioParams(bandwidth_hz=100_000)
     with pytest.raises(ValueError):
         airtime(RadioParams(), 256)
+    for coding_rate in (0, 5):
+        with pytest.raises(ValueError, match="coding rate"):
+            RadioParams(coding_rate=coding_rate)
     for preamble in (0, 0x10000, 10**400):
         with pytest.raises(ValueError):
             RadioParams(preamble_symbols=preamble)

@@ -320,6 +320,14 @@ def test_encode_a5n1_range_errors():
         build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, wind_kph=float("inf"))
     with pytest.raises(ValueRangeError):
         build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=float("nan"))
+    with pytest.raises(ValueRangeError, match="rain total is negative"):
+        build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, rain_mm=-0.1)
+    with pytest.raises(ValueRangeError, match="exceeds the 14-bit counter"):
+        build_a5n1_frame(STATION, A5N1_MSG_WIND_DIR_RAIN, rain_mm=0x4000 * 0.254)
+    with pytest.raises(ValueError, match="station protocol must be A5N1"):
+        build_a5n1_frame(LCW_STATION, A5N1_MSG_TEMP_HUMIDITY)
+    with pytest.raises(UnknownMessageTypeError, match="message type 0x32"):
+        build_a5n1_frame(STATION, 0x32)
 
 
 def test_encode_decode_a5n1_random_field_sets():
@@ -444,6 +452,8 @@ def test_encode_lcw_value_range():
         build_lcw_frame(LcwQuantity.HUMIDITY, -1.0, LCW_STATION)
     with pytest.raises(ValueRangeError):
         build_lcw_frame(LcwQuantity.TEMP, float("inf"), LCW_STATION)
+    with pytest.raises(ValueError, match="station protocol must be LCW"):
+        build_lcw_frame(LcwQuantity.TEMP, 20.0, STATION)
     # the A5N1 rule: [0, 360), no wrap
     for deg in (360.0, 400.0, -22.5, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueRangeError, match=r"outside \[0, 360\)"):

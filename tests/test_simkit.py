@@ -4,6 +4,7 @@ import json
 import math
 import random
 import reprlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -574,6 +575,58 @@ def test_config_not_an_object_is_a_config_error(obj):
     with pytest.raises(SimConfigError) as info:
         SimConfig.from_dict(obj)
     assert info.value.problems == [f"config must be a JSON object, not {reprlib.repr(obj)}"]
+
+
+# The one problem each float field reports for a value that is not finite:
+# the field's own range rule, with the value where the rule names it.
+NON_FINITE_RULES = {
+    "duration_s": "duration_s must be positive and at most 31622400 (366 days)",
+    "station.emission_period_s":
+        "station.emission_period_s must be finite and at least 0.0432 s, one a5n1 frame on air",
+    "channel.frame_loss_p": "channel.frame_loss_p {} outside [0, 1]",
+    "channel.bit_flip_q": "channel.bit_flip_q {} outside [0, 1]",
+    "transponder.t_cycle_s": "transponder.t_cycle_s must be in (0, 65535]",
+    "transponder.rx_timeout_s": "transponder.rx_timeout_s must be positive and finite",
+    "transponder.duty_limit": "transponder.duty_limit: duty limit {} outside (0, 1]",
+    "gateway.uplink_loss_p": "gateway.uplink_loss_p {} outside [0, 1]",
+    "barometer.board_temp_c": "barometer.board_temp_c {} outside [-327.68, 327.67]",
+    "barometer.pressure_noise_pa": "barometer.pressure_noise_pa must be non-negative and finite",
+    "barometer.temp_noise_c": "barometer.temp_noise_c must be non-negative and finite",
+}
+
+
+def _float_fields() -> list[str]:
+    """Every float field of the config, as a dotted option name."""
+    config = SimConfig()
+    floats = [f.name for f in dataclasses.fields(config) if f.type == "float"]
+    for spec in dataclasses.fields(config):
+        if dataclasses.is_dataclass(spec.default):
+            floats += [f"{spec.name}.{f.name}" for f in dataclasses.fields(spec.default)
+                       if f.type == "float"]
+    return floats
+
+
+def _config_with(field: str, value) -> SimConfig:
+    *spec, name = field.split(".")
+    return SimConfig.from_dict({spec[0]: {name: value}} if spec else {name: value})
+
+
+@pytest.mark.parametrize("field", _float_fields())
+def test_non_finite_float_fails_its_fields_own_rule(field):
+    for value in (math.inf, -math.inf, math.nan):
+        assert _config_with(field, value).validate() == [NON_FINITE_RULES[field].format(value)]
+    # only an int can be too large for a float
+    assert _config_with(field, 10 ** 400).validate() == [f"{field} is too large for a float"]
+
+
+def test_readme_states_the_config_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Simulation config", 1)[1]
+    shown = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    defaults = SimConfig().to_dict()
+    # the two session keys are shown as placeholders
+    defaults["transponder"].update(nwk_skey="...", app_skey="...")
+    assert shown == defaults
 
 
 @pytest.mark.parametrize("station", [
