@@ -464,6 +464,36 @@ def test_ledger_is_sum_of_event_entries():
     assert sum(by_state.values()) == pytest.approx(summary["energy_uwh_total"], rel=1e-12)
 
 
+@pytest.mark.parametrize("profile", sorted(energy.PROFILES))
+@pytest.mark.parametrize("duration_s", [0.3, 5.0, 15.0, 22.0, 27.1, 27.3, 27.5, 905.0],
+                         ids=["init", "rx1", "inter_sleep", "rx2", "read_baro", "build_tx",
+                              "transmit", "rx1_cycle2"])
+def test_cut_off_active_phase_is_charged_at_component_draws(profile, duration_s):
+    """A run that ends mid-phase charges each active state its seconds since
+    the last energy entry at its component draw, the MCU's where it has none."""
+    trace = run(SimConfig(duration_s=duration_s, seed=1,
+                          transponder=TransponderSpec(profile=profile)))
+    p = energy.PROFILES[profile]
+    draw = {"rx1": p.shr_power_uw, "inter_sleep": p.shr_power_uw, "rx2": p.shr_power_uw,
+            "transmit": p.tx_power_uw}
+    seconds, state, entered = {}, None, 0.0
+    for ev in trace.events:
+        if ev["ev"] == "state":
+            if state is not None:
+                seconds[state] = seconds.get(state, 0.0) + ev["t"] - entered
+            state, entered = ev["to"], ev["t"]
+        elif ev["ev"] == "cycle_energy" and not ev.get("partial"):
+            seconds = {}
+    seconds[state] = seconds.get(state, 0.0) + duration_s - entered
+    seconds.pop("deep_sleep", None)     # charged by its own sleep_energy entry
+    last = [ev for ev in trace.events if ev["ev"] == "cycle_energy"][-1]
+    assert last["partial"] is True
+    assert last["by_state"].keys() == seconds.keys()
+    mcu_uw = energy.fit_component_power(p)
+    for name, uwh in last["by_state"].items():
+        assert uwh == pytest.approx(draw.get(name, mcu_uw) * seconds[name] / 3600, rel=1e-9)
+
+
 def test_duty_cycle_window_invariant():
     trace = run(short_config())
     assert trace.summary["max_hour_window_airtime_s"] <= 36.0
