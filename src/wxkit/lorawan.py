@@ -198,19 +198,6 @@ def _parse_key(value: bytes | str, length: int, name: str) -> bytes:
     return bytes(value)
 
 
-class _AesContexts:
-    """Reusable AES contexts for one key: an ECB encryptor that is never
-    finalized (ECB over whole blocks carries no state between updates) and
-    a keyed CMAC template that each MIC copies."""
-
-    __slots__ = ("ecb", "cmac")
-
-    def __init__(self, key: bytes):
-        aes = algorithms.AES(key)
-        self.ecb = Cipher(aes, modes.ECB()).encryptor()
-        self.cmac = _cmac.CMAC(aes)
-
-
 class AbpSession:
     """Statically provisioned session state. ``fcnt_up`` is the next uplink
     counter on the device side, or the next expected counter on the server
@@ -218,15 +205,18 @@ class AbpSession:
 
     The identity (``dev_addr``, ``nwk_skey``, ``app_skey``, ``fport``) is
     fixed at construction, as ABP provisions it once: it is parsed and keyed
-    into AES contexts there, and assigning it later raises ``AttributeError``.
-    An address or key is hex text or bytes, ``fcnt_up`` and ``fport`` are
-    ints (not bools); anything else raises ``ValueError``. A ``fcnt_up``
-    assigned later that is not an int in 0..2^32-1 makes the frame
-    functions raise ``CounterError``. The keys stay out of ``repr``. The
-    contexts are reused across calls, so a session has a single writer: no
-    two threads may build or parse with it at once."""
+    there, and assigning it later raises ``AttributeError``. An address or
+    key is hex text or bytes, ``fcnt_up`` and ``fport`` are ints (not
+    bools); anything else raises ``ValueError``. A ``fcnt_up`` assigned
+    later that is not an int in 0..2^32-1 makes the frame functions raise
+    ``CounterError``. The keys stay out of ``repr``. The session keeps the
+    three AES contexts its frames use, reused across calls: the NwkSKey's
+    CMAC template, which keys every MIC, and a never-finalized ECB encryptor
+    per key for the FRMPayload. So a session has a single writer: no two
+    threads may build or parse with it at once."""
 
-    __slots__ = ("fcnt_up", "_dev_addr", "_nwk_skey", "_app_skey", "_fport", "_nwk", "_app")
+    __slots__ = ("fcnt_up", "_dev_addr", "_nwk_skey", "_app_skey", "_fport",
+                 "_mic_cmac", "_nwk_ecb", "_app_ecb")
 
     def __init__(self, dev_addr: bytes | str, nwk_skey: bytes | str = bytes(16),
                  app_skey: bytes | str = bytes(16), fcnt_up: int = 0, fport: int = 1):
@@ -238,7 +228,9 @@ class AbpSession:
             raise ValueError(f"fport {reprlib.repr(fport)} outside application range 1..223")
         if type(fcnt_up) is not int or not 0 <= fcnt_up < 2**32:
             raise ValueError(f"fcnt_up {reprlib.repr(fcnt_up)} is not a 32-bit counter")
-        self._nwk, self._app = _AesContexts(self._nwk_skey), _AesContexts(self._app_skey)
+        nwk, app = algorithms.AES(self._nwk_skey), algorithms.AES(self._app_skey)
+        self._mic_cmac = _cmac.CMAC(nwk)
+        self._nwk_ecb, self._app_ecb = (Cipher(aes, modes.ECB()).encryptor() for aes in (nwk, app))
         self.fcnt_up, self._fport = fcnt_up, fport
 
     # read-only, and read in C; the frame functions read the slots themselves
@@ -261,28 +253,30 @@ def _block_head(first: int, dev_addr_le: bytes, fcnt32: int) -> bytes:
     return bytes([first, 0, 0, 0, 0, 0x00]) + dev_addr_le + struct.pack("<I", fcnt32) + b"\x00"
 
 
-def _keystream_xor(aes: _AesContexts, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:
+def _keystream_xor(ecb, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:
     """FRMPayload encryption: XOR with AES-encrypted counter blocks, all
     encrypted in one call. The operation is its own inverse."""
     n = len(data)
     head = _block_head(0x01, dev_addr_le, fcnt32)
     blocks = b"".join([head + bytes((i,)) for i in range(1, (n + 15) // 16 + 1)])
-    keystream = aes.ecb.update(blocks)[:n]
+    keystream = ecb.update(blocks)[:n]
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
-def _mic(aes: _AesContexts, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
-    c = aes.cmac.copy()
+def _mic(cmac: _cmac.CMAC, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
+    c = cmac.copy()
     c.update(_block_head(0x49, dev_addr_le, fcnt32) + bytes((len(msg),)) + msg)
     return c.finalize()[:4]
 
 
-def _bad_counter(fcnt) -> CounterError:
-    """The error for a session counter that is not an int in 0..2^32-1, as
-    an assignment to ``fcnt_up`` can leave it."""
-    if type(fcnt) is int and fcnt >= 2**32:
-        return CounterError("uplink counter exhausted")
-    return CounterError(f"fcnt_up {reprlib.repr(fcnt)} is not a 32-bit counter")
+def _counter(session: AbpSession) -> int:
+    """``session.fcnt_up``; CounterError if an assignment left it out of range."""
+    fcnt = session.fcnt_up
+    if type(fcnt) is not int or fcnt < 0:
+        raise CounterError(f"fcnt_up {reprlib.repr(fcnt)} is not a 32-bit counter")
+    if fcnt >= 2**32:
+        raise CounterError("uplink counter exhausted")
+    return fcnt
 
 
 def frame_build(session: AbpSession, payload: bytes) -> bytes:
@@ -293,15 +287,13 @@ def frame_build(session: AbpSession, payload: bytes) -> bytes:
     """
     if len(payload) > MAX_FRM_PAYLOAD:
         raise PayloadError(f"payload of {len(payload)} bytes exceeds {MAX_FRM_PAYLOAD}")
-    fcnt32 = session.fcnt_up
-    if type(fcnt32) is not int or not 0 <= fcnt32 < 2**32:
-        raise _bad_counter(fcnt32)
+    fcnt32 = _counter(session)
     dev_addr_le = session._dev_addr[::-1]
     msg = bytes([MHDR_UNCONFIRMED_UP]) + dev_addr_le + b"\x00" + struct.pack("<H", fcnt32 & 0xFFFF)
     if payload:
         msg += bytes([session._fport])
-        msg += _keystream_xor(session._app, dev_addr_le, fcnt32, payload)
-    mic = _mic(session._nwk, dev_addr_le, fcnt32, msg)
+        msg += _keystream_xor(session._app_ecb, dev_addr_le, fcnt32, payload)
+    mic = _mic(session._mic_cmac, dev_addr_le, fcnt32, msg)
     session.fcnt_up = fcnt32 + 1
     return msg + mic
 
@@ -328,9 +320,7 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
                          f"{session._dev_addr.hex()}")
     fcnt16 = struct.unpack("<H", data[6:8])[0]
 
-    expected = session.fcnt_up
-    if type(expected) is not int or not 0 <= expected < 2**32:
-        raise _bad_counter(expected)
+    expected = _counter(session)
     fcnt32 = (expected & 0xFFFF0000) | fcnt16
     if fcnt32 < expected:
         fcnt32 += 0x10000
@@ -342,13 +332,13 @@ def frame_parse(data: bytes, session: AbpSession) -> tuple[bytes, int]:
         raise CounterError(f"counter {fcnt16} rolls past the 32-bit counter space")
 
     msg, mic = data[:-4], data[-4:]
-    if _mic(session._nwk, dev_addr_le, fcnt32, msg) != mic:
+    if _mic(session._mic_cmac, dev_addr_le, fcnt32, msg) != mic:
         raise MicMismatchError("MIC verification failed")
     session.fcnt_up = fcnt32 + 1
     if len(msg) == 8:
         return b"", fcnt32
-    aes = session._app if msg[8] != 0 else session._nwk
-    return _keystream_xor(aes, dev_addr_le, fcnt32, msg[9:]), fcnt32
+    ecb = session._app_ecb if msg[8] != 0 else session._nwk_ecb
+    return _keystream_xor(ecb, dev_addr_le, fcnt32, msg[9:]), fcnt32
 
 
 # ---------------------------------------------------------------------------

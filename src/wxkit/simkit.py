@@ -371,7 +371,8 @@ RX_EXITS = {State.RX1: (State.INTER_SLEEP, INTER_SLEEP_S), State.RX2: (State.REA
 
 @dataclass(frozen=True, slots=True)
 class Uplink:
-    """A frame the transponder has just finished transmitting, with its counter."""
+    """A frame with its counter, airtime and record: the transponder builds it
+    in BUILD_TX and hands it on when its transmission ends."""
     frame: bytes
     fcnt: int
     t_air: float
@@ -418,8 +419,7 @@ class Transponder:
         self.unheard = 0
         self.frames_missed = 0
         self.frames_ignored = 0
-        self._pending_frame: bytes | None = None
-        self._pending_t_air = 0.0
+        self._pending: Uplink | None = None
 
     def boot(self) -> list[dict]:
         return [{"ev": "state", "from": None, "to": self.state.value}]
@@ -515,67 +515,60 @@ class Transponder:
         return events + self._enter(now, State.BUILD_TX, BUILD_TX_S)
 
     def _build_and_maybe_transmit(self, now: float) -> list[dict]:
-        if self._pending_frame is None:
+        if self._pending is None:
             self.record = self.record.replace(seq=self.cycle & 0xFFFF)
             meta = lorawan.PayloadMeta(
                 frames_received=self.frames_received,
                 cycle_time_s=round(self.spec.t_cycle_s),
             )
             payload = lorawan.payload_encode(self.record, meta)
-            self._pending_frame = lorawan.frame_build(self.session, payload)
-            self._pending_t_air = lorawan.airtime(self.radio, len(self._pending_frame))
+            fcnt = self.session.fcnt_up
+            frame = lorawan.frame_build(self.session, payload)
+            self._pending = Uplink(frame, fcnt, lorawan.airtime(self.radio, len(frame)),
+                                   record_to_obj(self.record))
         allowed, next_allowed = self.governor.check(now)
         if not allowed:
             # stay in BUILD_TX (MCU waiting on the governor) until permitted
             self.wake_at = next_allowed
             return [{"ev": "governor_wait", "until": next_allowed}]
-        return self._enter(now, State.TRANSMIT, self._pending_t_air)
+        return self._enter(now, State.TRANSMIT, self._pending.t_air)
 
     def _finish_transmit(self, now: float) -> list[dict | Uplink]:
-        frame = self._pending_frame
-        t_air = self._pending_t_air
-        self._pending_frame = None
-        self.governor.note_transmission(now, t_air)
-        uplink = Uplink(frame, self.session.fcnt_up - 1, t_air, record_to_obj(self.record))
+        uplink, self._pending = self._pending, None
+        self.governor.note_transmission(now, uplink.t_air)
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
         events = self._enter(now, State.DEEP_SLEEP, sleep_s)
-        return [uplink, *events, self._cycle_entry(self._active_ledger(), t_air=t_air)]
+        return [uplink, *events, self._cycle_entry(self._active_ledger(), t_air=uplink.t_air)]
 
     # -- energy ledger ------------------------------------------------------
 
-    def _active_ledger(self) -> dict[str, float]:
+    def _active_ledger(self, mcu_uw: float | None = None) -> dict[str, float]:
         """Attribute the platform's measured active-phase energy across the
         cycle's states: receiver-on states at the measured combined draw,
         the transmission at the radio draw, and the remaining states share
         whatever residual keeps the total at the measured lump. With loss
         the receiver can stay on long enough that its share alone exceeds
-        the lump; then the residual floors at zero and physics wins. Deep
-        sleep is never among the states: ``_sleep_entry`` takes its time out
-        when the next cycle starts."""
+        the lump; then the residual floors at zero and physics wins. Given
+        ``mcu_uw``, the remaining states are charged at that draw instead and
+        no lump applies. Deep sleep is never among the states:
+        ``_sleep_entry`` takes its time out when the next cycle starts."""
+        p = self.profile
         ledger: dict[str, float] = {}
         others_s = 0.0
         for state, dur in self.state_time.items():
-            uw = self._component_uw(state)
-            if uw is not None:
-                ledger[state.value] = uw * dur / HOUR_S
-            else:
+            uw = (p.shr_power_uw if state in SHR_ON_STATES else
+                  p.tx_power_uw if state is State.TRANSMIT else mcu_uw)
+            if uw is None:
                 others_s += dur
+            else:
+                ledger[state.value] = uw * dur / HOUR_S
         e_shr = sum(ledger[s.value] for s in self.state_time if s in SHR_ON_STATES)
         e_tx = ledger.get(State.TRANSMIT.value, 0.0)
-        residual = max(0.0, self.profile.e_active_uwh - e_shr - e_tx)
+        residual = max(0.0, p.e_active_uwh - e_shr - e_tx)
         for state, dur in self.state_time.items():
             if state.value not in ledger:
                 ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
-
-    def _component_uw(self, state: State) -> float | None:
-        """The measured draw of ``state``: the receiver's in the receiver-on
-        states, the radio's in TRANSMIT, and None in any other state."""
-        if state in SHR_ON_STATES:
-            return self.profile.shr_power_uw
-        if state is State.TRANSMIT:
-            return self.profile.tx_power_uw
-        return None
 
     def _sleep_entry(self, **extra) -> list[dict]:
         """The deep sleep accrued since the last entry, at sleep power."""
@@ -601,16 +594,13 @@ class Transponder:
         """Account the state in progress when the simulation ends: its
         unheard emissions, and its energy. A partial deep sleep is charged
         at sleep power; a partial active phase is charged per-state at
-        component rates (no lump for unfinished work)."""
+        component rates, the fitted MCU draw where a state has none (no lump
+        for unfinished work)."""
         self._accrue(now)
         events = self._unheard_entry() + self._sleep_entry(cycle=self.cycle)
         if self.state_time:
-            mcu_uw = energy_mod.fit_component_power(self.profile)
-            rates = {}
-            for state, dur in self.state_time.items():
-                uw = self._component_uw(state)
-                rates[state.value] = (mcu_uw if uw is None else uw) * dur / HOUR_S
-            events.append(self._cycle_entry(rates, partial=True, t_air=0.0))
+            ledger = self._active_ledger(energy_mod.fit_component_power(self.profile))
+            events.append(self._cycle_entry(ledger, partial=True, t_air=0.0))
         return events
 
 
