@@ -366,22 +366,24 @@ def cmd_simulate(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wxkit", description=__doc__)
+    protocols = tuple(p.label for p in Protocol)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decode", help="pulse/bit/hex captures to weather records")
-    p.add_argument("--protocol", required=True, choices=("a5n1", "lcw"))
+    p.add_argument("--protocol", required=True, choices=protocols)
     p.add_argument("--format", default="pulses", choices=("pulses", "bits", "hex"))
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("encode", help="weather values to a pulse/bit/hex frame")
-    p.add_argument("--protocol", required=True, choices=("a5n1", "lcw"))
+    p.add_argument("--protocol", required=True, choices=protocols)
     p.add_argument("--format", default="pulses", choices=("pulses", "bits", "hex"))
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--battery-low", action="store_true")
-    p.add_argument("--message-type", default="0x38", choices=("0x31", "0x38"))
+    p.add_argument("--message-type", default=f"{rfdecode.A5N1_MSG_TEMP_HUMIDITY:#04x}",
+                   choices=tuple(f"{t:#04x}" for t in rfdecode.A5N1_MESSAGE_TYPES))
     p.add_argument("--wind-kph", type=float, default=0.0)
     p.add_argument("--wind-dir-deg", type=float, default=0.0)
     p.add_argument("--rain-mm", type=float, default=0.0)

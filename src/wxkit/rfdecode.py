@@ -247,8 +247,8 @@ def decode_a5n1(bits: str) -> WeatherRecord:
     Each failed check raises a typed DecodeError; a bitstring that is not
     64 characters of 0/1 raises a plain ValueError.
     """
-    if len(bits) != 64:
-        raise ValueError(f"expected 64 bits, got {len(bits)}")
+    if len(bits) != (nbits := FRAME_BITS[Protocol.A5N1]):
+        raise ValueError(f"expected {nbits} bits, got {len(bits)}")
     data = bits_to_bytes(bits)
     checksum = _a5n1_checksum(data)
     if data[7] != checksum:
@@ -429,8 +429,8 @@ def decode_lcw(bits: str) -> WeatherRecord:
     ValueRangeError. Each failed check raises a typed DecodeError; a
     bitstring that is not 52 characters of 0/1 raises a plain ValueError.
     """
-    if len(bits) != 52:
-        raise ValueError(f"expected 52 bits, got {len(bits)}")
+    if len(bits) != (nbits := FRAME_BITS[Protocol.LCW]):
+        raise ValueError(f"expected {nbits} bits, got {len(bits)}")
     n = bits_to_nibbles(bits)
     if n[0] != LCW_SYNC_NIBBLE:
         raise SyncError(f"sync nibble {n[0]:#x} != 0x9")

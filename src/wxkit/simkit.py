@@ -115,7 +115,8 @@ MAX_DURATION_S = 366 * 86_400.0
 
 # The values a config field accepts, by its annotation; a bool is not a number.
 _FIELD_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
-                "str": (str, "a string"), "Protocol": (Protocol, "'a5n1' or 'lcw'")}
+                "str": (str, "a string"),
+                "Protocol": (Protocol, " or ".join(repr(p.label) for p in Protocol))}
 
 
 def _mistyped(prefix: str, spec) -> list[str]:
