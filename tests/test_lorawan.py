@@ -1,6 +1,9 @@
 import hashlib
 import random
+import re
+import struct
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,11 @@ from hypothesis import strategies as st
 
 from lorawan_oracle import aes_block, parse_uplink
 from lorawan_oracle import cmac as oracle_cmac
-from wxkit.core import FIELD_FLAGS, Protocol, StationId, WeatherRecord
+from wxkit.core import FIELD_FLAGS, PAYLOAD_SCALE, Protocol, StationId, WeatherRecord
 from wxkit.lorawan import (
+    _FIELDS,
+    _HEADER,
+    _PAYLOADS,
     FCNT_RESYNC_WINDOW,
     MAX_FRM_PAYLOAD,
     MAX_PHY_PAYLOAD,
@@ -279,6 +285,37 @@ def test_payload_decode_accepts_only_what_encode_gives_back(data):
     except PayloadError:
         return
     assert payload_encode(record, meta) == zero_clear_fields(data)
+
+
+def _wire_int(text: str) -> int:
+    return 2**32 - 1 if text == "2^32-1" else int(text)
+
+
+def test_readme_states_the_payload_layout():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Uplink payload", 1)[1].split("\n\n| offset |", 1)[1]
+    rows = [line.split(" | ") for line in table.split("\n\n", 1)[0].splitlines()
+            if line.startswith("| ") and "`" in line]
+    offsets = {}
+    for protocol, (layout, fields) in _PAYLOADS.items():
+        at = struct.calcsize(_HEADER)
+        for f in fields:
+            offsets[protocol, f.name] = at
+            at += struct.calcsize(">" + f.code)
+        assert at == layout.size
+    assert [re.search(r"`(\w+)`", row[2]).group(1) for row in rows] == [f.name for f in _FIELDS]
+    for f, (offset, width, name, scale, wire) in zip(_FIELDS, rows):
+        a5n1, lcw = re.fullmatch(r"\| (\d+)(?: \(LCW (\d+)\))?", offset).groups()
+        assert int(a5n1) == offsets[Protocol.A5N1, f.name]
+        if "A5N1 only" in name:
+            assert (Protocol.LCW, f.name) not in offsets
+        else:
+            assert int(lcw or a5n1) == offsets[Protocol.LCW, f.name]
+        assert int(width) == struct.calcsize(">" + f.code)
+        assert ("signed" in name) == f.code.islower()
+        assert int(scale) == PAYLOAD_SCALE.get(f.name, 1) == f.scale
+        lo, hi = wire.rstrip(" |").split("..")
+        assert (_wire_int(lo), _wire_int(hi)) == (f.lo, f.hi)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +665,9 @@ def test_duty_cycle_wait_values():
     assert duty_cycle_wait(1.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         duty_cycle_wait(0.1, 0.0)
+    for t_air in (0.0, -0.287744):
+        with pytest.raises(ValueError, match="airtime must be positive"):
+            duty_cycle_wait(t_air, 0.01)
 
 
 def governor_after(tx_end: float, t_air: float) -> DutyCycleGovernor:
