@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -133,6 +137,76 @@ def test_record_seq_range():
         WeatherRecord(station=A5N1_STATION, seq=0x10000)
     with pytest.raises(ValueError):
         WeatherRecord(station=A5N1_STATION, seq=0.5)
+
+
+# The value contract of the two record types, whatever builds their __init__.
+CONTRACT_CASES = (
+    (StationId, (Protocol.A5N1, 1234, 2), {"channel": 3},
+     "StationId(protocol=<Protocol.A5N1: 1>, id=1234, channel=2)"),
+    (WeatherRecord, (A5N1_STATION, 7, True, 21.5, None, 3.2, None, 0.5, 101325, 24.0, 3300),
+     {"seq": 8, "humidity_pct": 40.0},
+     "WeatherRecord(station=StationId(protocol=<Protocol.A5N1: 1>, id=1234, channel=2), "
+     "seq=7, sensor_battery_ok=True, temperature_c=21.5, humidity_pct=None, "
+     "wind_speed_kph=3.2, wind_dir_deg=None, rain_mm=0.5, pressure_pa=101325, "
+     "board_temp_c=24.0, battery_mv=3300)"),
+)
+
+
+@pytest.mark.parametrize("cls, args, changes, text", CONTRACT_CASES,
+                         ids=[case[0].__name__ for case in CONTRACT_CASES])
+def test_record_type_contract(cls, args, changes, text):
+    fields = dataclasses.fields(cls)
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+        for f in fields]
+    names = [f.name for f in fields]
+    assert cls.__match_args__ == tuple(names)
+    value = cls(*args)
+    assert value == cls(**dict(zip(names, args)))
+    assert value != cls(*args[:2])
+    assert vars(value) == dict(zip(names, args)) and list(vars(value)) == names
+    assert hash(value) == hash(args)
+    assert repr(value) == text
+    for name in (names[1], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, args[1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, names[1])
+    assert vars(value) == dict(zip(names, args))
+    changed = dataclasses.replace(value, **changes)
+    assert type(changed) is cls and vars(changed) == dict(zip(names, args)) | changes
+    if cls is WeatherRecord:
+        assert value.replace(**changes) == changed
+    for twin in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value and list(vars(twin)) == names
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing \d required "):
+        cls()
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) got an unexpected "
+                                        "keyword argument 'extra'$"):
+        cls(*args, extra=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StationId(Protocol.A5N1, "7", 0), "station id must be an integer, not '7'"),
+    (lambda: StationId(Protocol.A5N1, True, 0), "station id must be an integer, not True"),
+    (lambda: StationId(Protocol.A5N1, 7, 1.0), "station channel must be an integer, not 1.0"),
+    (lambda: StationId(Protocol.A5N1, 0x4000), "station id 16384 does not fit 14 bits"),
+    (lambda: StationId(Protocol.A5N1, -1), "station id -1 does not fit 14 bits"),
+    (lambda: StationId(Protocol.A5N1, 7, 4), "channel 4 does not fit 2 bits"),
+    (lambda: StationId(Protocol.LCW, 7, 1), "lcw stations use channel 0 only"),
+    (lambda: StationId(Protocol.LCW, 128), "lcw station id 128 does not fit 7 bits"),
+    (lambda: WeatherRecord(A5N1_STATION, 0x10000), "seq 65536 is not a 16-bit integer"),
+    (lambda: WeatherRecord(A5N1_STATION, seq=-1), "seq -1 is not a 16-bit integer"),
+    (lambda: WeatherRecord(A5N1_STATION, seq=True), "seq True is not a 16-bit integer"),
+    (lambda: WeatherRecord(A5N1_STATION, seq="1" * 40),
+     "seq '111111111111...1111111111111' is not a 16-bit integer"),
+])
+def test_record_type_error_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 JSON_VALUES = st.recursive(
