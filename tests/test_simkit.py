@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wxkit import cli, energy
+from wxkit import cli, energy, lorawan
 from wxkit.core import (
     FIELD_FLAGS,
     PAYLOAD_STEP,
@@ -40,6 +41,7 @@ from wxkit.simkit import (
     ProtocolViolationError,
     SimConfig,
     SimConfigError,
+    Simulator,
     State,
     StationSpec,
     Transponder,
@@ -552,6 +554,35 @@ def test_gateway_loss_statistics_over_10k_cycles():
     n, p = s["uplinks_attempted"], 0.5
     assert n == 10_000
     assert abs(s["uplinks_delivered"] - n * p) <= 3 * math.sqrt(n * p * (1 - p))
+
+
+def test_server_left_behind_by_heavy_loss_logs_uplink_errors(tmp_path, capsys):
+    # after more than FCNT_RESYNC_WINDOW drops in a row the server accepts no
+    # later frame: each is an uplink_error, and the run stays valid
+    cfg, out = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
+    cfg.write_text(json.dumps({"transponder": {"t_cycle_s": 300},
+                               "gateway": {"uplink_loss_p": 0.9}}))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["uplinks_attempted"], summary["uplinks_delivered"]) == (288, 18)
+    assert summary["invariants_ok"] and summary["violations"] == []
+    kinds = collections.Counter(json.loads(line).get("ev") for line in out.read_text().splitlines())
+    assert (kinds["uplink_tx"], kinds["uplink_drop"], kinds["uplink_error"], kinds["record"]) \
+        == (288, 248, 22, 18)
+    first_error = next(json.loads(line) for line in out.read_text().splitlines()
+                       if '"uplink_error"' in line)
+    assert first_error["reason"] == "counter 105 outside resync window [85, 101]"
+
+
+def test_wrong_server_key_is_still_a_violation():
+    sim = Simulator(short_config())
+    spec = sim.config.transponder
+    sim.server_session = lorawan.AbpSession(spec.dev_addr, "ff" * 16, spec.app_skey)
+    s = sim.run().summary
+    assert not s["invariants_ok"] and s["uplinks_delivered"] == 0
+    assert len(s["violations"]) == s["uplinks_attempted"] > 0
+    t = next(ev["t"] for ev in sim.trace.events if ev["ev"] == "uplink_error")
+    assert s["violations"][0] == f"t={t}: delivered uplink failed to decode: MIC verification failed"
 
 
 # ---------------------------------------------------------------------------
