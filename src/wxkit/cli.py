@@ -11,6 +11,7 @@ an error to a code. Exit 3 prints ``usage error:`` for the command line,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -444,10 +445,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` reuses. Building one takes about 2 ms, more than a
+    short command's own work, and parsing leaves it unchanged. It is built
+    on the first call, not at import, so an import does not pay for it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

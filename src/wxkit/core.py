@@ -45,11 +45,25 @@ MAX_STATION_ID = 0x3FFF  # 14-bit id space
 MAX_LCW_STATION_ID = 0x7F  # an lcw frame carries 7 id bits
 
 
-@dataclass(frozen=True)
+# StationId and WeatherRecord are built once per decoded or parsed record.
+# A frozen dataclass's generated __init__ makes one object.__setattr__ call
+# per field. These write each field into __dict__ directly, which halves the
+# cost of a WeatherRecord, then run the same __post_init__ checks. One store
+# per key keeps the dict's keys shared between instances; a dict.update
+# would give each instance a full dict of its own, twice the memory. The
+# signature repeats the fields in order, defaults included.
+@dataclass(frozen=True, init=False)
 class StationId:
     protocol: Protocol
     id: int
     channel: int = 0
+
+    def __init__(self, protocol: Protocol, id: int, channel: int = 0):
+        fields = self.__dict__
+        fields["protocol"] = protocol
+        fields["id"] = id
+        fields["channel"] = channel
+        self.__post_init__()
 
     def __post_init__(self):
         # exactly int: a bool or an int subclass is not an id
@@ -94,7 +108,7 @@ PAYLOAD_SCALE = {
 PAYLOAD_STEP = {field: 1 / PAYLOAD_SCALE.get(field, 1) for field in FIELD_FLAGS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)   # __init__ written out, as for StationId
 class WeatherRecord:
     """Unified physical measurements for one station.
 
@@ -114,6 +128,25 @@ class WeatherRecord:
     pressure_pa: int | None = None
     board_temp_c: float = 0.0
     battery_mv: int = 0
+
+    def __init__(self, station: StationId, seq: int = 0, sensor_battery_ok: bool = False,
+                 temperature_c: float | None = None, humidity_pct: float | None = None,
+                 wind_speed_kph: float | None = None, wind_dir_deg: float | None = None,
+                 rain_mm: float | None = None, pressure_pa: int | None = None,
+                 board_temp_c: float = 0.0, battery_mv: int = 0):
+        fields = self.__dict__
+        fields["station"] = station
+        fields["seq"] = seq
+        fields["sensor_battery_ok"] = sensor_battery_ok
+        fields["temperature_c"] = temperature_c
+        fields["humidity_pct"] = humidity_pct
+        fields["wind_speed_kph"] = wind_speed_kph
+        fields["wind_dir_deg"] = wind_dir_deg
+        fields["rain_mm"] = rain_mm
+        fields["pressure_pa"] = pressure_pa
+        fields["board_temp_c"] = board_temp_c
+        fields["battery_mv"] = battery_mv
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.seq) is not int or not 0 <= self.seq <= 0xFFFF:

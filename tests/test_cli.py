@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wxkit import simkit
+from wxkit import cli, simkit
 from wxkit.cli import main
 from wxkit.core import FIELD_FLAGS, Protocol, StationId
 from wxkit.rfdecode import (
@@ -489,6 +489,45 @@ def test_closed_stdout_pipe_exits_1(capsys, monkeypatch):
     assert main(["encode", "--protocol", "lcw", "--id", "42", "--quantity", "temp",
                  "--value", "25.3", "--format", "hex"]) == 1
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# one parser serves every main() call of a process
+
+REUSE_PAIRS = [
+    ((["payload", "--decode"], f"{PAYLOAD_A5N1}\n{PAYLOAD_A5N1[:-2]}\n"),
+     (["payload"], f"{RECORD_LINE}\n[1]\n{LCW_RECORD}\n")),
+    ((["frame", "--parse", *KEY_ARGS], f"{FRAME_0}\n{FRAME_0}\n"),
+     (["frame", *KEY_ARGS], f"{PAYLOAD_A5N1}\nzz\n{PAYLOAD_LCW}\n")),
+    ((["frame", "--fcnt", "x", *KEY_ARGS], ""),
+     (["frame", "--parse", *KEY_ARGS], f"{FRAME_0}\n{FRAME_1}\n")),
+    ((["--help"], ""),
+     (["payload", "--decode"], f"{PAYLOAD_LCW}\n03{PAYLOAD_LCW[2:]}\n")),
+]
+
+
+@pytest.mark.parametrize("first,second", REUSE_PAIRS, ids=[
+    "payload_decode_then_payload", "frame_parse_then_frame", "usage_error_then_valid",
+    "help_then_valid"])
+def test_reused_parser_gives_each_command_its_own_result(first, second, capsys, monkeypatch):
+    def run(argv, stdin):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # --help
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    cli._parser.cache_clear()
+    alone = run(*second)
+    cli._parser.cache_clear()
+    first_result = run(*first)
+    parser = cli._parser()
+    assert run(*second) == alone
+    assert cli._parser() is parser
+    assert first_result[0] in (0, 3) and alone[0] == 0 and alone[1] and alone[2]
+    # the public builder still returns a parser of its own
+    assert cli.build_parser() is not cli.build_parser() is not parser
 
 
 # ---------------------------------------------------------------------------
