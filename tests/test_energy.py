@@ -97,6 +97,15 @@ def test_profile_validation():
             EnergyProfile("bad", supply_v, 42.0, 449.0, i_sleep_ua, battery_uwh)
 
 
+@pytest.mark.parametrize("supply_v,i_sleep_ua,battery_uwh",
+                         [(0.5, 50.0, 1e6), (3.3, 0.5, 1e6), (3.3, 0.0, 1e6), (3.3, 50.0, 0.5)],
+                         ids=["supply", "sleep_current", "zero_sleep_current", "battery"])
+def test_profile_accepts_values_below_one(supply_v, i_sleep_ua, battery_uwh):
+    # the bounds are > 0 (>= 0 for the sleep current), not >= 1
+    p = EnergyProfile("small", supply_v, 42.0, 449.0, i_sleep_ua, battery_uwh)
+    assert (p.supply_v, p.i_sleep_ua, p.battery_uwh) == (supply_v, i_sleep_ua, battery_uwh)
+
+
 def test_builtin_profile_values():
     assert BSF32.supply_v == 3.7
     assert BSF32.t_active_s == 42.2

@@ -608,6 +608,12 @@ def test_session_validation():
         fresh_session(fport=224)
 
 
+def test_session_counter_bound_at_construction():
+    assert fresh_session(fcnt_up=2**32 - 1).fcnt_up == 2**32 - 1
+    with pytest.raises(ValueError, match="is not a 32-bit counter"):
+        fresh_session(fcnt_up=2**32)
+
+
 # ---------------------------------------------------------------------------
 # airtime
 

@@ -426,6 +426,17 @@ def test_decode_lcw_bcd_error():
         decode_lcw(nibbles_to_bits(tuple(nibbles)))
 
 
+@pytest.mark.parametrize("position", [4, 5, 6])
+def test_decode_lcw_bcd_error_at_first_non_digit(position):
+    # 0xA is the smallest nibble that is not a decimal digit
+    nibbles = list(build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION))
+    nibbles[position] = 0xA
+    nibbles[10], nibbles[11] = nibbles[4], nibbles[5]
+    nibbles[12] = sum(nibbles[:12]) % 16
+    with pytest.raises(BcdError):
+        decode_lcw(nibbles_to_bits(tuple(nibbles)))
+
+
 def test_decode_lcw_unknown_quantity():
     nibbles = list(build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION))
     nibbles[1] = 7

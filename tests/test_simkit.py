@@ -515,6 +515,29 @@ def test_governor_delays_when_duty_limit_is_tight():
     assert trace.summary["invariants_ok"]
 
 
+class _AlwaysAllow:
+    """A duty-cycle governor that never makes the transmitter wait."""
+
+    def check(self, now):
+        return True, now
+
+    def note_transmission(self, tx_end, t_air):
+        pass
+
+
+def test_duty_cycle_oracle_catches_a_governor_that_never_waits():
+    sim = Simulator(short_config(
+        duration_s=3600.0,
+        transponder=TransponderSpec(t_cycle_s=60.0, duty_limit=0.001)))
+    sim.transponder.governor = _AlwaysAllow()
+    s = sim.run().summary
+    assert not any(ev["ev"] == "governor_wait" for ev in sim.trace.events)
+    assert s["max_hour_window_airtime_s"] > 0.001 * 3600 + sim.max_t_air
+    assert not s["invariants_ok"]
+    assert s["violations"] == [
+        f"duty cycle exceeded: {s['max_hour_window_airtime_s']:.3f} s airtime in one hour"]
+
+
 def test_lossy_run_still_delivers_some_records():
     cfg = short_config(duration_s=28_800.0,
                        channel=ChannelSpec(frame_loss_p=0.3, bit_flip_q=0.001))
