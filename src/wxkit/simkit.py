@@ -608,15 +608,115 @@ class Transponder:
 # ---------------------------------------------------------------------------
 # Trace
 
-# One encoder for every line; ``json.dumps(..., sort_keys=True)`` would build
-# a new one per call and write the same text. A line is a tree of fresh dicts
-# and lists the simulator builds, never a cycle, so the cycle check is skipped.
+# The closed set of trace events. Each event is ``{"t": time, "ev": kind,
+# **fields}``; a kind maps to the field sets its events take, the usual one
+# first. A frame that fails to decode has a ``reason`` where a decoded one has
+# its ``record``, and the energy entries of a run's end (``flush``) carry one
+# field more.
+EVENT_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
+    "state": (("from", "to"),),
+    "frames_missed": (("n", "state"),),
+    "frame_rx": (("ok", "record", "state"), ("ok", "reason", "state")),
+    "rx_timeout": (("state",),),
+    "baro": (("board_temp_c", "pressure_pa"),),
+    "governor_wait": (("until",),),
+    "sleep_energy": (("sleep_s", "uwh"), ("cycle", "sleep_s", "uwh")),
+    "cycle_energy": (("active_s", "by_state", "cycle", "t_air"),
+                     ("active_s", "by_state", "cycle", "partial", "t_air")),
+    "emit": (("frame_hex", "msg"),),
+    "channel_drop": ((),),
+    "channel_corrupt": (("flips",),),
+    "uplink_tx": (("fcnt", "phy_len", "record", "t_air"),),
+    "uplink_drop": ((),),
+    "uplink_error": (("reason",),),
+    "record": (("cycle_time_s", "fcnt", "frames_received", "record"),),
+}
+
+# One encoder for every line a template does not write; ``json.dumps(...,
+# sort_keys=True)`` would build a new one per call and write the same text. A
+# line is a tree of fresh dicts and lists the simulator builds, never a
+# cycle, so the cycle check is skipped.
 _to_json = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+_RECORD_KEYS = frozenset(f.name for f in dataclasses.fields(WeatherRecord))
+_STATION_KEYS = frozenset(f.name for f in dataclasses.fields(StationId))
+
+
+def _record_json(r: dict) -> str:
+    """A record as ``record_to_obj`` writes it, keys sorted. A number goes
+    in with ``%s``: ``str`` of an int or a float is its ``repr``."""
+    st = r["station"]
+    if r.keys() != _RECORD_KEYS or st.keys() != _STATION_KEYS:
+        return _to_json(r)
+    return (
+        '{"battery_mv": %s, "board_temp_c": %s, "humidity_pct": %s, "pressure_pa": %s, '
+        '"rain_mm": %s, "sensor_battery_ok": %s, "seq": %s, '
+        '"station": {"channel": %s, "id": %s, "protocol": "%s"}, '
+        '"temperature_c": %s, "wind_dir_deg": %s, "wind_speed_kph": %s}'
+    ) % (r["battery_mv"], r["board_temp_c"],
+         "null" if (v := r["humidity_pct"]) is None else v,
+         "null" if (v := r["pressure_pa"]) is None else v,
+         "null" if (v := r["rain_mm"]) is None else v,
+         "true" if r["sensor_battery_ok"] else "false", r["seq"],
+         st["channel"], st["id"], st["protocol"],
+         "null" if (v := r["temperature_c"]) is None else v,
+         "null" if (v := r["wind_dir_deg"]) is None else v,
+         "null" if (v := r["wind_speed_kph"]) is None else v)
+
+
+def _by_state_json(by_state: dict) -> str:
+    return "{" + ", ".join(['"%s": %r' % kv for kv in sorted(by_state.items())]) + "}"
+
+
+# How a line template writes each field. A number goes in as ``repr`` writes
+# it, which is what the encoder writes for a finite int or float, and every
+# traced number is finite (``SimConfig.validate`` rejects non-finite input).
+# A label (a state, a message label, a frame's hex) is plain ASCII and goes
+# in quoted, as it is. ``ok`` is true in the one ``frame_rx`` field set with a
+# template. The fields named in ``_FIELD_WRITERS`` go through a writer of
+# their own. A field set with free text (a ``reason``) has no template.
+_LABELS = frozenset(("frame_hex", "msg", "state", "to"))
+_FIELD_WRITERS = {
+    "from": lambda label: "null" if label is None else f'"{label}"',
+    "record": _record_json,
+    "by_state": _by_state_json,
+}
+
+
+def _line_writer(kind: str, fields: tuple[str, ...]) -> Callable[[dict], str]:
+    """The writer of one event field set: a %-template of the event, keys
+    sorted. A field with a writer of its own is the template's one bare
+    ``%s``; the writer joins the two halves around it."""
+    formats = {"ev": f'"{kind}"', "t": "%(t)r"}
+    for name in fields:
+        formats[name] = ("true" if name == "ok" else
+                         f'"%({name})s"' if name in _LABELS else
+                         "%s" if name in _FIELD_WRITERS else f"%({name})r")
+    template = "{" + ", ".join(f'"{k}": {formats[k]}' for k in sorted(formats)) + "}\n"
+    nested = [name for name in fields if name in _FIELD_WRITERS]
+    if not nested:
+        return template.__mod__
+    (name,) = nested
+    write = _FIELD_WRITERS[name]
+    head, tail = template.split("%s")
+    return lambda ev: head % ev + write(ev[name]) + tail % ev
+
+
+# kind -> (key set, writer) for the first field set of each kind
+_TEMPLATES = {kind: (frozenset(("t", "ev", *fields)), _line_writer(kind, fields))
+              for kind, (fields, *_) in EVENT_FIELDS.items() if "reason" not in fields}
 
 
 def trace_line(obj: dict) -> str:
     """One line of a JSON-lines trace: ``{"config": ...}`` first, then one
-    per event, then ``{"summary": ...}``."""
+    per event, then ``{"summary": ...}``. The bytes are exactly what
+    ``json.dumps(obj, sort_keys=True)`` writes. An event of a kind's first
+    field set, as the simulator writes it, is written from that set's
+    template; any other line goes through the JSON encoder."""
+    template = _TEMPLATES.get(obj.get("ev"))
+    if template is not None and obj.keys() == template[0]:
+        return template[1](obj)
     return _to_json(obj) + "\n"
 
 

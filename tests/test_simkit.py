@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import reprlib
 from pathlib import Path
 
@@ -34,6 +35,7 @@ from wxkit.rfdecode import (
 )
 from wxkit.simkit import (
     BOARD_TEMP_C_RANGE,
+    EVENT_FIELDS,
     PRESSURE_PA_RANGE,
     BarometerSpec,
     ChannelSpec,
@@ -50,6 +52,7 @@ from wxkit.simkit import (
     _Emitter,
     channel_apply,
     run,
+    trace_line,
 )
 
 STATION = StationId(Protocol.A5N1, 0x2A7, 2)
@@ -432,6 +435,97 @@ def test_summary_is_derived_from_the_trace(obj):
     assert s["total_airtime_s"] == pytest.approx(sum(a for _, a in tx), abs=1e-9)
     assert s["max_hour_window_airtime_s"] == pytest.approx(window_peak, abs=1e-9)
     assert s["records_decoded"] > 0 and s["invariants_ok"]
+
+
+# ---------------------------------------------------------------------------
+# trace schema and line writer
+
+# Configs that reach the event kinds the golden traces do not: an uplink the
+# server rejects (a counter left behind by heavy loss) and a governor wait.
+SCHEMA_CONFIGS = [obj for obj, _ in GOLDEN_TRACES] + [
+    {"transponder": {"t_cycle_s": 300}, "gateway": {"uplink_loss_p": 0.9}},
+    {"duration_s": 3600.0, "seed": 3, "transponder": {"t_cycle_s": 60.0, "duty_limit": 0.001}},
+]
+
+
+def _random_config(rng: random.Random) -> dict:
+    """A short valid config; about one in three is lossless. Its length ends
+    the run at any point of a cycle."""
+    lossy = rng.random() < 2 / 3
+    if rng.random() < 0.5:
+        station = {"protocol": "lcw", "id": rng.randrange(0x80), "channel": 0}
+    else:
+        station = {"protocol": "a5n1", "id": rng.randrange(0x4000), "channel": rng.randrange(4)}
+    return {
+        "duration_s": round(rng.uniform(60.0, 7200.0), 3),
+        "seed": rng.randrange(1 << 16),
+        "station": station,
+        "channel": {"frame_loss_p": rng.uniform(0.0, 0.5) if lossy else 0.0,
+                    "bit_flip_q": rng.choice([1e-3, 1e-2]) if lossy else 0.0},
+        "transponder": {"profile": rng.choice(sorted(energy.PROFILES)),
+                        "t_cycle_s": rng.choice([60, 120, 300, 600.5]),
+                        "duty_limit": rng.choice([0.01, 0.001])},
+        "gateway": {"uplink_loss_p": rng.uniform(0.0, 0.5) if lossy else 0.0},
+        "barometer": {"pressure_noise_pa": rng.uniform(0.0, 50.0),
+                      "temp_noise_c": rng.uniform(0.0, 2.0)},
+    }
+
+
+RANDOM_CONFIGS = [_random_config(random.Random(f"trace-lines/{i}")) for i in range(30)]
+
+
+@pytest.fixture(scope="module")
+def schema_traces():
+    return [run(SimConfig.from_dict(obj)) for obj in SCHEMA_CONFIGS]
+
+
+def _field_set(ev: dict) -> tuple[str, ...]:
+    return tuple(sorted(ev.keys() - {"t", "ev"}))
+
+
+def test_every_event_has_exactly_its_kinds_fields(schema_traces):
+    seen = set()
+    for trace in schema_traces:
+        for ev in trace.events:
+            assert ev["ev"] in EVENT_FIELDS, ev
+            assert _field_set(ev) in EVENT_FIELDS[ev["ev"]], ev
+            seen.add(ev["ev"])
+    assert seen == EVENT_FIELDS.keys()
+
+
+def test_readme_lists_the_event_field_sets():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| `ev` | fields | written when |\n|---|---|---|\n", 1)[1].split("\n\n")[0]
+    listed = collections.defaultdict(list)
+    for kind, fields, _ in (line.split(" | ") for line in table.splitlines()):
+        listed[kind.strip("| `")].append(tuple(re.findall(r"`(\w+)`", fields)))
+    assert listed == {kind: list(sets) for kind, sets in EVENT_FIELDS.items()}
+
+
+def test_trace_lines_are_what_the_json_encoder_writes(schema_traces):
+    """The encoder is the oracle: every line, templated or not, holds the
+    bytes ``json.dumps(obj, sort_keys=True)`` writes."""
+    traces = schema_traces + [run(SimConfig.from_dict(obj)) for obj in RANDOM_CONFIGS]
+    seen = set()
+    for trace in traces:
+        for obj in [{"config": trace.config}, *trace.events, {"summary": trace.summary}]:
+            assert trace_line(obj) == json.dumps(obj, sort_keys=True) + "\n", obj
+            if "ev" in obj:
+                seen.add((obj["ev"], _field_set(obj)))
+    # every field set of every kind, so each shape the encoder still writes
+    assert seen == {(kind, fields) for kind, sets in EVENT_FIELDS.items() for fields in sets}
+
+
+@pytest.mark.parametrize("obj", [
+    {"t": 1.5, "ev": "state", "from": "rx1", "to": "inter_sleep", "extra": 1},
+    {"t": 1.5, "ev": "state", "to": "inter_sleep"},
+    {"t": 1.5, "ev": "frame_rx", "state": "rx1", "ok": False,
+     "reason": 'checksum "0x3" != computed 0x4 \u00b5 \u2013 \\'},
+    {"t": 1.5, "ev": "uplink_tx", "fcnt": 3, "phy_len": 42, "t_air": 0.287744,
+     "record": {"seq": 1, "station": {"protocol": "lcw", "id": 42}}},
+], ids=["extra_key", "missing_key", "quoted_reason", "partial_record"])
+def test_trace_line_of_an_untemplated_shape(obj):
+    assert trace_line(obj) == json.dumps(obj, sort_keys=True) + "\n"
 
 
 def test_summary_without_uplinks_writes_int_zero_airtime():
