@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion and print one row per
-platform and interval."""
+platform and interval, or per config."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -11,10 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PLATFORMS = ("bsf32", "lopy4")
 
 
-def run_script(name: str) -> str:
+def run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -33,3 +34,14 @@ def test_day_in_the_life_rows():
     rows = re.findall(r"^(\w+) +@ +(\d+)s ", out, re.MULTILINE)
     assert sorted(rows) == sorted((p, str(t)) for p in PLATFORMS for t in (300, 900, 1800, 3600))
     assert len(out.splitlines()) == len(rows)
+
+
+def test_trace_digest_repeats():
+    args = ("--configs", "3", "--seed", "7")
+    out = run_script("trace_digest.py", *args)
+    rows = [line.split() for line in out.splitlines()]
+    assert [label for label, _ in rows] == ["0", "1", "2", "combined"]
+    shas = [sha for _, sha in rows]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in shas) and len(set(shas)) == 4
+    assert hashlib.sha256("".join(shas[:3]).encode("ascii")).hexdigest() == shas[3]
+    assert run_script("trace_digest.py", *args) == out
