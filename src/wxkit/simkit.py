@@ -12,9 +12,9 @@ on: it is counted, not traced, and draws nothing from the channel. Time
 advances on two clocks, the next emission and the transponder's one wake
 timer; when both fall at the same time, the emission goes first.
 
-The trace events go to a sink, in order, as the run goes on; by default the
-returned ``SimTrace`` keeps them. With any other sink the run holds nothing
-that grows with ``duration_s``.
+Each trace event is recorded as it happens, by the transponder or the
+simulator, and reaches a sink in order; by default the returned ``SimTrace``
+keeps them. With any other sink, nothing the run holds grows with its length.
 """
 
 from __future__ import annotations
@@ -387,21 +387,25 @@ class Transponder:
     The transponder has one live timer, ``wake_at``; every state change and
     every governor wait replaces it. ``step(now)`` fires that timer and
     ``step(now, bits)`` delivers a received frame. Each mutates only this
-    object and returns the trace events and at most one ``Uplink``, in the
-    order they happen. The transponder keeps its own energy ledger: each
-    ``sleep_energy`` and ``cycle_energy`` entry it returns is also added to
-    ``energy_by_state``. The emissions that arrive while it is not listening
-    are added to ``unheard``; each state that ends with some writes one
-    ``frames_missed`` entry, and adds them to ``frames_ignored`` if the
-    receiver was powered, else to ``frames_missed``.
+    object and records what happens, in order, returning nothing: each trace
+    event goes to ``record(now, event)`` and a finished transmission to
+    ``uplink(now, uplink)``. The transponder keeps its own energy ledger:
+    each ``sleep_energy`` and ``cycle_energy`` entry it records is also added
+    to ``energy_by_state``. The emissions that arrive while it is not
+    listening are added to ``unheard``; each state that ends with some
+    records one ``frames_missed`` entry, and adds them to ``frames_ignored``
+    if the receiver was powered, else to ``frames_missed``.
     """
 
-    def __init__(self, spec: TransponderSpec, station: StationId,
-                 baro: BarometerSpec, rng: random.Random):
+    def __init__(self, spec: TransponderSpec, station: StationId, baro: BarometerSpec,
+                 rng: random.Random, record: Callable[[float, dict], object],
+                 uplink: Callable[[float, Uplink], object]):
         self.spec = spec
         self.station = station
         self.baro = baro
         self.rng = rng
+        self._record_event = record
+        self._hand_over = uplink
         self.profile = energy_mod.PROFILES[spec.profile]
         self.session = _session(spec)
         self.radio = lorawan.RadioParams(
@@ -422,42 +426,54 @@ class Transponder:
         self.frames_ignored = 0
         self._pending: Uplink | None = None
 
-    def boot(self) -> list[dict]:
-        return [{"ev": "state", "from": None, "to": self.state.value}]
+    def boot(self):
+        self._record_event(0.0, {"ev": "state", "from": None, "to": self.state.value})
 
     # -- transitions --------------------------------------------------------
 
     def _accrue(self, now: float):
-        """Charge the time since the last accrual to the current state."""
+        """Charge the time since the last accrual to the current state, and
+        record the emissions it did not hear, as one count."""
         self.state_time[self.state] = self.state_time.get(self.state, 0.0) + (now - self.state_entered)
         self.state_entered = now
-
-    def _enter(self, now: float, new_state: State, duration: float) -> list[dict]:
-        self._accrue(now)
-        events = self._unheard_entry()
-        events.append({"ev": "state", "from": self.state.value, "to": new_state.value})
-        self.state = new_state
-        self.wake_at = now + duration
-        return events
-
-    def _unheard_entry(self) -> list[dict]:
-        """The emissions the current state did not hear, as one count."""
         n = self.unheard
         if not n:
-            return []
+            return
         self.unheard = 0
         if self.state in SHR_ON_STATES:
             self.frames_ignored += n
         else:
             self.frames_missed += n
-        return [{"ev": "frames_missed", "state": self.state.value, "n": n}]
+        self._record_event(now, {"ev": "frames_missed", "state": self.state.value, "n": n})
 
-    def step(self, now: float, bits: str | None = None) -> list[dict | Uplink]:
-        if bits is None:
-            return self._on_wake(now)
-        return self._on_frame(now, bits)
+    def _enter(self, now: float, new_state: State, duration: float):
+        self._accrue(now)
+        self._record_event(now, {"ev": "state", "from": self.state.value, "to": new_state.value})
+        self.state = new_state
+        self.wake_at = now + duration
 
-    def _on_frame(self, now: float, bits: str) -> list[dict]:
+    def step(self, now: float, bits: str | None = None):
+        if bits is not None:
+            self._on_frame(now, bits)
+            return
+        s = self.state
+        if s is State.RESET:
+            self._enter(now, State.INIT, INIT_S)
+        elif s in RX_STATES:
+            self._record_event(now, {"ev": "rx_timeout", "state": s.value})
+            self._enter(now, *RX_EXITS[s])
+        elif s is State.INTER_SLEEP:
+            self._enter(now, State.RX2, self.spec.rx_timeout_s)
+        elif s is State.READ_BARO:
+            self._read_baro(now)
+        elif s is State.BUILD_TX:
+            self._build_and_maybe_transmit(now)
+        elif s is State.TRANSMIT:
+            self._finish_transmit(now)
+        else:
+            self._start_cycle(now)     # INIT or DEEP_SLEEP
+
+    def _on_frame(self, now: float, bits: str):
         if self.state not in RX_STATES:
             raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
         try:
@@ -465,39 +481,25 @@ class Transponder:
             if partial.station != self.station:
                 raise rfdecode.DecodeError("foreign station")
         except rfdecode.DecodeError as exc:
-            return [{"ev": "frame_rx", "state": self.state.value,
-                     "ok": False, "reason": str(exc)}]
+            self._record_event(now, {"ev": "frame_rx", "state": self.state.value,
+                                     "ok": False, "reason": str(exc)})
+            return
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
-        events = [{"ev": "frame_rx", "state": self.state.value,
-                   "ok": True, "record": record_to_obj(partial)}]
-        return events + self._enter(now, *RX_EXITS[self.state])
+        self._record_event(now, {"ev": "frame_rx", "state": self.state.value,
+                                 "ok": True, "record": record_to_obj(partial)})
+        self._enter(now, *RX_EXITS[self.state])
 
-    def _on_wake(self, now: float) -> list[dict | Uplink]:
-        s = self.state
-        if s is State.RESET:
-            return self._enter(now, State.INIT, INIT_S)
-        if s in RX_STATES:
-            return [{"ev": "rx_timeout", "state": s.value}] + self._enter(now, *RX_EXITS[s])
-        if s is State.INTER_SLEEP:
-            return self._enter(now, State.RX2, self.spec.rx_timeout_s)
-        if s is State.READ_BARO:
-            return self._read_baro(now)
-        if s is State.BUILD_TX:
-            return self._build_and_maybe_transmit(now)
-        if s is State.TRANSMIT:
-            return self._finish_transmit(now)
-        return self._start_cycle(now)     # INIT or DEEP_SLEEP
-
-    def _start_cycle(self, now: float) -> list[dict]:
+    def _start_cycle(self, now: float):
         self.cycle += 1
         self.cycle_start = now
         self.record = WeatherRecord(self.station)
         self.frames_received = 0
+        self._enter(now, State.RX1, self.spec.rx_timeout_s)
         # the sleep that just ended closes its energy entry here
-        return self._enter(now, State.RX1, self.spec.rx_timeout_s) + self._sleep_entry()
+        self._sleep_entry(now)
 
-    def _read_baro(self, now: float) -> list[dict]:
+    def _read_baro(self, now: float):
         b = self.baro
         pressure = b.pressure_pa + (self.rng.gauss(0.0, b.pressure_noise_pa)
                                     if b.pressure_noise_pa > 0 else 0.0)
@@ -511,11 +513,11 @@ class Transponder:
             board_temp_c=round(board_temp, 2),
             battery_mv=round(self.profile.supply_v * 1000),
         )
-        events = [{"ev": "baro", "pressure_pa": self.record.pressure_pa,
-                   "board_temp_c": self.record.board_temp_c}]
-        return events + self._enter(now, State.BUILD_TX, BUILD_TX_S)
+        self._record_event(now, {"ev": "baro", "pressure_pa": self.record.pressure_pa,
+                                 "board_temp_c": self.record.board_temp_c})
+        self._enter(now, State.BUILD_TX, BUILD_TX_S)
 
-    def _build_and_maybe_transmit(self, now: float) -> list[dict]:
+    def _build_and_maybe_transmit(self, now: float):
         if self._pending is None:
             self.record = self.record.replace(seq=self.cycle & 0xFFFF)
             meta = lorawan.PayloadMeta(
@@ -531,15 +533,18 @@ class Transponder:
         if not allowed:
             # stay in BUILD_TX (MCU waiting on the governor) until permitted
             self.wake_at = next_allowed
-            return [{"ev": "governor_wait", "until": next_allowed}]
-        return self._enter(now, State.TRANSMIT, self._pending.t_air)
+            self._record_event(now, {"ev": "governor_wait", "until": next_allowed})
+            return
+        self._enter(now, State.TRANSMIT, self._pending.t_air)
 
-    def _finish_transmit(self, now: float) -> list[dict | Uplink]:
+    def _finish_transmit(self, now: float):
         uplink, self._pending = self._pending, None
         self.governor.note_transmission(now, uplink.t_air)
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
-        events = self._enter(now, State.DEEP_SLEEP, sleep_s)
-        return [uplink, *events, self._cycle_entry(self._active_ledger(), t_air=uplink.t_air)]
+        # handed over before the sleep begins: the handler reads no transponder state
+        self._hand_over(now, uplink)
+        self._enter(now, State.DEEP_SLEEP, sleep_s)
+        self._cycle_entry(now, self._active_ledger(), t_air=uplink.t_air)
 
     # -- energy ledger ------------------------------------------------------
 
@@ -571,38 +576,36 @@ class Transponder:
                 ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
 
-    def _sleep_entry(self, **extra) -> list[dict]:
+    def _sleep_entry(self, now: float, **extra):
         """The deep sleep accrued since the last entry, at sleep power."""
         sleep_s = self.state_time.pop(State.DEEP_SLEEP, 0.0)
         if sleep_s <= 0:
-            return []
+            return
         uwh = self.profile.sleep_power_uw * sleep_s / HOUR_S
         self.energy_by_state["deep_sleep"] = self.energy_by_state.get("deep_sleep", 0.0) + uwh
-        return [{"ev": "sleep_energy", **extra, "uwh": uwh, "sleep_s": sleep_s}]
+        self._record_event(now, {"ev": "sleep_energy", **extra, "uwh": uwh, "sleep_s": sleep_s})
 
-    def _cycle_entry(self, ledger: dict[str, float], **extra) -> dict:
+    def _cycle_entry(self, now: float, ledger: dict[str, float], **extra):
         """The energy entry of the active states accrued since the last one;
         clears their accrued time."""
         by_state = {k: ledger[k] for k in sorted(ledger)}
         for state, uwh in by_state.items():
             self.energy_by_state[state] = self.energy_by_state.get(state, 0.0) + uwh
-        event = {"ev": "cycle_energy", "cycle": self.cycle, "by_state": by_state,
-                 "active_s": sum(self.state_time.values()), **extra}
+        self._record_event(now, {"ev": "cycle_energy", "cycle": self.cycle, "by_state": by_state,
+                                 "active_s": sum(self.state_time.values()), **extra})
         self.state_time = {}
-        return event
 
-    def flush(self, now: float) -> list[dict]:
+    def flush(self, now: float):
         """Account the state in progress when the simulation ends: its
         unheard emissions, and its energy. A partial deep sleep is charged
         at sleep power; a partial active phase is charged per-state at
         component rates, the fitted MCU draw where a state has none (no lump
         for unfinished work)."""
         self._accrue(now)
-        events = self._unheard_entry() + self._sleep_entry(cycle=self.cycle)
+        self._sleep_entry(now, cycle=self.cycle)
         if self.state_time:
             ledger = self._active_ledger(energy_mod.fit_component_power(self.profile))
-            events.append(self._cycle_entry(ledger, partial=True, t_air=0.0))
-        return events
+            self._cycle_entry(now, ledger, partial=True, t_air=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +764,8 @@ class Simulator:
         self.pending: list[dict] = []
         self.emitter = _Emitter(config.station, rng["weather"])
         self.transponder = Transponder(
-            config.transponder, self.emitter.station, config.barometer, rng["baro"])
+            config.transponder, self.emitter.station, config.barometer, rng["baro"],
+            record=self._record_event, uplink=self._handle_uplink)
         self.server_session = _session(config.transponder)
         self.violations: list[str] = []
         self.uplinks_attempted = 0
@@ -775,17 +779,12 @@ class Simulator:
         self.max_hour_airtime = 0.0
 
     def _record_event(self, t: float, event: dict):
-        self.pending.append({"t": round(t, 6), **event})
+        """Queue ``event`` for the sink at time ``t``; the fresh dict is kept, not copied."""
+        event["t"] = round(t, 6)
+        self.pending.append(event)
         if len(self.pending) >= SINK_BATCH:
             self.sink(self.pending)
             self.pending = []
-
-    def _apply(self, now: float, out: list[dict | Uplink]):
-        for item in out:
-            if isinstance(item, Uplink):
-                self._handle_uplink(now, item)
-            else:
-                self._record_event(now, item)
 
     # -- event handlers -----------------------------------------------------
 
@@ -800,7 +799,7 @@ class Simulator:
         if out is not bits:
             flips = sum(a != b for a, b in zip(out, bits))
             self._record_event(now, {"ev": "channel_corrupt", "flips": flips})
-        self._apply(now, self.transponder.step(now, out))
+        self.transponder.step(now, out)
 
     def _handle_uplink(self, t: float, uplink: Uplink):
         frame, t_air = uplink.frame, uplink.t_air
@@ -842,12 +841,12 @@ class Simulator:
         advance = self.emitter.advance
         period = cfg.station.emission_period_s
         next_emit = period / 2.0
-        self._apply(0.0, tr.boot())
+        tr.boot()
         # two clocks: the next emission and the transponder's one timer; at
         # equal times the emission goes first
         while (now := min(next_emit, tr.wake_at)) <= cfg.duration_s:
             if now != next_emit:
-                self._apply(now, tr.step(now))
+                tr.step(now)
                 continue
             if tr.state in RX_STATES:
                 self._handle_emit(now)
@@ -855,7 +854,7 @@ class Simulator:
                 advance()
                 tr.unheard += 1
             next_emit += period
-        self._apply(cfg.duration_s, tr.flush(cfg.duration_s))
+        tr.flush(cfg.duration_s)
         self.sink(self.pending)
         self.pending = []
         self._finish_summary()

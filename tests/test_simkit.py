@@ -157,13 +157,25 @@ def test_emitter_lcw_rain_count_wraps_at_1000(tips):
 # ---------------------------------------------------------------------------
 # transponder state machine
 
-def make_transponder() -> Transponder:
-    return Transponder(TransponderSpec(), STATION, BarometerSpec(), random.Random(1))
+def make_transponder() -> tuple[Transponder, list]:
+    """A transponder, and the list that collects what it records: its events
+    and ``Uplink``s, in order."""
+    log: list = []
+    record = lambda now, item: log.append(item)
+    return Transponder(TransponderSpec(), STATION, BarometerSpec(), random.Random(1),
+                       record, record), log
 
 
-def fire(tr: Transponder):
-    """Advance the transponder to its one live timer."""
-    return tr.step(tr.wake_at)
+def step(tr: Transponder, log: list, now: float, bits: str | None = None) -> list:
+    """What ``tr.step(now, bits)`` records."""
+    start = len(log)
+    tr.step(now, bits)
+    return log[start:]
+
+
+def fire(tr: Transponder, log: list) -> list:
+    """Advance the transponder to its one live timer; what it records."""
+    return step(tr, log, tr.wake_at)
 
 
 @pytest.mark.parametrize("edge", [0, 1])
@@ -178,32 +190,32 @@ def test_noisy_barometer_is_clamped_to_payload_range(edge):
 
 
 def test_step_happy_path_through_cycle():
-    tr = make_transponder()
+    tr, log = make_transponder()
     tr.boot()
     assert tr.wake_at == 0.1
-    fire(tr)                 # RESET -> INIT
-    fire(tr)                 # INIT -> RX1
+    fire(tr, log)            # RESET -> INIT
+    fire(tr, log)            # INIT -> RX1
     assert tr.state is State.RX1 and tr.cycle == 1
     assert tr.wake_at == 60.6
 
     bits = bytes_to_bits(build_a5n1_frame(
         STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=20.0, humidity_pct=50))
-    out = tr.step(9.0, bits)
+    out = step(tr, log, 9.0, bits)
     assert tr.state is State.INTER_SLEEP and tr.wake_at == 19.0
     assert tr.record.temperature_c is not None and tr.record.humidity_pct is not None
     assert out[0]["ok"] is True
 
-    fire(tr)                 # INTER_SLEEP -> RX2
+    fire(tr, log)            # INTER_SLEEP -> RX2
     assert tr.state is State.RX2 and tr.wake_at == 79.0
-    fire(tr)                 # RX2 timeout -> READ_BARO, wind dir and rain absent
+    fire(tr, log)            # RX2 timeout -> READ_BARO, wind dir and rain absent
     assert tr.state is State.READ_BARO
     assert tr.record.wind_dir_deg is None and tr.record.rain_mm is None
-    fire(tr)                 # READ_BARO -> BUILD_TX (pressure now present)
+    fire(tr, log)            # READ_BARO -> BUILD_TX (pressure now present)
     assert tr.record.pressure_pa is not None
-    fire(tr)                 # BUILD_TX -> TRANSMIT
+    fire(tr, log)            # BUILD_TX -> TRANSMIT
     assert tr.state is State.TRANSMIT
     assert tr.wake_at == pytest.approx(79.4 + 0.287744)
-    out = fire(tr)
+    out = fire(tr, log)
     assert tr.state is State.DEEP_SLEEP
     assert [type(item) for item in out] == [Uplink, dict, dict]
     assert [item["ev"] for item in out[1:]] == ["state", "cycle_energy"]
@@ -211,53 +223,53 @@ def test_step_happy_path_through_cycle():
 
 
 def test_step_corrupt_frame_stays_in_rx():
-    tr = make_transponder()
+    tr, log = make_transponder()
     tr.boot()
-    fire(tr)
-    fire(tr)
+    fire(tr, log)
+    fire(tr, log)
     bits = bytes_to_bits(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     corrupted = ("1" if bits[0] == "0" else "0") + bits[1:]
-    out = tr.step(5.0, corrupted)
+    out = step(tr, log, 5.0, corrupted)
     assert tr.state is State.RX1
     assert out[0]["ok"] is False
     # the absolute timeout still stands
     assert tr.wake_at == 60.6
-    fire(tr)
+    fire(tr, log)
     assert tr.state is State.INTER_SLEEP
 
 
 def test_step_out_of_range_humidity_rejected_and_cycle_goes_on():
     # checksum and parity hold, but the payload cannot carry 127 %
-    tr = make_transponder()
+    tr, log = make_transponder()
     tr.boot()
-    fire(tr)
-    fire(tr)
+    fire(tr, log)
+    fire(tr, log)
     frame = bytearray(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     frame[6] = 0xFF   # 127 with its parity bit set
     frame[7] = sum(frame[:7]) & 0xFF
-    out = tr.step(5.0, bytes_to_bits(bytes(frame)))
+    out = step(tr, log, 5.0, bytes_to_bits(bytes(frame)))
     assert out == [{"ev": "frame_rx", "state": "rx1", "ok": False,
                     "reason": "humidity 127 outside 0..100"}]
     assert tr.record.humidity_pct is None
     for _ in range(6):   # RX1 timeout, RX2 and its timeout, baro, build, transmit
-        out = fire(tr)
+        out = fire(tr, log)
     assert tr.state is State.DEEP_SLEEP and type(out[0]) is Uplink
 
 
 def test_step_foreign_station_rejected():
-    tr = make_transponder()
+    tr, log = make_transponder()
     tr.boot()
-    fire(tr)
-    fire(tr)
+    fire(tr, log)
+    fire(tr, log)
     other = StationId(Protocol.A5N1, 0x111, 1)
     bits = bytes_to_bits(build_a5n1_frame(other, A5N1_MSG_TEMP_HUMIDITY))
-    out = tr.step(5.0, bits)
+    out = step(tr, log, 5.0, bits)
     assert tr.state is State.RX1 and tr.wake_at == 60.6
     assert out[0]["reason"] == "foreign station"
 
 
 def test_step_ill_targeted_frame_raises():
-    tr = make_transponder()
+    tr, _ = make_transponder()
     tr.boot()
     bits = bytes_to_bits(build_a5n1_frame(STATION, A5N1_MSG_TEMP_HUMIDITY))
     with pytest.raises(ProtocolViolationError):
