@@ -288,9 +288,8 @@ def decode_a5n1(bits: str) -> WeatherRecord:
 
 
 def _with_parity(byte: int) -> int:
-    """Set bit 7 so the whole byte has even parity."""
-    if not 0 <= byte <= 0x7F:
-        raise ValueError("payload bits must fit in bits 6..0")
+    """Set bit 7 so the whole byte has even parity. Every caller passes a
+    byte in 0..0x7F."""
     return byte | _odd_parity(byte) << 7
 
 
