@@ -13,7 +13,6 @@ from .rfdecode import (
     decode_a5n1,
     decode_lcw,
     frame_pulses,
-    rain_counter_delta,
 )
 from .lorawan import (
     AbpSession,

@@ -377,15 +377,6 @@ def a5n1_to_pulses(data: bytes) -> PulseTrain:
     return PulseTrain("H", tuple(durations))
 
 
-def rain_counter_delta(prev: int, curr: int) -> float:
-    """Rain increment in mm between two 14-bit tip counter readings,
-    handling counter wrap. Always non-negative; fold deltas to keep a
-    session's cumulative rain monotone."""
-    if not 0 <= prev <= 0x3FFF or not 0 <= curr <= 0x3FFF:
-        raise ValueError("counters must be 14-bit values")
-    return ((curr - prev) % 0x4000) * RAIN_MM_PER_TIP
-
-
 # ---------------------------------------------------------------------------
 # La Crosse WS-2300 style frames (13 nibbles, 52 bits)
 

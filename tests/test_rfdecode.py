@@ -42,7 +42,6 @@ from wxkit.rfdecode import (
     frame_pulses,
     lcw_to_pulses,
     nibbles_to_bits,
-    rain_counter_delta,
 )
 
 STATION = StationId(Protocol.A5N1, 0x2A7, 2)
@@ -683,24 +682,3 @@ def test_bits_to_bytes_rejects_non_bit_characters(bits):
         bits_to_bytes(bits)
     with pytest.raises(ValueError):
         bits_to_nibbles(bits)
-
-
-# ---------------------------------------------------------------------------
-# rain counter
-
-def test_rain_counter_delta():
-    assert rain_counter_delta(100, 103) == pytest.approx(0.762)
-    assert rain_counter_delta(16383, 2) == pytest.approx(0.762)
-    assert rain_counter_delta(7, 7) == 0.0
-    with pytest.raises(ValueError):
-        rain_counter_delta(-1, 0)
-
-
-@given(st.lists(st.integers(0, 0x3FFF), min_size=2, max_size=20))
-def test_rain_delta_fold_is_monotone(counters):
-    total = 0.0
-    for prev, curr in zip(counters, counters[1:]):
-        delta = rain_counter_delta(prev, curr)
-        assert delta >= 0.0
-        total += delta
-    assert total >= 0.0
