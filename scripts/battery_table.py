@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Print the battery-duration comparison table for both transponder
-platforms, plus a sweep of model-only predictions at finer intervals."""
+"""Print a sweep of model-only battery-life predictions for both transponder
+platforms at finer intervals than ``wxkit battery --table``, which prints the
+comparison with the reference figures."""
 
 from wxkit import energy
-from wxkit.cli import main as cli_main
 
 
 def sweep():
@@ -18,6 +18,4 @@ def sweep():
 
 
 if __name__ == "__main__":
-    cli_main(["battery", "--table"])
-    print()
     sweep()

@@ -23,10 +23,9 @@ def run_script(name: str, *args: str) -> str:
 
 def test_battery_table_rows():
     out = run_script("battery_table.py")
-    rows = re.findall(r"^ +(\d+) min  (\w+) ", out, re.MULTILINE)
-    assert sorted(rows) == sorted((str(m), p) for m in (5, 15, 30, 60) for p in PLATFORMS)
     sweep = re.findall(r"^(\w+) +((?:[\d.]+ *){8})$", out, re.MULTILINE)
     assert [p for p, _ in sweep] == list(PLATFORMS)
+    assert len(out.splitlines()) == 2 + len(sweep)     # a title and a header
 
 
 def test_day_in_the_life_rows():
