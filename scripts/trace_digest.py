@@ -52,7 +52,7 @@ def trace_sha256(config: simkit.SimConfig) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs", type=int, default=320)
     parser.add_argument("--seed", type=int, default=20261019)
     args = parser.parse_args()
