@@ -24,6 +24,21 @@ from wxkit.lorawan import payload_encode
 A5N1_STATION = StationId(Protocol.A5N1, 1234, 2)
 
 
+def test_protocol_contract():
+    assert [(p.label, p.value) for p in Protocol] == [("a5n1", 1), ("lcw", 2)]
+    assert all(type(p.label) is str for p in Protocol)
+    assert Protocol.from_label("A5N1") is Protocol.A5N1
+    assert Protocol.from_label("lcw") is Protocol.LCW
+    for label, text in ((None, "None"), (3, "3"), ("x", "'x'")):
+        with pytest.raises(ValueError) as info:
+            Protocol.from_label(label)
+        assert str(info.value) == f"unknown protocol {text}"
+    # members are singletons: a copy or a pickle round trip is the member itself
+    for p in Protocol:
+        for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert twin is p and hash(twin) == hash(p)
+
+
 def test_station_id_invariants():
     with pytest.raises(ValueError):
         StationId(Protocol.A5N1, 0x4000, 0)

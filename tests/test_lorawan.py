@@ -99,33 +99,40 @@ def test_payload_roundtrip_bytes_and_record():
 
 
 def test_payload_decode_errors():
-    with pytest.raises(PayloadError):
-        payload_decode(b"\x01")
-    with pytest.raises(PayloadError):
-        payload_decode(bytes([0x02]) + bytes(28))      # unknown version
-    with pytest.raises(PayloadError):
-        payload_decode(bytes([0x01, 0x07]) + bytes(27))  # unknown station type
-    bad_len = payload_encode(full_record())[:-1]
-    with pytest.raises(PayloadError):
-        payload_decode(bad_len)
-    hum = bytearray(payload_encode(full_record()))
-    hum[9] = 201
-    with pytest.raises(PayloadError):
-        payload_decode(bytes(hum))
-    lcw = bytearray(payload_encode(full_record(LCW_STATION).replace(board_temp_c=0.0)))
-    lcw[2] |= 0x40                                     # channel 1 on an LCW station
-    with pytest.raises(PayloadError):
-        payload_decode(bytes(lcw))
-    wind_dir = bytearray(payload_encode(full_record()))
-    wind_dir[12:14] = (3600).to_bytes(2, "big")        # 360.0 degrees, which encode rejects
-    with pytest.raises(PayloadError):
-        payload_decode(bytes(wind_dir))
-    # the reserved flag bit; the pin corpus below encodes all 128 legal flag
-    # bytes of each station, and the decode properties cover them
-    reserved = bytearray(payload_encode(full_record()))
-    reserved[6] |= 0x80
-    with pytest.raises(PayloadError, match="reserved validity bit is set"):
-        payload_decode(bytes(reserved))
+    def with_bytes(record, changes: dict[int, int]) -> bytes:
+        data = bytearray(payload_encode(record))
+        for index, value in changes.items():
+            data[index] = value
+        return bytes(data)
+
+    lcw = full_record(LCW_STATION).replace(board_temp_c=0.0)
+    hum_201 = {9: 201}
+    dir_3600 = {12: 3600 >> 8, 13: 3600 & 0xFF}     # 360.0 degrees, which encode rejects
+    cases = (
+        (b"\x01", "payload too short (1 bytes)"),
+        (bytes([0x02]) + bytes(28), "unknown payload version 0x02"),
+        (bytes([0x01, 0x07]) + bytes(27), "unknown station type 0x07"),
+        (payload_encode(full_record())[:-1], "wrong length 28 for a5n1 (expected 29)"),
+        (payload_encode(lcw) + b"\x00", "wrong length 28 for lcw (expected 27)"),
+        # channel 1 on an LCW station
+        (with_bytes(lcw, {2: payload_encode(lcw)[2] | 0x40}), "lcw stations use channel 0 only"),
+        # the reserved flag bit; the pin corpus below encodes all 128 legal
+        # flag bytes of each station, and the decode properties cover them
+        (with_bytes(full_record(), {6: payload_encode(full_record())[6] | 0x80}),
+         "reserved validity bit is set"),
+        (with_bytes(full_record(), {6: payload_encode(full_record())[6] | 0x80} | hum_201),
+         "reserved validity bit is set"),
+        (with_bytes(full_record(), hum_201), "humidity wire value 201 outside 0..200"),
+        (with_bytes(full_record(), dir_3600), "wind direction wire value 3600 outside 0..3599"),
+        (with_bytes(lcw, dir_3600), "wind direction wire value 3600 outside 0..3599"),
+        # two fields out of range: the first in wire order is named
+        (with_bytes(full_record(), hum_201 | dir_3600), "humidity wire value 201 outside 0..200"),
+        (with_bytes(lcw, {9: 255} | dir_3600), "humidity wire value 255 outside 0..200"),
+    )
+    for data, message in cases:
+        with pytest.raises(PayloadError) as info:
+            payload_decode(data)
+        assert str(info.value) == message, data.hex()
 
 
 def test_payload_encode_range_errors():

@@ -44,3 +44,12 @@ def test_trace_digest_repeats():
     assert all(re.fullmatch(r"[0-9a-f]{64}", sha) for sha in shas) and len(set(shas)) == 4
     assert hashlib.sha256("".join(shas[:3]).encode("ascii")).hexdigest() == shas[3]
     assert run_script("trace_digest.py", *args) == out
+
+
+def test_trace_digest_pinned():
+    """The trace bytes of 64 seeded random configs, by their combined digest.
+    A change that keeps the simulator's behaviour leaves it as it is; one that
+    changes the traces on purpose re-pins it with the golden hashes."""
+    out = run_script("trace_digest.py", "--configs", "64", "--seed", "20261019")
+    assert out.splitlines()[-1] == (
+        "combined 4748c95efbfc38735aebe52fc31f0fb535aaae0e1513d637b7ff34fcac107315")

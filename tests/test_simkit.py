@@ -504,6 +504,16 @@ def test_every_event_has_exactly_its_kinds_fields(schema_traces):
     assert seen == EVENT_FIELDS.keys()
 
 
+def test_events_hold_states_as_plain_text(schema_traces):
+    """A state in an event is its text, a plain ``str``; only the first
+    event's ``from`` is None."""
+    for trace in schema_traces:
+        assert trace.events[0]["from"] is None
+        states = [ev[key] for ev in trace.events for key in ("state", "from", "to") if key in ev]
+        assert all(type(v) is str for v in states[1:]), collections.Counter(map(type, states))
+        assert set(states[1:]) <= {s.value for s in State}
+
+
 def test_readme_lists_the_event_field_sets():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("| `ev` | fields | written when |\n|---|---|---|\n", 1)[1].split("\n\n")[0]
