@@ -353,7 +353,7 @@ def cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             line = simkit.trace_line
             fh.write(line({"config": config.to_dict()}))
-            trace = simkit.run(config, sink=lambda events: fh.writelines(map(line, events)))
+            trace = simkit.run(config, sink=lambda events: fh.write("".join(map(line, events))))
             fh.write(line({"summary": trace.summary}))
     print(json.dumps(trace.summary, sort_keys=True))
     if not trace.ok:

@@ -7,7 +7,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import reprlib
 from collections.abc import Iterator
@@ -16,21 +15,27 @@ from dataclasses import dataclass
 
 class Protocol(enum.Enum):
     """Supported sensor-link protocols. The value is the wire byte used in
-    compact uplink payloads."""
+    compact uplink payloads, and ``label``, the lower-case name, is the text
+    form. Members are singletons, also through a copy or a pickle round
+    trip, so they hash by identity."""
 
     A5N1 = 1   # AcuRite 5-in-1 style, 8-byte frames at 433 MHz
     LCW = 2    # La Crosse WS-2300 style, 13-nibble frames at 434 MHz
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
+    __hash__ = object.__hash__
+
+    def __init__(self, value: int):
+        self.label = self._name_.lower()
 
     @classmethod
     def from_label(cls, label: str) -> "Protocol":
         try:
-            return cls[label.upper()]
+            return _PROTOCOLS[label.upper()]
         except (KeyError, AttributeError):     # AttributeError: not a string
             raise ValueError(f"unknown protocol {reprlib.repr(label)}") from None
+
+
+_PROTOCOLS = dict(Protocol.__members__)
 
 
 class StationMismatchError(ValueError):
@@ -81,8 +86,8 @@ class StationId:
                 raise ValueError(f"lcw station id {self.id} does not fit 7 bits")
 
 
-# The six measurements a station may leave out of a message; an absent one is
-# None in a WeatherRecord.
+# The six measurements a station may leave out of a message, in field order;
+# an absent one is None in a WeatherRecord.
 FIELD_FLAGS = (
     "temperature_c",
     "humidity_pct",
@@ -153,7 +158,7 @@ class WeatherRecord:
             raise ValueError(f"seq {reprlib.repr(self.seq)} is not a 16-bit integer")
 
     def replace(self, **changes) -> "WeatherRecord":
-        return dataclasses.replace(self, **changes)
+        return WeatherRecord(**(self.__dict__ | changes))
 
 
 def merge_partial(existing: WeatherRecord, incoming: WeatherRecord) -> WeatherRecord:
@@ -167,17 +172,14 @@ def merge_partial(existing: WeatherRecord, incoming: WeatherRecord) -> WeatherRe
         raise StationMismatchError(
             f"cannot merge records for {existing.station} and {incoming.station}"
         )
-    values = {}
-    for field in FIELD_FLAGS:
-        value = getattr(incoming, field)
-        values[field] = getattr(existing, field) if value is None else value
+    held, new = existing.__dict__, incoming.__dict__
     return WeatherRecord(
-        station=existing.station,
-        seq=incoming.seq,
-        sensor_battery_ok=existing.sensor_battery_ok or incoming.sensor_battery_ok,
-        board_temp_c=incoming.board_temp_c if incoming.board_temp_c else existing.board_temp_c,
-        battery_mv=incoming.battery_mv if incoming.battery_mv else existing.battery_mv,
-        **values,
+        existing.station,
+        incoming.seq,
+        existing.sensor_battery_ok or incoming.sensor_battery_ok,
+        *[held[field] if new[field] is None else new[field] for field in FIELD_FLAGS],
+        incoming.board_temp_c or existing.board_temp_c,
+        incoming.battery_mv or existing.battery_mv,
     )
 
 

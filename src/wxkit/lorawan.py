@@ -115,6 +115,12 @@ _PAYLOADS = {
         (Protocol.LCW, tuple(f for f in _FIELDS if f.name != "board_temp_c")),
     )
 }
+_PROTOCOL_BYTES = {p.value: p for p in Protocol}
+# (place after the header, field) of each field whose wire range is narrower
+# than its struct code holds, in wire order; unpacking bounds the others.
+_CODE_RANGES = {"B": (0, 0xFF), "h": (-0x8000, 0x7FFF), "H": (0, 0xFFFF), "I": (0, 0xFFFFFFFF)}
+_RANGE_CHECKS = {protocol: [(i, f) for i, f in enumerate(fields) if (f.lo, f.hi) != _CODE_RANGES[f.code]]
+                 for protocol, (_, fields) in _PAYLOADS.items()}
 # The values each field can carry, in the field's own units.
 PAYLOAD_RANGES = {f.name: (f.value(f.lo), f.value(f.hi)) for f in _FIELDS}
 
@@ -152,10 +158,9 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
         raise PayloadError(f"payload too short ({len(data)} bytes)")
     if data[0] != PAYLOAD_VERSION:
         raise PayloadError(f"unknown payload version {data[0]:#04x}")
-    try:
-        protocol = Protocol(data[1])
-    except ValueError:
-        raise PayloadError(f"unknown station type {data[1]:#04x}") from None
+    protocol = _PROTOCOL_BYTES.get(data[1])
+    if protocol is None:
+        raise PayloadError(f"unknown station type {data[1]:#04x}")
     layout, fields = _PAYLOADS[protocol]
     if len(data) != layout.size:
         raise PayloadError(f"wrong length {len(data)} for {protocol.label} (expected {layout.size})")
@@ -167,14 +172,15 @@ def payload_decode(data: bytes) -> tuple[WeatherRecord, PayloadMeta]:
         raise PayloadError(str(exc)) from None
     if flags & _RESERVED_BIT:
         raise PayloadError("reserved validity bit is set")
-    values, meta_values = {}, {}
-    for f, raw in zip(fields, raws):
-        if not f.lo <= raw <= f.hi:
-            raise PayloadError(f"{f.label} wire value {raw} outside {f.lo}..{f.hi}")
-        present = not f.bit or flags & f.bit
-        (meta_values if f.in_meta else values)[f.name] = f.value(raw) if present else None
-    record = WeatherRecord(station, seq, sensor_battery_ok=bool(flags & _BATTERY_OK_BIT), **values)
-    return record, PayloadMeta(**meta_values)
+    for i, f in _RANGE_CHECKS[protocol]:
+        if not f.lo <= raws[i] <= f.hi:
+            raise PayloadError(f"{f.label} wire value {raws[i]} outside {f.lo}..{f.hi}")
+    values = [None if f.bit and not flags & f.bit else f.value(raw) for f, raw in zip(fields, raws)]
+    # wire order is the record's field order, then the meta's; lcw has no board temperature
+    if protocol is Protocol.LCW:
+        values.insert(6, 0.0)
+    record = WeatherRecord(station, seq, bool(flags & _BATTERY_OK_BIT), *values[:8])
+    return record, PayloadMeta(*values[8:])
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +253,10 @@ class AbpSession:
         return type(other) is AbpSession and state(self) == state(other)
 
 
-def _block_head(first: int, dev_addr_le: bytes, fcnt32: int) -> bytes:
-    """The first 15 bytes of the A_i and B_0 blocks; the last byte is the
-    block index or the message length."""
-    return bytes([first, 0, 0, 0, 0, 0x00]) + dev_addr_le + struct.pack("<I", fcnt32) + b"\x00"
+# The first 15 bytes of the A_i and B_0 blocks: the first byte, four zeros, the
+# direction (0: uplink), the DevAddr, the 32-bit counter and a zero, before
+# the block index or the message length.
+_block_head = struct.Struct("<B5x4sIx").pack
 
 
 def _keystream_xor(ecb, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:

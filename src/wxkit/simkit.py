@@ -301,11 +301,15 @@ class _Emitter:
     def advance(self):
         """Move the weather and the message index on by one emission: all
         that an emission no receiver hears does."""
-        # uniform steps as uniform(a, b) draws them, a + (b - a) * random()
+        # uniform steps as uniform(a, b) draws them, a + (b - a) * random(), and
+        # min(hi, max(lo, x)) written out: the same float, signed zero included
         r = self.rng.random
-        self.temp_c = min(55.0, max(-25.0, self.temp_c + (-0.05 + 0.1 * r())))
-        self.humidity = min(99.0, max(5.0, self.humidity + (-0.3 + 0.6 * r())))
-        self.wind_kph = min(80.0, max(0.0, self.wind_kph + (-0.4 + 0.8 * r())))
+        t = self.temp_c + (-0.05 + 0.1 * r())
+        self.temp_c = t if -25.0 < t < 55.0 else 55.0 if t > -25.0 else -25.0
+        h = self.humidity + (-0.3 + 0.6 * r())
+        self.humidity = h if 5.0 < h < 99.0 else 99.0 if h > 5.0 else 5.0
+        w = self.wind_kph + (-0.4 + 0.8 * r())
+        self.wind_kph = w if 0.0 < w < 80.0 else 80.0 if w > 0.0 else 0.0
         self.dir_code = (self.dir_code + int(3 * r()) - 1) % 16
         if r() < 0.05:
             self.rain_tips += 1
@@ -346,6 +350,9 @@ class _Emitter:
 # Transponder state machine
 
 class State(enum.Enum):
+    """The transponder's states. ``label``, the value, is the text form, a
+    plain ``str`` in every trace event. Members hash by identity."""
+
     RESET = "reset"
     INIT = "init"
     RX1 = "rx1"
@@ -355,6 +362,11 @@ class State(enum.Enum):
     BUILD_TX = "build_tx"
     TRANSMIT = "transmit"
     DEEP_SLEEP = "deep_sleep"
+
+    __hash__ = object.__hash__
+
+    def __init__(self, value: str):
+        self.label = value
 
 
 RX_STATES = (State.RX1, State.RX2)
@@ -427,7 +439,7 @@ class Transponder:
         self._pending: Uplink | None = None
 
     def boot(self):
-        self._record_event(0.0, {"ev": "state", "from": None, "to": self.state.value})
+        self._record_event(0.0, {"ev": "state", "from": None, "to": self.state.label})
 
     # -- transitions --------------------------------------------------------
 
@@ -444,11 +456,11 @@ class Transponder:
             self.frames_ignored += n
         else:
             self.frames_missed += n
-        self._record_event(now, {"ev": "frames_missed", "state": self.state.value, "n": n})
+        self._record_event(now, {"ev": "frames_missed", "state": self.state.label, "n": n})
 
     def _enter(self, now: float, new_state: State, duration: float):
         self._accrue(now)
-        self._record_event(now, {"ev": "state", "from": self.state.value, "to": new_state.value})
+        self._record_event(now, {"ev": "state", "from": self.state.label, "to": new_state.label})
         self.state = new_state
         self.wake_at = now + duration
 
@@ -460,7 +472,7 @@ class Transponder:
         if s is State.RESET:
             self._enter(now, State.INIT, INIT_S)
         elif s in RX_STATES:
-            self._record_event(now, {"ev": "rx_timeout", "state": s.value})
+            self._record_event(now, {"ev": "rx_timeout", "state": s.label})
             self._enter(now, *RX_EXITS[s])
         elif s is State.INTER_SLEEP:
             self._enter(now, State.RX2, self.spec.rx_timeout_s)
@@ -475,18 +487,18 @@ class Transponder:
 
     def _on_frame(self, now: float, bits: str):
         if self.state not in RX_STATES:
-            raise ProtocolViolationError(f"frame delivered in state {self.state.value}")
+            raise ProtocolViolationError(f"frame delivered in state {self.state.label}")
         try:
             partial = rfdecode.decoder(self.station.protocol)(bits)
             if partial.station != self.station:
                 raise rfdecode.DecodeError("foreign station")
         except rfdecode.DecodeError as exc:
-            self._record_event(now, {"ev": "frame_rx", "state": self.state.value,
+            self._record_event(now, {"ev": "frame_rx", "state": self.state.label,
                                      "ok": False, "reason": str(exc)})
             return
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
-        self._record_event(now, {"ev": "frame_rx", "state": self.state.value,
+        self._record_event(now, {"ev": "frame_rx", "state": self.state.label,
                                  "ok": True, "record": record_to_obj(partial)})
         self._enter(now, *RX_EXITS[self.state])
 
@@ -567,13 +579,13 @@ class Transponder:
             if uw is None:
                 others_s += dur
             else:
-                ledger[state.value] = uw * dur / HOUR_S
-        e_shr = sum(ledger[s.value] for s in self.state_time if s in SHR_ON_STATES)
-        e_tx = ledger.get(State.TRANSMIT.value, 0.0)
+                ledger[state.label] = uw * dur / HOUR_S
+        e_shr = sum(ledger[s.label] for s in self.state_time if s in SHR_ON_STATES)
+        e_tx = ledger.get(State.TRANSMIT.label, 0.0)
         residual = max(0.0, p.e_active_uwh - e_shr - e_tx)
         for state, dur in self.state_time.items():
-            if state.value not in ledger:
-                ledger[state.value] = residual * dur / others_s if others_s > 0 else 0.0
+            if state.label not in ledger:
+                ledger[state.label] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
 
     def _sleep_entry(self, now: float, **extra):
