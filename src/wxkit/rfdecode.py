@@ -231,14 +231,6 @@ def bytes_to_bits(data: bytes) -> str:
     return f"{int.from_bytes(data, 'big'):0{len(data) * 8}b}" if data else ""
 
 
-def f_to_c(deg_f: float) -> float:
-    return (deg_f - 32.0) * 5.0 / 9.0
-
-
-def c_to_f(deg_c: float) -> float:
-    return deg_c * 9.0 / 5.0 + 32.0
-
-
 def decode_a5n1(bits: str) -> WeatherRecord:
     """Validate a 64-bit string and extract the partial weather record.
 
@@ -282,7 +274,7 @@ def decode_a5n1(bits: str) -> WeatherRecord:
         station,
         sensor_battery_ok=battery_ok,
         wind_speed_kph=wind_kph,
-        temperature_c=f_to_c(temp_raw / 10.0 - 40.0),
+        temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,     # from Fahrenheit
         humidity_pct=float(humidity),
     )
 
@@ -357,7 +349,8 @@ def build_a5n1_frame(
         b[5] = _with_parity(tips >> 7)
         b[6] = _with_parity(tips & 0x7F)
     else:
-        temp_raw = _round((c_to_f(temperature_c) + 40.0) * 10.0, f"temperature {temperature_c} C")
+        deg_f = temperature_c * 9.0 / 5.0 + 32.0
+        temp_raw = _round((deg_f + 40.0) * 10.0, f"temperature {temperature_c} C")
         if not 0 <= temp_raw <= 0x7FF:
             raise ValueRangeError(f"temperature {temperature_c} C outside the 11-bit range")
         hum = _round(humidity_pct, f"humidity {humidity_pct}")
