@@ -68,6 +68,12 @@ def test_merge_incoming_wins():
     merged = merge_partial(existing, incoming)
     assert merged.temperature_c == 21.0
     assert merged.seq == 9
+    # the transponder's own fields: a nonzero incoming value wins, a zero one
+    # keeps the held value
+    held = WeatherRecord(A5N1_STATION, board_temp_c=24.0, battery_mv=3300)
+    merged = merge_partial(held, WeatherRecord(A5N1_STATION, board_temp_c=25.5, battery_mv=3700))
+    assert (merged.board_temp_c, merged.battery_mv) == (25.5, 3700)
+    assert merge_partial(held, WeatherRecord(A5N1_STATION)) == held
 
 
 def test_merge_all_invalid_stays_invalid():
