@@ -87,6 +87,15 @@ def cycle_outcomes(cfg, s: float) -> list[Outcome]:
     return outcomes
 
 
+def active_energy_uwh(o: Outcome, profile, t_air: float) -> float:
+    """The active-phase energy of a cycle with outcome ``o``: the measured
+    lump, unless the receiver (on in RX1, INTER_SLEEP and RX2) and the
+    transmission of ``t_air`` seconds alone draw more."""
+    e_tx = profile.tx_power_uw * t_air / 3600.0
+    return max(profile.e_active_uwh,
+               profile.shr_power_uw * (o.rx_on_s + INTER_SLEEP_S) / 3600.0 + e_tx)
+
+
 def frame_success(cfg) -> float:
     """Probability that one emission reaches the transponder intact."""
     return (1 - cfg.channel.frame_loss_p) * (1 - cfg.channel.bit_flip_q) ** 64

@@ -5,8 +5,17 @@ import math
 
 import pytest
 
-from cycle_oracle import cycle_outcomes, frame_success, mean_and_sd, observed_cycles, windows
-from wxkit.simkit import ChannelSpec, SimConfig, run
+from cycle_oracle import (
+    active_energy_uwh,
+    cycle_outcomes,
+    frame_success,
+    mean_and_sd,
+    observed_cycles,
+    windows,
+)
+from wxkit.energy import PROFILES
+from wxkit.lorawan import RadioParams, airtime
+from wxkit.simkit import ChannelSpec, SimConfig, TransponderSpec, run
 
 DEFAULT_LOSSY = SimConfig(channel=ChannelSpec(frame_loss_p=0.3))
 
@@ -58,3 +67,29 @@ def test_mean_receiver_on_time(case):
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_frames_received_frequencies(case, n):
     _within_4_sigma(*case, lambda o: o.frames_received == n)
+
+
+# An A5N1 uplink is 42 bytes on air: 13 of frame structure and a 29-byte payload.
+A5N1_PHY_LEN = 42
+
+
+@pytest.mark.parametrize("seed", [4, 6])
+@pytest.mark.parametrize("profile", ["bsf32", "lopy4"])
+def test_mean_active_phase_energy(profile, seed):
+    """The mean of the whole cycles' ``cycle_energy`` totals, against the
+    exact mean of ``active_energy_uwh`` over the cycle's outcomes."""
+    cfg = SimConfig(duration_s=30 * 86_400.0, seed=seed, channel=ChannelSpec(frame_loss_p=0.3),
+                    transponder=TransponderSpec(profile=profile))
+    kept = []
+    run(cfg, sink=lambda events: kept.extend(
+        ev for ev in events if ev["ev"] in ("cycle_energy", "governor_wait")))
+    assert not any(ev["ev"] == "governor_wait" for ev in kept)
+    tr = cfg.transponder
+    t_air = airtime(RadioParams(sf=tr.sf, bandwidth_hz=tr.bandwidth_hz,
+                                coding_rate=tr.coding_rate), A5N1_PHY_LEN)
+    totals = [sum(ev["by_state"].values()) for ev in kept if "partial" not in ev]
+    assert len(totals) == 2880
+    outcomes = cycle_outcomes(cfg, frame_success(cfg))
+    mean, sd = mean_and_sd(outcomes, lambda o: active_energy_uwh(o, PROFILES[profile], t_air))
+    got = sum(totals) / len(totals)
+    assert abs(got - mean) <= 4 * sd / math.sqrt(len(totals)), (got, mean, sd)

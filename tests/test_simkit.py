@@ -442,6 +442,7 @@ def test_summary_is_derived_from_the_trace(obj):
     assert sum(ev["ev"] == "emit" for ev in trace.events) + s["frames_missed"] + \
         s["frames_ignored"] == emissions
     assert s["uplinks_attempted"] == len(tx)
+    assert s["uplinks_delivered"] == len(records)
     assert s["records_decoded"] == len(records)
     assert s["complete_records"] == sum(all(r[f] is not None for f in FIELD_FLAGS)
                                         for r in records)
