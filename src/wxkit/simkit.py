@@ -20,7 +20,6 @@ keeps them. With any other sink, nothing the run holds grows with its length.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import math
 import random
@@ -349,9 +348,9 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 # Transponder state machine
 
-class State(enum.Enum):
-    """The transponder's states. ``label``, the value, is the text form, a
-    plain ``str`` in every trace event. Members hash by identity."""
+class State:
+    """The transponder's states, as the plain text that every trace event,
+    ``state_time`` and the energy ledger hold."""
 
     RESET = "reset"
     INIT = "init"
@@ -362,11 +361,6 @@ class State(enum.Enum):
     BUILD_TX = "build_tx"
     TRANSMIT = "transmit"
     DEEP_SLEEP = "deep_sleep"
-
-    __hash__ = object.__hash__
-
-    def __init__(self, value: str):
-        self.label = value
 
 
 RX_STATES = (State.RX1, State.RX2)
@@ -429,7 +423,7 @@ class Transponder:
         self.wake_at = RESET_S
         self.cycle = 0
         self.cycle_start: float | None = None
-        self.state_time: dict[State, float] = {}
+        self.state_time: dict[str, float] = {}
         self.energy_by_state: dict[str, float] = {}
         self.record = WeatherRecord(station)
         self.frames_received = 0
@@ -439,7 +433,7 @@ class Transponder:
         self._pending: Uplink | None = None
 
     def boot(self):
-        self._record_event(0.0, {"ev": "state", "from": None, "to": self.state.label})
+        self._record_event(0.0, {"ev": "state", "from": None, "to": self.state})
 
     # -- transitions --------------------------------------------------------
 
@@ -456,11 +450,11 @@ class Transponder:
             self.frames_ignored += n
         else:
             self.frames_missed += n
-        self._record_event(now, {"ev": "frames_missed", "state": self.state.label, "n": n})
+        self._record_event(now, {"ev": "frames_missed", "state": self.state, "n": n})
 
-    def _enter(self, now: float, new_state: State, duration: float):
+    def _enter(self, now: float, new_state: str, duration: float):
         self._accrue(now)
-        self._record_event(now, {"ev": "state", "from": self.state.label, "to": new_state.label})
+        self._record_event(now, {"ev": "state", "from": self.state, "to": new_state})
         self.state = new_state
         self.wake_at = now + duration
 
@@ -469,36 +463,36 @@ class Transponder:
             self._on_frame(now, bits)
             return
         s = self.state
-        if s is State.RESET:
+        if s == State.RESET:
             self._enter(now, State.INIT, INIT_S)
         elif s in RX_STATES:
-            self._record_event(now, {"ev": "rx_timeout", "state": s.label})
+            self._record_event(now, {"ev": "rx_timeout", "state": s})
             self._enter(now, *RX_EXITS[s])
-        elif s is State.INTER_SLEEP:
+        elif s == State.INTER_SLEEP:
             self._enter(now, State.RX2, self.spec.rx_timeout_s)
-        elif s is State.READ_BARO:
+        elif s == State.READ_BARO:
             self._read_baro(now)
-        elif s is State.BUILD_TX:
+        elif s == State.BUILD_TX:
             self._build_and_maybe_transmit(now)
-        elif s is State.TRANSMIT:
+        elif s == State.TRANSMIT:
             self._finish_transmit(now)
         else:
             self._start_cycle(now)     # INIT or DEEP_SLEEP
 
     def _on_frame(self, now: float, bits: str):
         if self.state not in RX_STATES:
-            raise ProtocolViolationError(f"frame delivered in state {self.state.label}")
+            raise ProtocolViolationError(f"frame delivered in state {self.state}")
         try:
             partial = rfdecode.decoder(self.station.protocol)(bits)
             if partial.station != self.station:
                 raise rfdecode.DecodeError("foreign station")
         except rfdecode.DecodeError as exc:
-            self._record_event(now, {"ev": "frame_rx", "state": self.state.label,
+            self._record_event(now, {"ev": "frame_rx", "state": self.state,
                                      "ok": False, "reason": str(exc)})
             return
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
-        self._record_event(now, {"ev": "frame_rx", "state": self.state.label,
+        self._record_event(now, {"ev": "frame_rx", "state": self.state,
                                  "ok": True, "record": record_to_obj(partial)})
         self._enter(now, *RX_EXITS[self.state])
 
@@ -575,17 +569,17 @@ class Transponder:
         others_s = 0.0
         for state, dur in self.state_time.items():
             uw = (p.shr_power_uw if state in SHR_ON_STATES else
-                  p.tx_power_uw if state is State.TRANSMIT else mcu_uw)
+                  p.tx_power_uw if state == State.TRANSMIT else mcu_uw)
             if uw is None:
                 others_s += dur
             else:
-                ledger[state.label] = uw * dur / HOUR_S
-        e_shr = sum(ledger[s.label] for s in self.state_time if s in SHR_ON_STATES)
-        e_tx = ledger.get(State.TRANSMIT.label, 0.0)
+                ledger[state] = uw * dur / HOUR_S
+        e_shr = sum(ledger[s] for s in self.state_time if s in SHR_ON_STATES)
+        e_tx = ledger.get(State.TRANSMIT, 0.0)
         residual = max(0.0, p.e_active_uwh - e_shr - e_tx)
         for state, dur in self.state_time.items():
-            if state.label not in ledger:
-                ledger[state.label] = residual * dur / others_s if others_s > 0 else 0.0
+            if state not in ledger:
+                ledger[state] = residual * dur / others_s if others_s > 0 else 0.0
         return ledger
 
     def _sleep_entry(self, now: float, **extra):
@@ -594,7 +588,7 @@ class Transponder:
         if sleep_s <= 0:
             return
         uwh = self.profile.sleep_power_uw * sleep_s / HOUR_S
-        self.energy_by_state["deep_sleep"] = self.energy_by_state.get("deep_sleep", 0.0) + uwh
+        self.energy_by_state[State.DEEP_SLEEP] = self.energy_by_state.get(State.DEEP_SLEEP, 0.0) + uwh
         self._record_event(now, {"ev": "sleep_energy", **extra, "uwh": uwh, "sleep_s": sleep_s})
 
     def _cycle_entry(self, now: float, ledger: dict[str, float], **extra):
@@ -680,10 +674,6 @@ def _record_json(r: dict) -> str:
          "null" if (v := r["wind_speed_kph"]) is None else v)
 
 
-def _by_state_json(by_state: dict) -> str:
-    return "{" + ", ".join(['"%s": %r' % kv for kv in sorted(by_state.items())]) + "}"
-
-
 # How a line template writes each field. A number goes in as ``repr`` writes
 # it, which is what the encoder writes for a finite int or float, and every
 # traced number is finite (``SimConfig.validate`` rejects non-finite input).
@@ -695,7 +685,7 @@ _LABELS = frozenset(("frame_hex", "msg", "state", "to"))
 _FIELD_WRITERS = {
     "from": lambda label: "null" if label is None else f'"{label}"',
     "record": _record_json,
-    "by_state": _by_state_json,
+    "by_state": _to_json,
 }
 
 
