@@ -56,7 +56,9 @@ class ProtocolViolationError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Configuration
 
-# Default ABP test credentials; any real deployment provisions its own.
+# The ABP test credentials of the simulated link. Its two ends hold the same
+# session and no trace line holds a frame byte, so no choice of credentials or
+# port could change a run; a real deployment sets its own in ``wxkit frame``.
 _DEFAULT_DEVADDR = "26011157"
 _DEFAULT_NWKSKEY = "2b7e151628aed2a6abf7158809cf4f3c"
 _DEFAULT_APPSKEY = "000102030405060708090a0b0c0d0e0f"
@@ -81,10 +83,6 @@ class TransponderSpec:
     profile: str = "bsf32"
     t_cycle_s: float = 900.0
     rx_timeout_s: float = 60.0
-    dev_addr: str = _DEFAULT_DEVADDR
-    nwk_skey: str = _DEFAULT_NWKSKEY
-    app_skey: str = _DEFAULT_APPSKEY
-    fport: int = 1
     sf: int = 9
     bandwidth_hz: int = 125_000
     coding_rate: int = 1
@@ -159,8 +157,8 @@ def _from_obj(spec_cls, obj: dict, where: str):
     return spec_cls(**values)
 
 
-def _session(spec: TransponderSpec) -> lorawan.AbpSession:
-    return lorawan.AbpSession(spec.dev_addr, spec.nwk_skey, spec.app_skey, fport=spec.fport)
+def _session() -> lorawan.AbpSession:
+    return lorawan.AbpSession(_DEFAULT_DEVADDR, _DEFAULT_NWKSKEY, _DEFAULT_APPSKEY)
 
 
 @dataclass(frozen=True)
@@ -176,8 +174,8 @@ class SimConfig:
     def validate(self) -> list[str]:
         """All problems at once, so the CLI can report them together. A
         wrongly typed field is one problem, and the other rules of its object
-        are skipped. The rules of the station, session, radio, governor and
-        energy model are checked by building those objects, one problem per
+        are skipped. The rules of the station, radio, governor and energy
+        model are checked by building those objects, one problem per
         object."""
         st, ch, tr, gw = self.station, self.channel, self.transponder, self.gateway
         problems, typed = [], set()
@@ -232,7 +230,6 @@ class SimConfig:
         if not 0 < tr.rx_timeout_s < math.inf:
             problems.append("transponder.rx_timeout_s must be positive and finite")
         check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
-        check("transponder session", _session, tr)
         check("transponder radio settings", lorawan.RadioParams,
               sf=tr.sf, bandwidth_hz=tr.bandwidth_hz, coding_rate=tr.coding_rate)
         return problems
@@ -413,7 +410,7 @@ class Transponder:
         self._record_event = record
         self._hand_over = uplink
         self.profile = energy_mod.PROFILES[spec.profile]
-        self.session = _session(spec)
+        self.session = _session()
         self.radio = lorawan.RadioParams(
             sf=spec.sf, bandwidth_hz=spec.bandwidth_hz, coding_rate=spec.coding_rate)
         self.governor = lorawan.DutyCycleGovernor(spec.duty_limit)
@@ -768,7 +765,7 @@ class Simulator:
         self.transponder = Transponder(
             config.transponder, self.emitter.station, config.barometer, rng["baro"],
             record=self._record_event, uplink=self._handle_uplink)
-        self.server_session = _session(config.transponder)
+        self.server_session = _session()
         self.violations: list[str] = []
         self.uplinks_attempted = 0
         self.uplinks_delivered = 0
@@ -878,7 +875,6 @@ class Simulator:
             "cycles": self.transponder.cycle,
             "uplinks_attempted": self.uplinks_attempted,
             "uplinks_delivered": self.uplinks_delivered,
-            "records_decoded": self.uplinks_delivered,   # one record per delivered uplink
             "complete_records": self.complete_records,
             "frames_missed": self.transponder.frames_missed,
             "frames_ignored": self.transponder.frames_ignored,

@@ -52,4 +52,4 @@ def test_trace_digest_pinned():
     changes the traces on purpose re-pins it with the golden hashes."""
     out = run_script("trace_digest.py", "--configs", "64", "--seed", "20261019")
     assert out.splitlines()[-1] == (
-        "combined 4748c95efbfc38735aebe52fc31f0fb535aaae0e1513d637b7ff34fcac107315")
+        "combined f0f44f735c5a3c3fa597eaa696118a7a5b141ceb56e533f80416dd35423a5cb5")
