@@ -15,7 +15,7 @@ from cycle_oracle import (
 )
 from wxkit.energy import PROFILES
 from wxkit.lorawan import RadioParams, airtime
-from wxkit.simkit import ChannelSpec, SimConfig, TransponderSpec, run
+from wxkit.simkit import INIT_S, RESET_S, ChannelSpec, SimConfig, TransponderSpec, run
 
 DEFAULT_LOSSY = SimConfig(channel=ChannelSpec(frame_loss_p=0.3))
 
@@ -93,3 +93,27 @@ def test_mean_active_phase_energy(profile, seed):
     mean, sd = mean_and_sd(outcomes, lambda o: active_energy_uwh(o, PROFILES[profile], t_air))
     got = sum(totals) / len(totals)
     assert abs(got - mean) <= 4 * sd / math.sqrt(len(totals)), (got, mean, sd)
+
+
+@pytest.mark.parametrize("profile", ["bsf32", "lopy4"])
+def test_sleep_share_fills_each_cycle(profile):
+    """Each whole cycle's deep sleep is charged at sleep power, and it lasts
+    what the active phase before it left of ``t_cycle_s``; the first cycle
+    also carries the boot (``RESET_S + INIT_S``)."""
+    cfg = SimConfig(duration_s=5 * 86_400.0, seed=4, channel=ChannelSpec(frame_loss_p=0.3),
+                    transponder=TransponderSpec(profile=profile, t_cycle_s=900.0))
+    kept = []
+    run(cfg, sink=lambda events: kept.extend(
+        ev for ev in events if ev["ev"] in ("cycle_energy", "sleep_energy", "governor_wait")))
+    assert not any(ev["ev"] == "governor_wait" for ev in kept)
+    sleep_uw = PROFILES[profile].sleep_power_uw
+    checked = 0
+    for before, ev in zip(kept, kept[1:]):
+        if ev["ev"] != "sleep_energy" or "cycle" in ev:
+            continue
+        assert before["ev"] == "cycle_energy" and "partial" not in before
+        assert ev["uwh"] == sleep_uw * ev["sleep_s"] / 3600
+        boot_s = RESET_S + INIT_S if before["cycle"] == 1 else 0.0
+        assert before["active_s"] + ev["sleep_s"] == pytest.approx(900.0 + boot_s, abs=1e-9)
+        checked += 1
+    assert checked == 5 * 96 - 1    # the last cycle's sleep is cut off by the run's end
