@@ -392,12 +392,9 @@ class Transponder:
     ``step(now, bits)`` delivers a received frame. Each mutates only this
     object and records what happens, in order, returning nothing: each trace
     event goes to ``record(now, event)`` and a finished transmission to
-    ``uplink(now, uplink)``. The transponder keeps its own energy ledger:
-    each ``sleep_energy`` and ``cycle_energy`` entry it records is also added
-    to ``energy_by_state``. The emissions that arrive while it is not
+    ``uplink(now, uplink)``. The emissions that arrive while it is not
     listening are added to ``unheard``; each state that ends with some
-    records one ``frames_missed`` entry, and adds them to ``frames_ignored``
-    if the receiver was powered, else to ``frames_missed``.
+    records one ``frames_missed`` entry.
     """
 
     def __init__(self, spec: TransponderSpec, station: StationId, baro: BarometerSpec,
@@ -421,12 +418,9 @@ class Transponder:
         self.cycle = 0
         self.cycle_start: float | None = None
         self.state_time: dict[str, float] = {}
-        self.energy_by_state: dict[str, float] = {}
         self.record = WeatherRecord(station)
         self.frames_received = 0
         self.unheard = 0
-        self.frames_missed = 0
-        self.frames_ignored = 0
         self._pending: Uplink | None = None
 
     def boot(self):
@@ -439,15 +433,9 @@ class Transponder:
         record the emissions it did not hear, as one count."""
         self.state_time[self.state] = self.state_time.get(self.state, 0.0) + (now - self.state_entered)
         self.state_entered = now
-        n = self.unheard
-        if not n:
-            return
-        self.unheard = 0
-        if self.state in SHR_ON_STATES:
-            self.frames_ignored += n
-        else:
-            self.frames_missed += n
-        self._record_event(now, {"ev": "frames_missed", "state": self.state, "n": n})
+        if self.unheard:
+            self._record_event(now, {"ev": "frames_missed", "state": self.state, "n": self.unheard})
+            self.unheard = 0
 
     def _enter(self, now: float, new_state: str, duration: float):
         self._accrue(now)
@@ -585,15 +573,12 @@ class Transponder:
         if sleep_s <= 0:
             return
         uwh = self.profile.sleep_power_uw * sleep_s / HOUR_S
-        self.energy_by_state[State.DEEP_SLEEP] = self.energy_by_state.get(State.DEEP_SLEEP, 0.0) + uwh
         self._record_event(now, {"ev": "sleep_energy", **extra, "uwh": uwh, "sleep_s": sleep_s})
 
     def _cycle_entry(self, now: float, ledger: dict[str, float], **extra):
         """The energy entry of the active states accrued since the last one;
         clears their accrued time."""
         by_state = {k: ledger[k] for k in sorted(ledger)}
-        for state, uwh in by_state.items():
-            self.energy_by_state[state] = self.energy_by_state.get(state, 0.0) + uwh
         self._record_event(now, {"ev": "cycle_energy", "cycle": self.cycle, "by_state": by_state,
                                  "active_s": sum(self.state_time.values()), **extra})
         self.state_time = {}
@@ -746,6 +731,70 @@ class SimTrace:
 SINK_BATCH = 256
 
 
+class Summary:
+    """The run summary as a fold over the trace events, in order: ``add`` each
+    event, as the simulator records it or a trace file holds it, then take the
+    ``result``. No summary figure is computed anywhere else."""
+
+    def __init__(self):
+        # the summary fields that are sums; each starts at the int 0, as sum() of none
+        self.sums = dict.fromkeys(("cycles", "frames_missed", "frames_ignored", "uplinks_attempted",
+                                   "uplinks_delivered", "complete_records", "total_airtime_s"), 0)
+        self.energy: dict[str, float] = {}
+        self.max_t_air = 0.0
+        # (written time, airtime) of the transmissions in the hour up to the latest one
+        self.last_hour: deque[tuple[float, float]] = deque()
+        self.last_hour_airtime = 0.0
+        self.max_hour_airtime = 0.0
+
+    def add(self, ev: dict):
+        kind, sums = ev["ev"], self.sums
+        if kind == "state":
+            sums["cycles"] += ev["to"] == State.RX1
+        elif kind == "frames_missed":
+            sums["frames_ignored" if ev["state"] in SHR_ON_STATES else "frames_missed"] += ev["n"]
+        elif kind == "sleep_energy":
+            self.energy[State.DEEP_SLEEP] = self.energy.get(State.DEEP_SLEEP, 0.0) + ev["uwh"]
+        elif kind == "cycle_energy":
+            for state, uwh in ev["by_state"].items():
+                self.energy[state] = self.energy.get(state, 0.0) + uwh
+        elif kind == "uplink_tx":
+            t, t_air = ev["t"], ev["t_air"]
+            sums["uplinks_attempted"] += 1
+            sums["total_airtime_s"] += t_air
+            self.max_t_air = max(self.max_t_air, t_air)
+            # a transmission is a point at its written end time: short next to an hour
+            self.last_hour.append((t, t_air))
+            self.last_hour_airtime += t_air
+            while t - self.last_hour[0][0] > 3600.0:
+                self.last_hour_airtime -= self.last_hour.popleft()[1]
+            self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
+        elif kind == "record":
+            sums["uplinks_delivered"] += 1
+            sums["complete_records"] += all(ev["record"][f] is not None for f in FIELD_FLAGS)
+
+    def result(self, config: SimConfig, violations: list[str]) -> dict:
+        """The summary of a run of ``config``: its events' figures, then the
+        ``violations`` its trace cannot show and the duty-cycle check's own."""
+        violations = list(violations)
+        # a wait-based governor bounds any window by limit*window plus at
+        # most one transmission straddling the edge
+        if self.max_hour_airtime > config.transponder.duty_limit * 3600.0 + self.max_t_air + 1e-9:
+            violations.append(
+                f"duty cycle exceeded: {self.max_hour_airtime:.3f} s airtime in one hour")
+        return {
+            "duration_s": config.duration_s,
+            "seed": config.seed,
+            **self.sums,
+            "energy_uwh_total": sum(self.energy.values()),
+            "energy_uwh_by_state": dict(sorted(self.energy.items())),
+            "duty_cycle_utilization": self.sums["total_airtime_s"] / config.duration_s,
+            "max_hour_window_airtime_s": self.max_hour_airtime,
+            "violations": violations,
+            "invariants_ok": not violations,
+        }
+
+
 class Simulator:
     """Runs one config. The trace events go to ``sink`` as they happen, a
     list at a time; by default the trace keeps them in ``events``."""
@@ -766,20 +815,13 @@ class Simulator:
             config.transponder, self.emitter.station, config.barometer, rng["baro"],
             record=self._record_event, uplink=self._handle_uplink)
         self.server_session = _session()
-        self.violations: list[str] = []
-        self.uplinks_attempted = 0
-        self.uplinks_delivered = 0
-        self.complete_records = 0
-        self.total_airtime = 0      # int, as sum() of none: a run with no uplink writes 0
-        self.max_t_air = 0.0
-        # (end time, airtime) of the transmissions in the hour up to the latest one
-        self.last_hour: deque[tuple[float, float]] = deque()
-        self.last_hour_airtime = 0.0
-        self.max_hour_airtime = 0.0
+        self.summary = Summary()
+        self.violations: list[str] = []     # those the trace cannot show
 
     def _record_event(self, t: float, event: dict):
-        """Queue ``event`` for the sink at time ``t``; the fresh dict is kept, not copied."""
+        """Fold ``event`` into the summary and queue it for the sink at time ``t``, uncopied."""
         event["t"] = round(t, 6)
+        self.summary.add(event)
         self.pending.append(event)
         if len(self.pending) >= SINK_BATCH:
             self.sink(self.pending)
@@ -802,15 +844,6 @@ class Simulator:
 
     def _handle_uplink(self, t: float, uplink: Uplink):
         frame, t_air = uplink.frame, uplink.t_air
-        self.uplinks_attempted += 1
-        self.total_airtime += t_air
-        self.max_t_air = max(self.max_t_air, t_air)
-        # each transmission counts as a point at its end time: it is short next to an hour
-        self.last_hour.append((t, t_air))
-        self.last_hour_airtime += t_air
-        while t - self.last_hour[0][0] > 3600.0:
-            self.last_hour_airtime -= self.last_hour.popleft()[1]
-        self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
         self._record_event(t, {"ev": "uplink_tx", "fcnt": uplink.fcnt,
                                "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
         if self.gateway_rng.random() < self.config.gateway.uplink_loss_p:
@@ -827,8 +860,6 @@ class Simulator:
                     f"t={round(t, 6)}: delivered uplink failed to decode: {exc}")
             self._record_event(t, {"ev": "uplink_error", "reason": str(exc)})
             return
-        self.uplinks_delivered += 1
-        self.complete_records += all(getattr(record, field) is not None for field in FIELD_FLAGS)
         self._record_event(t, {"ev": "record", "fcnt": fcnt,
                                "record": record_to_obj(record), **vars(meta)})
 
@@ -856,36 +887,8 @@ class Simulator:
         tr.flush(cfg.duration_s)
         self.sink(self.pending)
         self.pending = []
-        self._finish_summary()
+        self.trace.summary = self.summary.result(cfg, self.violations)
         return self.trace
-
-    def _finish_summary(self):
-        cfg = self.config
-        window_peak = self.max_hour_airtime
-        # a wait-based governor bounds any window by limit*window plus at
-        # most one transmission straddling the edge
-        if window_peak > cfg.transponder.duty_limit * 3600.0 + self.max_t_air + 1e-9:
-            self.violations.append(
-                f"duty cycle exceeded: {window_peak:.3f} s airtime in one hour")
-        energy_by_state = self.transponder.energy_by_state
-        total = sum(energy_by_state.values())
-        self.trace.summary = {
-            "duration_s": cfg.duration_s,
-            "seed": cfg.seed,
-            "cycles": self.transponder.cycle,
-            "uplinks_attempted": self.uplinks_attempted,
-            "uplinks_delivered": self.uplinks_delivered,
-            "complete_records": self.complete_records,
-            "frames_missed": self.transponder.frames_missed,
-            "frames_ignored": self.transponder.frames_ignored,
-            "energy_uwh_total": total,
-            "energy_uwh_by_state": {k: energy_by_state[k] for k in sorted(energy_by_state)},
-            "total_airtime_s": self.total_airtime,
-            "duty_cycle_utilization": self.total_airtime / cfg.duration_s,
-            "max_hour_window_airtime_s": window_peak,
-            "violations": self.violations,
-            "invariants_ok": not self.violations,
-        }
 
 
 def run(config: SimConfig, sink: Callable[[list[dict]], object] | None = None) -> SimTrace:

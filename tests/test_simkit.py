@@ -45,6 +45,7 @@ from wxkit.simkit import (
     Simulator,
     State,
     StationSpec,
+    Summary,
     Transponder,
     TransponderSpec,
     Uplink,
@@ -218,7 +219,6 @@ def test_step_happy_path_through_cycle():
     assert tr.state is State.DEEP_SLEEP
     assert [type(item) for item in out] == [Uplink, dict, dict]
     assert [item["ev"] for item in out[1:]] == ["state", "cycle_energy"]
-    assert tr.energy_by_state == out[2]["by_state"]
 
 
 def test_step_corrupt_frame_stays_in_rx():
@@ -549,6 +549,41 @@ def test_trace_line_of_an_untemplated_shape(obj):
     assert trace_line(obj) == json.dumps(obj, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("obj", SCHEMA_CONFIGS,
+                         ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy", "heavy_loss", "governor_wait"])
+def test_written_trace_re_derives_its_summary(obj, tmp_path):
+    # the file alone re-derives its summary line, through the simulator's own fold
+    cfg, out = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
+    cfg.write_text(json.dumps(obj))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    first, *events, last = out.read_text().splitlines(keepends=True)
+    summary = Summary()
+    for line in events:
+        summary.add(json.loads(line))
+    config = SimConfig.from_dict(json.loads(first)["config"])
+    # the one violation kind the events cannot show yet
+    violations = [v for v in json.loads(last)["summary"]["violations"]
+                  if "delivered uplink failed to decode" in v]
+    assert trace_line({"summary": summary.result(config, violations)}) == last
+
+
+@pytest.mark.parametrize("t2,duty_limit,peak,violations", [
+    (3600.0, 0.01, 2.0, []),
+    (3600.000001, 0.01, 1.0, []),
+    # 2 s in one hour against 0.0001 * 3600 s plus one straddling 1 s transmission
+    (3600.0, 0.0001, 2.0, ["duty cycle exceeded: 2.000 s airtime in one hour"]),
+], ids=["one_window", "split", "duty_exceeded"])
+def test_hour_window_is_taken_on_written_times(t2, duty_limit, peak, violations):
+    summary = Summary()
+    for t in (0.0, t2):
+        summary.add({"t": t, "ev": "uplink_tx", "fcnt": 0, "phy_len": 24, "t_air": 1.0,
+                     "record": {}})
+    s = summary.result(SimConfig(duration_s=7200.0,
+                                 transponder=TransponderSpec(duty_limit=duty_limit)), [])
+    assert (s["max_hour_window_airtime_s"], s["violations"]) == (peak, violations)
+    assert s["invariants_ok"] == (not violations)
+
+
 def test_summary_without_uplinks_writes_int_zero_airtime():
     s = run(short_config(duration_s=5.0)).summary
     assert s["uplinks_attempted"] == 0
@@ -647,7 +682,8 @@ def test_duty_cycle_oracle_catches_a_governor_that_never_waits():
     sim.transponder.governor = _AlwaysAllow()
     s = sim.run().summary
     assert not any(ev["ev"] == "governor_wait" for ev in sim.trace.events)
-    assert s["max_hour_window_airtime_s"] > 0.001 * 3600 + sim.max_t_air
+    max_t_air = max(ev["t_air"] for ev in sim.trace.events if ev["ev"] == "uplink_tx")
+    assert s["max_hour_window_airtime_s"] > 0.001 * 3600 + max_t_air
     assert not s["invariants_ok"]
     assert s["violations"] == [
         f"duty cycle exceeded: {s['max_hour_window_airtime_s']:.3f} s airtime in one hour"]
