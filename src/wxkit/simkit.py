@@ -173,18 +173,21 @@ class SimConfig:
 
     def validate(self) -> list[str]:
         """All problems at once, so the CLI can report them together. A
-        wrongly typed field is one problem, and the other rules of its object
-        are skipped. The rules of the station, radio, governor and energy
-        model are checked by building those objects, one problem per
-        object."""
+        wrongly typed field, or a nested spec of the wrong type, is one
+        problem, and the other rules of its object are skipped. The rules of
+        the station, radio, governor and energy model are checked by building
+        those objects, one problem per object."""
         st, ch, tr, gw = self.station, self.channel, self.transponder, self.gateway
-        problems, typed = [], set()
-        for prefix, spec in (("", self), ("station.", st), ("channel.", ch),
-                             ("transponder.", tr), ("gateway.", gw), ("barometer.", self.barometer)):
-            mistyped = _mistyped(prefix, spec)
+        problems = _mistyped("", self)
+        typed = set() if problems else {""}
+        for name, spec, spec_cls in (("station", st, StationSpec), ("channel", ch, ChannelSpec),
+                                     ("transponder", tr, TransponderSpec), ("gateway", gw, GatewaySpec),
+                                     ("barometer", self.barometer, BarometerSpec)):
+            mistyped = (_mistyped(f"{name}.", spec) if isinstance(spec, spec_cls) else
+                        [f"{name} must be a {spec_cls.__name__}, not {reprlib.repr(spec)}"])
             problems += mistyped
             if not mistyped:
-                typed.add(prefix)
+                typed.add(f"{name}.")
 
         def check(label, build, *args, **kw):
             try:
@@ -201,11 +204,10 @@ class SimConfig:
                 problems.append(f"station.emission_period_s must be finite and at least "
                                 f"{min_period} s, one {st.protocol.label} frame on air")
             check("station", StationId, st.protocol, st.id, st.channel)
-        for prefix, name, p in (("channel.", "frame_loss_p", ch.frame_loss_p),
-                                ("channel.", "bit_flip_q", ch.bit_flip_q),
-                                ("gateway.", "uplink_loss_p", gw.uplink_loss_p)):
-            if prefix in typed and not 0 <= p <= 1:
-                problems.append(f"{prefix}{name} {p} outside [0, 1]")
+        for prefix, spec, name in (("channel.", ch, "frame_loss_p"), ("channel.", ch, "bit_flip_q"),
+                                   ("gateway.", gw, "uplink_loss_p")):
+            if prefix in typed and not 0 <= getattr(spec, name) <= 1:
+                problems.append(f"{prefix}{name} {getattr(spec, name)} outside [0, 1]")
         if "barometer." in typed:
             b = self.barometer
             for name, (lo, hi) in (("pressure_pa", PRESSURE_PA_RANGE),

@@ -785,6 +785,17 @@ def test_config_validation_reports_one_problem_per_object():
     assert labels == ["station", "transponder.duty_limit", "transponder radio settings"]
 
 
+@pytest.mark.parametrize("name,spec,problem", [
+    ("station", 5, "station must be a StationSpec, not 5"),
+    ("transponder", None, "transponder must be a TransponderSpec, not None"),
+    ("station", ChannelSpec(), "station must be a StationSpec, not ChannelSpec(f...it_flip_q=0.0)"),
+], ids=["int", "none", "other-spec"])
+def test_nested_spec_of_the_wrong_type_is_one_problem(name, spec, problem):
+    with pytest.raises(SimConfigError) as info:
+        run(SimConfig(**{name: spec}))
+    assert info.value.problems == [problem]
+
+
 def test_config_dict_roundtrip():
     cfg = SimConfig.from_dict({
         "duration_s": 3600,
