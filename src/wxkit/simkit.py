@@ -84,8 +84,6 @@ class TransponderSpec:
     t_cycle_s: float = 900.0
     rx_timeout_s: float = 60.0
     sf: int = 9
-    bandwidth_hz: int = 125_000
-    coding_rate: int = 1
     duty_limit: float = 0.01
 
 
@@ -239,8 +237,7 @@ class SimConfig:
         if not 0 < tr.rx_timeout_s < math.inf:
             problems.append("transponder.rx_timeout_s must be positive and finite")
         check("transponder.duty_limit", lorawan.DutyCycleGovernor, tr.duty_limit)
-        check("transponder radio settings", lorawan.RadioParams,
-              sf=tr.sf, bandwidth_hz=tr.bandwidth_hz, coding_rate=tr.coding_rate)
+        check("transponder radio settings", lorawan.RadioParams, sf=tr.sf)
         return problems
 
     @classmethod
@@ -417,8 +414,7 @@ class Transponder:
         self._hand_over = uplink
         self.profile = energy_mod.PROFILES[spec.profile]
         self.session = _session()
-        self.radio = lorawan.RadioParams(
-            sf=spec.sf, bandwidth_hz=spec.bandwidth_hz, coding_rate=spec.coding_rate)
+        self.radio = lorawan.RadioParams(sf=spec.sf)
         self.governor = lorawan.DutyCycleGovernor(spec.duty_limit)
 
         self.state = State.RESET

@@ -85,8 +85,7 @@ def test_mean_active_phase_energy(profile, seed):
         ev for ev in events if ev["ev"] in ("cycle_energy", "governor_wait")))
     assert not any(ev["ev"] == "governor_wait" for ev in kept)
     tr = cfg.transponder
-    t_air = airtime(RadioParams(sf=tr.sf, bandwidth_hz=tr.bandwidth_hz,
-                                coding_rate=tr.coding_rate), A5N1_PHY_LEN)
+    t_air = airtime(RadioParams(sf=tr.sf), A5N1_PHY_LEN)
     totals = [sum(ev["by_state"].values()) for ev in kept if "partial" not in ev]
     assert len(totals) == 2880
     outcomes = cycle_outcomes(cfg, frame_success(cfg))

@@ -52,4 +52,4 @@ def test_trace_digest_pinned():
     changes the traces on purpose re-pins it with the golden hashes."""
     out = run_script("trace_digest.py", "--configs", "64", "--seed", "20261019")
     assert out.splitlines()[-1] == (
-        "combined f0f44f735c5a3c3fa597eaa696118a7a5b141ceb56e533f80416dd35423a5cb5")
+        "combined 8bb600ea7ed2eb04d9408a46b8da9bc7825c566b5a089e6c4434a6f024f303bd")

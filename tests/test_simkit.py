@@ -380,18 +380,18 @@ GOLDEN_TRACES = [
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 1e-3},
       "transponder": {"t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "5ae652be6ddcc338bb48fdc5edb54e8f9ba954c14c00d54ea9199f7e4da1eba5"),
+     "77ba28b6a6b6fe48e073c6fad1168d70255ac0738d730dc0924675d0711ede71"),
     ({"duration_s": 86_400.0, "seed": 3,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
-     "f505ccf6e71f74aad02358fa31286017ef0a9fa12e770ba21f92860fb4fe84f5"),
+     "f13c1b41cd216b72ba3ac05c77b8760b1501f714f5fbc8890acac5a140b0bb39"),
     # 52-bit frames with bit flips, so failed LCW decodes are pinned too
     ({"duration_s": 86_400.0, "seed": 5,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 0.01},
       "transponder": {"profile": "lopy4", "t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "fd673d8878fb6e47ef224a953bb2b9645dba9a1a297a4cd450eb3d4adac03cec"),
+     "ba74ab313506a60b31d32a6e36b4e09abead539140f77c94f86b06b2187ba454"),
 ]
 
 
@@ -812,10 +812,11 @@ def test_config_rejects_unknown_keys():
         SimConfig.from_dict({"stations": {}})
     with pytest.raises(SimConfigError):
         SimConfig.from_dict({"station": {"ids": 4}})
-    # the simulated link's session is fixed
-    with pytest.raises(SimConfigError) as info:
-        SimConfig.from_dict({"transponder": {"fport": 1}})
-    assert info.value.problems == ["unknown transponder option(s): ['fport']"]
+    # the simulated link's session is fixed, and LoRaWAN fixes its coding rate and bandwidth
+    for name in ("fport", "bandwidth_hz", "coding_rate"):
+        with pytest.raises(SimConfigError) as info:
+            SimConfig.from_dict({"transponder": {name: 1}})
+        assert info.value.problems == [f"unknown transponder option(s): ['{name}']"]
 
 
 @pytest.mark.parametrize("obj", [5, None, "ab", [1], 10 ** 400],
