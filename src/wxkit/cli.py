@@ -6,6 +6,8 @@ never interleave. Exit codes: 0 success, 1 I/O or run failure, 2 no data
 decoded, 3 validation/usage error. Subcommands raise, and only ``main`` maps
 an error to a code. Exit 3 prints ``usage error:`` for the command line,
 ``config error:`` per simulation config problem, ``error:`` for other input.
+
+The simulator is imported by ``simulate`` alone, so no other command loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 
-from . import energy, lorawan, rfdecode, simkit
+from . import energy, lorawan, rfdecode
 from .core import (
     Protocol,
     StationId,
@@ -326,6 +328,8 @@ def cmd_battery(args) -> int:
 # simulate
 
 def cmd_simulate(args) -> int:
+    from . import simkit
+
     obj = {}
     if args.config:
         try:
@@ -443,6 +447,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _sim_config_error() -> type[Exception] | tuple[()]:
+    """``simkit.SimConfigError``, or no class while the simulator is not
+    loaded: only ``simulate`` loads it, and no other path raises one."""
+    simkit = sys.modules.get(f"{__package__}.simkit")
+    return simkit.SimConfigError if simkit else ()
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The parser ``main`` reuses. Building one takes about 2 ms, more than a
@@ -458,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except simkit.SimConfigError as exc:
+    except _sim_config_error() as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,8 +3,10 @@ parsing (uplink only, unconfirmed, no FOpts), LoRa time-on-air, and the
 ETSI duty-cycle governor.
 
 AES-128 and AES-CMAC come from the ``cryptography`` package; they are
-standard primitives and not reimplemented here. The test suite carries an
-independent hand-rolled CMAC oracle to keep the integrity check two-sided.
+standard primitives and not reimplemented here. It is imported where a
+session is keyed, so the payload codec, airtime and the governor load no
+crypto. The test suite carries an independent hand-rolled CMAC oracle to
+keep the integrity check two-sided.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ import reprlib
 import struct
 from dataclasses import dataclass
 from operator import attrgetter
-
-from cryptography.hazmat.primitives import cmac as _cmac
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from .core import PAYLOAD_SCALE, Protocol, StationId, WeatherRecord
 
@@ -47,10 +46,15 @@ class UnsupportedMhdrError(FrameError):
 PAYLOAD_VERSION = 0x01
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)   # __init__ written out, as for core.StationId
 class PayloadMeta:
     frames_received: int = 0
     cycle_time_s: int = 0
+
+    def __init__(self, frames_received: int = 0, cycle_time_s: int = 0):
+        fields = self.__dict__
+        fields["frames_received"] = frames_received
+        fields["cycle_time_s"] = cycle_time_s
 
 
 class _Field:
@@ -234,8 +238,11 @@ class AbpSession:
             raise ValueError(f"fport {reprlib.repr(fport)} outside application range 1..223")
         if type(fcnt_up) is not int or not 0 <= fcnt_up < 2**32:
             raise ValueError(f"fcnt_up {reprlib.repr(fcnt_up)} is not a 32-bit counter")
+        from cryptography.hazmat.primitives.cmac import CMAC
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
         nwk, app = algorithms.AES(self._nwk_skey), algorithms.AES(self._app_skey)
-        self._mic_cmac = _cmac.CMAC(nwk)
+        self._mic_cmac = CMAC(nwk)
         self._nwk_ecb, self._app_ecb = (Cipher(aes, modes.ECB()).encryptor() for aes in (nwk, app))
         self.fcnt_up, self._fport = fcnt_up, fport
 
@@ -269,7 +276,7 @@ def _keystream_xor(ecb, dev_addr_le: bytes, fcnt32: int, data: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")).to_bytes(n, "big")
 
 
-def _mic(cmac: _cmac.CMAC, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
+def _mic(cmac, dev_addr_le: bytes, fcnt32: int, msg: bytes) -> bytes:
     c = cmac.copy()
     c.update(_block_head(0x49, dev_addr_le, fcnt32) + bytes((len(msg),)) + msg)
     return c.finalize()[:4]
