@@ -35,6 +35,7 @@ from .core import (
     FIELD_FLAGS,
     Protocol,
     StationId,
+    StationMismatchError,
     WeatherRecord,
     merge_partial,
     record_to_obj,
@@ -475,10 +476,10 @@ class Transponder:
         try:
             partial = rfdecode.decoder(self.station.protocol)(bits)
             if partial.station != self.station:
-                raise rfdecode.DecodeError("foreign station")
-        except rfdecode.DecodeError as exc:
-            self._record_event(now, {"ev": "frame_rx", "state": self.state,
-                                     "ok": False, "reason": str(exc)})
+                raise StationMismatchError("foreign station")
+        except (rfdecode.DecodeError, StationMismatchError) as exc:
+            self._record_event(now, {"ev": "frame_rx", "state": self.state, "ok": False,
+                                     "reason_code": type(exc).__name__, "reason": str(exc)})
             return
         self.record = merge_partial(self.record, partial)
         self.frames_received += 1
@@ -606,13 +607,13 @@ class Transponder:
 
 # The closed set of trace events. Each event is ``{"t": time, "ev": kind,
 # **fields}``; a kind maps to the field sets its events take, the usual one
-# first. A frame that fails to decode has a ``reason`` where a decoded one has
-# its ``record``, and the energy entries of a run's end (``flush``) carry one
-# field more.
+# first. A frame that fails to decode has a ``reason`` and its ``reason_code``,
+# the exception's class name, where a decoded one has its ``record``, and the
+# energy entries of a run's end (``flush``) carry one field more.
 EVENT_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
     "state": (("from", "to"),),
     "frames_missed": (("n", "state"),),
-    "frame_rx": (("ok", "record", "state"), ("ok", "reason", "state")),
+    "frame_rx": (("ok", "record", "state"), ("ok", "reason", "reason_code", "state")),
     "rx_timeout": (("state",),),
     "baro": (("board_temp_c", "pressure_pa"),),
     "governor_wait": (("until",),),
@@ -624,7 +625,7 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, ...], ...]] = {
     "channel_corrupt": (("flips",),),
     "uplink_tx": (("fcnt", "phy_len", "record", "t_air"),),
     "uplink_drop": ((),),
-    "uplink_error": (("reason",),),
+    "uplink_error": (("reason", "reason_code"),),
     "record": (("cycle_time_s", "fcnt", "frames_received", "record"),),
 }
 
@@ -751,6 +752,7 @@ class Summary:
         self.last_hour: deque[tuple[float, float]] = deque()
         self.last_hour_airtime = 0.0
         self.max_hour_airtime = 0.0
+        self.violations: list[str] = []
 
     def add(self, ev: dict):
         kind, sums = ev["ev"], self.sums
@@ -777,11 +779,14 @@ class Summary:
         elif kind == "record":
             sums["uplinks_delivered"] += 1
             sums["complete_records"] += all(ev["record"][f] is not None for f in FIELD_FLAGS)
+        elif kind == "uplink_error" and ev["reason_code"] != "CounterError":
+            # a counter outside the resync window is the modelled result of
+            # more than FCNT_RESYNC_WINDOW drops in a row, not a fault
+            self.violations.append(f"t={ev['t']}: delivered uplink failed to decode: {ev['reason']}")
 
-    def result(self, config: SimConfig, violations: list[str]) -> dict:
-        """The summary of a run of ``config``: its events' figures, then the
-        ``violations`` its trace cannot show and the duty-cycle check's own."""
-        violations = list(violations)
+    def result(self, config: SimConfig) -> dict:
+        """The summary of a run of ``config``, the duty-cycle check's violation last."""
+        violations = list(self.violations)
         # a wait-based governor bounds any window by limit*window plus at
         # most one transmission straddling the edge
         if self.max_hour_airtime > config.transponder.duty_limit * 3600.0 + self.max_t_air + 1e-9:
@@ -818,7 +823,6 @@ class Simulator:
             record=self._record_event, uplink=self._handle_uplink)
         self.server_session = _session()
         self.summary = Summary()
-        self.violations: list[str] = []     # those the trace cannot show
 
     def _record_event(self, t: float, event: dict):
         """Fold ``event`` into the summary and queue it for the sink at time ``t``, uncopied."""
@@ -855,12 +859,8 @@ class Simulator:
             payload, fcnt = lorawan.frame_parse(frame, self.server_session)
             record, meta = lorawan.payload_decode(payload)
         except lorawan.FrameError as exc:
-            # a counter outside the resync window is the modelled result of
-            # more than FCNT_RESYNC_WINDOW drops in a row, not a fault
-            if not isinstance(exc, lorawan.CounterError):
-                self.violations.append(
-                    f"t={round(t, 6)}: delivered uplink failed to decode: {exc}")
-            self._record_event(t, {"ev": "uplink_error", "reason": str(exc)})
+            self._record_event(t, {"ev": "uplink_error", "reason_code": type(exc).__name__,
+                                   "reason": str(exc)})
             return
         self._record_event(t, {"ev": "record", "fcnt": fcnt,
                                "record": record_to_obj(record), **vars(meta)})
@@ -889,7 +889,7 @@ class Simulator:
         tr.flush(cfg.duration_s)
         self.sink(self.pending)
         self.pending = []
-        self.trace.summary = self.summary.result(cfg, self.violations)
+        self.trace.summary = self.summary.result(cfg)
         return self.trace
 
 

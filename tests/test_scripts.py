@@ -52,4 +52,4 @@ def test_trace_digest_pinned():
     changes the traces on purpose re-pins it with the golden hashes."""
     out = run_script("trace_digest.py", "--configs", "64", "--seed", "20261019")
     assert out.splitlines()[-1] == (
-        "combined 8bb600ea7ed2eb04d9408a46b8da9bc7825c566b5a089e6c4434a6f024f303bd")
+        "combined 6d78ded1e1cc5faa266b7c65c04753c0711912f01d3d0a9e1947497777131fbd")

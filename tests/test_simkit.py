@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wxkit import cli, energy, lorawan
+from wxkit import cli, core, energy, lorawan, rfdecode, simkit
 from wxkit.core import (
     FIELD_FLAGS,
     PAYLOAD_STEP,
@@ -248,7 +248,7 @@ def test_step_out_of_range_humidity_rejected_and_cycle_goes_on():
     frame[7] = sum(frame[:7]) & 0xFF
     out = step(tr, log, 5.0, bytes_to_bits(bytes(frame)))
     assert out == [{"ev": "frame_rx", "state": "rx1", "ok": False,
-                    "reason": "humidity 127 outside 0..100"}]
+                    "reason_code": "ValueRangeError", "reason": "humidity 127 outside 0..100"}]
     assert tr.record.humidity_pct is None
     for _ in range(6):   # RX1 timeout, RX2 and its timeout, baro, build, transmit
         out = fire(tr, log)
@@ -264,7 +264,7 @@ def test_step_foreign_station_rejected():
     bits = bytes_to_bits(build_a5n1_frame(other, A5N1_MSG_TEMP_HUMIDITY))
     out = step(tr, log, 5.0, bits)
     assert tr.state is State.RX1 and tr.wake_at == 60.6
-    assert out[0]["reason"] == "foreign station"
+    assert (out[0]["reason_code"], out[0]["reason"]) == ("StationMismatchError", "foreign station")
 
 
 def test_step_ill_targeted_frame_raises():
@@ -380,7 +380,7 @@ GOLDEN_TRACES = [
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 1e-3},
       "transponder": {"t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "77ba28b6a6b6fe48e073c6fad1168d70255ac0738d730dc0924675d0711ede71"),
+     "86c3b0ca174e8402e6d7220e35b969d0c5a168647d976bfcc1fd265c5bd82c88"),
     ({"duration_s": 86_400.0, "seed": 3,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
@@ -391,7 +391,7 @@ GOLDEN_TRACES = [
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 0.01},
       "transponder": {"profile": "lopy4", "t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "ba74ab313506a60b31d32a6e36b4e09abead539140f77c94f86b06b2187ba454"),
+     "7824c029142257cfd7a3a5961d145433470ac15ef0a9046ee321bf55252f236f"),
 ]
 
 
@@ -523,6 +523,17 @@ def test_readme_lists_the_event_field_sets():
     assert listed == {kind: list(sets) for kind, sets in EVENT_FIELDS.items()}
 
 
+def test_reason_codes_name_library_error_classes(schema_traces):
+    errors = (rfdecode.DecodeError, lorawan.FrameError, core.StationMismatchError)
+    classes = {name for module in (core, rfdecode, lorawan) for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, errors)}
+    codes = collections.Counter(ev["reason_code"] for trace in schema_traces
+                                for ev in trace.events if "reason_code" in ev)
+    assert codes.keys() <= classes, codes
+    # a failed frame decode and a counter left behind by heavy loss
+    assert {"ChecksumError", "CounterError"} <= codes.keys(), codes
+
+
 def test_trace_lines_are_what_the_json_encoder_writes(schema_traces):
     """The encoder is the oracle: every line, templated or not, holds the
     bytes ``json.dumps(obj, sort_keys=True)`` writes."""
@@ -549,22 +560,32 @@ def test_trace_line_of_an_untemplated_shape(obj):
     assert trace_line(obj) == json.dumps(obj, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("obj", SCHEMA_CONFIGS,
-                         ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy", "heavy_loss", "governor_wait"])
-def test_written_trace_re_derives_its_summary(obj, tmp_path):
-    # the file alone re-derives its summary line, through the simulator's own fold
+class _WrongServerKey(Simulator):
+    """A simulator whose server holds another NwkSKey than the device, so
+    every uplink it is delivered fails its MIC."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        device = self.transponder.session
+        self.server_session = lorawan.AbpSession(device.dev_addr, "ff" * 16, device.app_skey)
+
+
+@pytest.mark.parametrize("obj,simulator,code", [(obj, Simulator, 0) for obj in SCHEMA_CONFIGS] + [
+    ({"duration_s": 7200.0, "seed": 3}, _WrongServerKey, 1),
+], ids=["a5n1_lossy", "lcw_lopy4", "lcw_lossy", "heavy_loss", "governor_wait", "wrong_server_key"])
+def test_written_trace_re_derives_its_summary(obj, simulator, code, tmp_path, monkeypatch):
+    # the file alone re-derives its summary line, violations too, through the
+    # simulator's own fold
+    monkeypatch.setattr(simkit, "Simulator", simulator)
     cfg, out = tmp_path / "cfg.json", tmp_path / "trace.jsonl"
     cfg.write_text(json.dumps(obj))
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
     first, *events, last = out.read_text().splitlines(keepends=True)
     summary = Summary()
     for line in events:
         summary.add(json.loads(line))
     config = SimConfig.from_dict(json.loads(first)["config"])
-    # the one violation kind the events cannot show yet
-    violations = [v for v in json.loads(last)["summary"]["violations"]
-                  if "delivered uplink failed to decode" in v]
-    assert trace_line({"summary": summary.result(config, violations)}) == last
+    assert trace_line({"summary": summary.result(config)}) == last
 
 
 @pytest.mark.parametrize("t2,duty_limit,peak,violations", [
@@ -579,9 +600,21 @@ def test_hour_window_is_taken_on_written_times(t2, duty_limit, peak, violations)
         summary.add({"t": t, "ev": "uplink_tx", "fcnt": 0, "phy_len": 24, "t_air": 1.0,
                      "record": {}})
     s = summary.result(SimConfig(duration_s=7200.0,
-                                 transponder=TransponderSpec(duty_limit=duty_limit)), [])
+                                 transponder=TransponderSpec(duty_limit=duty_limit)))
     assert (s["max_hour_window_airtime_s"], s["violations"]) == (peak, violations)
     assert s["invariants_ok"] == (not violations)
+
+
+@pytest.mark.parametrize("code,violations", [
+    ("CounterError", []),
+    ("MicMismatchError", ["t=12.5: delivered uplink failed to decode: some reason"]),
+    ("PayloadError", ["t=12.5: delivered uplink failed to decode: some reason"]),
+], ids=["counter_left_behind", "mic", "payload"])
+def test_summary_counts_a_failed_uplink_unless_its_counter_was_left_behind(code, violations):
+    summary = Summary()
+    summary.add({"t": 12.5, "ev": "uplink_error", "reason_code": code, "reason": "some reason"})
+    s = summary.result(SimConfig())
+    assert (s["violations"], s["invariants_ok"]) == (violations, not violations)
 
 
 def test_summary_without_uplinks_writes_int_zero_airtime():
@@ -745,13 +778,12 @@ def test_server_left_behind_by_heavy_loss_logs_uplink_errors(tmp_path, capsys):
         == (288, 248, 22, 18)
     first_error = next(json.loads(line) for line in out.read_text().splitlines()
                        if '"uplink_error"' in line)
-    assert first_error["reason"] == "counter 105 outside resync window [85, 101]"
+    assert (first_error["reason_code"], first_error["reason"]) == \
+        ("CounterError", "counter 105 outside resync window [85, 101]")
 
 
 def test_wrong_server_key_is_still_a_violation():
-    sim = Simulator(short_config())
-    device = sim.transponder.session
-    sim.server_session = lorawan.AbpSession(device.dev_addr, "ff" * 16, device.app_skey)
+    sim = _WrongServerKey(short_config())
     s = sim.run().summary
     assert not s["invariants_ok"] and s["uplinks_delivered"] == 0 and s["uplinks_attempted"] > 0
     # each violation names the time its uplink_error event holds
