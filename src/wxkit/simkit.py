@@ -135,8 +135,8 @@ def _mistyped(prefix: str, spec) -> list[str]:
 
 def _from_obj(spec_cls, obj: dict, where: str):
     """``spec_cls`` from the JSON object ``obj``, checked for unknown options
-    first. A nested spec is built from its own object, a protocol label is
-    converted, and an absent option keeps its field's default."""
+    first. A nested spec is built from its own object, a protocol label and a
+    float field's int are converted, and an absent option keeps its default."""
     fields = dataclasses.fields(spec_cls)
     unknown = set(obj) - {f.name for f in fields}
     if unknown:
@@ -153,6 +153,8 @@ def _from_obj(spec_cls, obj: dict, where: str):
                 values[f.name] = Protocol.from_label(obj[f.name])
             except ValueError:
                 pass    # kept as it is, for the config's check to report
+        elif f.type == "float" and type(value := obj.get(f.name)) is int and abs(value) <= sys.float_info.max:
+            values[f.name] = float(value)
     return spec_cls(**values)
 
 
@@ -243,14 +245,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SimConfig":
-        """Options as ``_from_obj`` reads them; an int ``duration_s`` becomes a
-        float. Any value not converted is kept as it is, for the config's
-        check to report against its field."""
+        """Options as ``_from_obj`` reads them. Any value not converted is kept
+        as it is, for the config's check to report against its field."""
         if not isinstance(obj, dict):
             raise SimConfigError([f"config must be a JSON object, not {reprlib.repr(obj)}"])
-        duration_s = obj.get("duration_s")
-        if type(duration_s) is int and abs(duration_s) <= sys.float_info.max:
-            obj = {**obj, "duration_s": float(duration_s)}
         return _from_obj(cls, obj, "config")
 
     def to_dict(self) -> dict:

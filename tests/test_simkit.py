@@ -380,18 +380,18 @@ GOLDEN_TRACES = [
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 1e-3},
       "transponder": {"t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "86c3b0ca174e8402e6d7220e35b969d0c5a168647d976bfcc1fd265c5bd82c88"),
+     "1b1513e1b56703ef65d41926657867f28dcc693ec9b11dac75cf48041b2756d1"),
     ({"duration_s": 86_400.0, "seed": 3,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "transponder": {"profile": "lopy4", "t_cycle_s": 600}},
-     "f13c1b41cd216b72ba3ac05c77b8760b1501f714f5fbc8890acac5a140b0bb39"),
+     "471e2e641a0266aaa085196249521e1a40acfbcbfc30536214faf0935086ddf9"),
     # 52-bit frames with bit flips, so failed LCW decodes are pinned too
     ({"duration_s": 86_400.0, "seed": 5,
       "station": {"protocol": "lcw", "id": 42, "channel": 0},
       "channel": {"frame_loss_p": 0.1, "bit_flip_q": 0.01},
       "transponder": {"profile": "lopy4", "t_cycle_s": 300},
       "gateway": {"uplink_loss_p": 0.05}},
-     "7824c029142257cfd7a3a5961d145433470ac15ef0a9046ee321bf55252f236f"),
+     "f17475a3eeb85901a9c72d6de890e86711467772f7266aa775066a5fbcd21b4b"),
 ]
 
 
@@ -888,11 +888,16 @@ def _float_fields() -> list[str]:
     return floats
 
 
+def _config_obj(field: str, value) -> dict:
+    """A config object that sets the dotted option ``field`` to ``value``."""
+    *spec, name = field.split(".")
+    return {spec[0]: {name: value}} if spec else {name: value}
+
+
 def _problems_with(field: str, value) -> list[str]:
     """The problems of a config that sets the dotted option ``field`` to ``value``."""
-    *spec, name = field.split(".")
     with pytest.raises(SimConfigError) as info:
-        SimConfig.from_dict({spec[0]: {name: value}} if spec else {name: value})
+        SimConfig.from_dict(_config_obj(field, value))
     return info.value.problems
 
 
@@ -902,6 +907,21 @@ def test_non_finite_float_fails_its_fields_own_rule(field):
         assert _problems_with(field, value) == [NON_FINITE_RULES[field].format(value)]
     # only an int can be too large for a float
     assert _problems_with(field, 10 ** 400) == [f"{field} is too large for a float"]
+
+
+@pytest.mark.parametrize("field", _float_fields())
+def test_float_field_takes_an_int_as_a_float(field):
+    default = SimConfig().to_dict()
+    for key in field.split("."):
+        default = default[key]
+    value = int(default) or 1
+    # one config line, and so one trace, for 300 and 300.0
+    lines = [trace_line({"config": SimConfig.from_dict(_config_obj(field, v)).to_dict()})
+             for v in (value, float(value))]
+    assert lines[0] == lines[1] and f"{float(value)!r}" in lines[0], lines
+    # a rule that echoes its value echoes the float
+    rule = NON_FINITE_RULES[field]
+    assert _problems_with(field, -10 ** 6) == [rule.format(-1e6) if "{}" in rule else rule]
 
 
 def test_readme_states_the_config_defaults():
