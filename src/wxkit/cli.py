@@ -82,14 +82,16 @@ def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str
                    output: str) -> int:
     """Write ``convert(origin, item)`` of each (origin, item) to ``output``, one
     line each. An item whose conversion raises a ValueError is reported on
-    stderr as ``origin: message`` and skipped. Exit 0 if any item converted,
-    else 2."""
-    lines = []
+    stderr as ``origin: message`` and skipped, and no item at all as one
+    stderr line. Exit 0 if any item converted, else 2."""
+    lines, origin = [], None
     for origin, item in items:
         try:
             lines.append(convert(origin, item))
         except ValueError as exc:
             print(f"{origin}: {exc}", file=sys.stderr)
+    if origin is None:
+        print("no data to convert", file=sys.stderr)
     _write_output(output, "".join(line + "\n" for line in lines))
     return EXIT_OK if lines else EXIT_NO_DATA
 
