@@ -614,6 +614,48 @@ def test_battery_table_json(capsys):
     assert "typo" in row["note"]
 
 
+LOPY4_DAILY_NOTE = ("reference prints 33.98 mWh per day, a 10x typo; the value "
+                    "consistent with its 141-day result is 339.8 mWh/day")
+
+
+def test_battery_table_text_is_pinned(capsys):
+    code, out, err = run_cli(capsys, ["battery", "--table"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "interval  platform   model d  reference d  note\n"
+        "    5 min  bsf32         52.7           56  reference assumes a 323 s cycle; "
+        "the model at 323 s gives 56.4\n"
+        "    5 min  lopy4        141.2          141  \n"
+        "   15 min  bsf32        133.8          123  reference derives from 622 uWh/cycle "
+        "(implying ~495 uWh active); the model keeps the measured 449 uWh\n"
+        "   15 min  lopy4        414.9          414  \n"
+        "   30 min  bsf32        217.4         4204  reference value 4204 is a typo; "
+        "the accompanying text says 204\n"
+        "   30 min  lopy4        805.2          739  reference conflicts with its own "
+        "5/15/60-minute arithmetic; model value reported as-is\n"
+        "   60 min  bsf32        316.1          326  \n"
+        "   60 min  lopy4       1520.0         1478  \n"
+        "\n"
+        "daily energy:\n"
+        "  bsf32 @ 323 s: 131220.6 uWh/day (reference 130803)\n"
+        f"  lopy4 @ 300 s: 339982.1 uWh/day (reference 339800) -- {LOPY4_DAILY_NOTE}\n")
+
+
+def test_battery_table_json_daily_energy_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, ["battery", "--table", "--json"])
+    assert code == 0
+    daily = json.loads(out)["daily_energy"]
+    assert daily == [
+        {"platform": "bsf32", "interval_s": 323, "model_uwh_per_day": 131220.6,
+         "reference_uwh_per_day": 130803, "note": ""},
+        {"platform": "lopy4", "interval_s": 300, "model_uwh_per_day": 339982.1,
+         "reference_uwh_per_day": 339800, "note": LOPY4_DAILY_NOTE},
+    ]
+    # in this key order
+    assert all(list(row) == list(daily[0]) == ["platform", "interval_s", "model_uwh_per_day",
+                                               "reference_uwh_per_day", "note"] for row in daily)
+
+
 def test_battery_unknown_platform(capsys):
     code, _, err = run_cli(capsys, ["battery", "--platform", "bsf32",
                                     "--interval-s", "10"])
