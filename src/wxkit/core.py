@@ -46,6 +46,12 @@ class RecordError(ValueError):
     """A plain-dict record that does not describe a weather record."""
 
 
+class SimConfigError(ValueError):
+    def __init__(self, problems: list[str]):
+        super().__init__("; ".join(problems))
+        self.problems = problems
+
+
 MAX_STATION_ID = 0x3FFF  # 14-bit id space
 MAX_LCW_STATION_ID = 0x7F  # an lcw frame carries 7 id bits
 

@@ -34,6 +34,7 @@ from . import lorawan, rfdecode
 from .core import (
     FIELD_FLAGS,
     Protocol,
+    SimConfigError,
     StationId,
     StationMismatchError,
     WeatherRecord,
@@ -42,12 +43,6 @@ from .core import (
 )
 from .energy import HOUR_S
 from .rfdecode import DIR_STEP_DEG, LCW_RAIN_MM_PER_COUNT, RAIN_MM_PER_TIP, LcwQuantity
-
-
-class SimConfigError(ValueError):
-    def __init__(self, problems: list[str]):
-        super().__init__("; ".join(problems))
-        self.problems = problems
 
 
 class ProtocolViolationError(RuntimeError):
@@ -378,16 +373,6 @@ BUILD_TX_S = 0.2
 RX_EXITS = {State.RX1: (State.INTER_SLEEP, INTER_SLEEP_S), State.RX2: (State.READ_BARO, READ_BARO_S)}
 
 
-@dataclass(frozen=True, slots=True)
-class Uplink:
-    """A frame with its counter, airtime and record: the transponder builds it
-    in BUILD_TX and hands it on when its transmission ends."""
-    frame: bytes
-    fcnt: int
-    t_air: float
-    record: dict
-
-
 class Transponder:
     """Receive two sensor messages, read the barometer, repack, transmit,
     deep-sleep for the rest of the cycle.
@@ -396,15 +381,16 @@ class Transponder:
     every governor wait replaces it. ``step(now)`` fires that timer and
     ``step(now, bits)`` delivers a received frame. Each mutates only this
     object and records what happens, in order, returning nothing: each trace
-    event goes to ``record(now, event)`` and a finished transmission to
-    ``uplink(now, uplink)``. The emissions that arrive while it is not
-    listening are added to ``unheard``; each state that ends with some
-    records one ``frames_missed`` entry.
+    event goes to ``record(now, event)``, and a transmission ends with its
+    ``uplink_tx`` event, then ``uplink(now, frame)`` with the frame bytes
+    alone, as a network server receives them. The emissions that arrive
+    while it is not listening are added to ``unheard``; each state that ends
+    with some records one ``frames_missed`` entry.
     """
 
     def __init__(self, spec: TransponderSpec, station: StationId, baro: BarometerSpec,
                  rng: random.Random, record: Callable[[float, dict], object],
-                 uplink: Callable[[float, Uplink], object]):
+                 uplink: Callable[[float, bytes], object]):
         self.spec = spec
         self.station = station
         self.baro = baro
@@ -425,7 +411,8 @@ class Transponder:
         self.record = WeatherRecord(station)
         self.frames_received = 0
         self.unheard = 0
-        self._pending: Uplink | None = None
+        # the built frame and its uplink_tx event, held until the transmission ends
+        self._pending: tuple[bytes, dict] | None = None
 
     def boot(self):
         self._record_event(0.0, {"ev": "state", "from": None, "to": self.state})
@@ -522,24 +509,26 @@ class Transponder:
             payload = lorawan.payload_encode(self.record, meta)
             fcnt = self.session.fcnt_up
             frame = lorawan.frame_build(self.session, payload)
-            self._pending = Uplink(frame, fcnt, lorawan.airtime(self.radio, len(frame)),
-                                   record_to_obj(self.record))
+            self._pending = frame, {"ev": "uplink_tx", "fcnt": fcnt, "phy_len": len(frame),
+                                    "t_air": lorawan.airtime(self.radio, len(frame)),
+                                    "record": record_to_obj(self.record)}
         allowed, next_allowed = self.governor.check(now)
         if not allowed:
             # stay in BUILD_TX (MCU waiting on the governor) until permitted
             self.wake_at = next_allowed
             self._record_event(now, {"ev": "governor_wait", "until": next_allowed})
             return
-        self._enter(now, State.TRANSMIT, self._pending.t_air)
+        self._enter(now, State.TRANSMIT, self._pending[1]["t_air"])
 
     def _finish_transmit(self, now: float):
-        uplink, self._pending = self._pending, None
-        self.governor.note_transmission(now, uplink.t_air)
+        (frame, tx), self._pending = self._pending, None
+        self.governor.note_transmission(now, tx["t_air"])
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
         # handed over before the sleep begins: the handler reads no transponder state
-        self._hand_over(now, uplink)
+        self._record_event(now, tx)
+        self._hand_over(now, frame)
         self._enter(now, State.DEEP_SLEEP, sleep_s)
-        self._cycle_entry(now, self._active_ledger(), t_air=uplink.t_air)
+        self._cycle_entry(now, self._active_ledger(), t_air=tx["t_air"])
 
     # -- energy ledger ------------------------------------------------------
 
@@ -717,10 +706,6 @@ class SimTrace:
     events: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return bool(self.summary.get("invariants_ok"))
-
     def to_jsonl(self) -> str:
         return "".join(map(trace_line, [{"config": self.config}, *self.events,
                                         {"summary": self.summary}]))
@@ -846,10 +831,7 @@ class Simulator:
             self._record_event(now, {"ev": "channel_corrupt", "flips": flips})
         self.transponder.step(now, out)
 
-    def _handle_uplink(self, t: float, uplink: Uplink):
-        frame, t_air = uplink.frame, uplink.t_air
-        self._record_event(t, {"ev": "uplink_tx", "fcnt": uplink.fcnt,
-                               "phy_len": len(frame), "t_air": t_air, "record": uplink.record})
+    def _handle_uplink(self, t: float, frame: bytes):
         if self.gateway_rng.random() < self.config.gateway.uplink_loss_p:
             self._record_event(t, {"ev": "uplink_drop"})
             return

@@ -80,6 +80,16 @@ def test_simulate_config_errors_exit_3_in_a_fresh_interpreter(tmp_path):
     assert proc.stderr == "".join(f"config error: {p}\n" for p in info.value.problems)
 
 
+def test_sim_config_error_is_cores_and_loads_nothing_heavy():
+    # the CLI catches the simulator's config error by name: the class lives in
+    # core, so importing it loads neither the simulator nor cryptography
+    code = "import wxkit.core, wxkit.cli; from wxkit.core import SimConfigError"
+    assert heavy_modules_after(code) == []
+    proc = run_python("-c", f"{code}; import wxkit.simkit; "
+                            "assert wxkit.simkit.SimConfigError is SimConfigError")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_module_entry_point_runs_the_cli():
     proc = run_python("-m", "wxkit", "airtime", "--sf", "9", "--payload", "42")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "287.744\n", "")

@@ -48,7 +48,6 @@ from wxkit.simkit import (
     Summary,
     Transponder,
     TransponderSpec,
-    Uplink,
     _Emitter,
     channel_apply,
     run,
@@ -159,7 +158,7 @@ def test_emitter_lcw_rain_count_wraps_at_1000(tips):
 
 def make_transponder() -> tuple[Transponder, list]:
     """A transponder, and the list that collects what it records: its events
-    and ``Uplink``s, in order."""
+    and the frames it transmits, in order."""
     log: list = []
     record = lambda now, item: log.append(item)
     return Transponder(TransponderSpec(), STATION, BarometerSpec(), random.Random(1),
@@ -217,8 +216,30 @@ def test_step_happy_path_through_cycle():
     assert tr.wake_at == pytest.approx(79.4 + 0.287744)
     out = fire(tr, log)
     assert tr.state is State.DEEP_SLEEP
-    assert [type(item) for item in out] == [Uplink, dict, dict]
-    assert [item["ev"] for item in out[1:]] == ["state", "cycle_energy"]
+    assert [type(item) for item in out] == [dict, bytes, dict, dict]
+    assert [out[0]["ev"], out[2]["ev"], out[3]["ev"]] == ["uplink_tx", "state", "cycle_energy"]
+
+
+def test_transmission_hands_over_its_frame_bytes_alone():
+    # the network side receives what a LoRaWAN server receives, the PHYPayload:
+    # the uplink_tx event that ends each transmission is followed by the frame
+    # bytes, and a fresh session parses them back to that event's counter and record
+    tr, log = make_transponder()
+    tr.boot()
+    fire(tr, log)
+    fire(tr, log)
+    step(tr, log, 9.0, bytes_to_bits(build_a5n1_frame(
+        STATION, A5N1_MSG_TEMP_HUMIDITY, temperature_c=20.0, humidity_pct=50)))
+    server = simkit._session()
+    for fcnt in (0, 1):
+        while tr.state is not State.TRANSMIT:
+            fire(tr, log)
+        tx, frame, *_ = fire(tr, log)
+        assert (tx["ev"], tx["fcnt"], type(frame)) == ("uplink_tx", fcnt, bytes)
+        payload, parsed_fcnt = lorawan.frame_parse(frame, server)
+        record, _ = lorawan.payload_decode(payload)
+        assert parsed_fcnt == fcnt
+        assert core.record_to_obj(record) == tx["record"]
 
 
 def test_step_corrupt_frame_stays_in_rx():
@@ -252,7 +273,7 @@ def test_step_out_of_range_humidity_rejected_and_cycle_goes_on():
     assert tr.record.humidity_pct is None
     for _ in range(6):   # RX1 timeout, RX2 and its timeout, baro, build, transmit
         out = fire(tr, log)
-    assert tr.state is State.DEEP_SLEEP and type(out[0]) is Uplink
+    assert tr.state is State.DEEP_SLEEP and out[0]["ev"] == "uplink_tx"
 
 
 def test_step_foreign_station_rejected():
@@ -940,7 +961,7 @@ def test_emission_period_at_least_one_frame_on_air(station):
             SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=period))
         assert [p.split()[0] for p in info.value.problems] == ["station.emission_period_s"]
     cfg = SimConfig(duration_s=2.0, station=dataclasses.replace(station, emission_period_s=bound))
-    assert run(cfg).ok
+    assert run(cfg).summary["invariants_ok"]
 
 
 def test_frame_air_time_bounds_every_emitted_frame():
