@@ -524,7 +524,7 @@ class Transponder:
         (frame, tx), self._pending = self._pending, None
         self.governor.note_transmission(now, tx["t_air"])
         sleep_s = max(0.0, self.spec.t_cycle_s - (now - self.cycle_start))
-        # handed over before the sleep begins: the handler reads no transponder state
+        # recorded and handed over before the sleep begins: the handler reads no transponder state
         self._record_event(now, tx)
         self._hand_over(now, frame)
         self._enter(now, State.DEEP_SLEEP, sleep_s)
