@@ -615,6 +615,88 @@ def test_decoders_pinned():
 
 
 # ---------------------------------------------------------------------------
+# encoder pin
+
+def _encoded(build, decode, to_hex) -> tuple[str, str]:
+    """The outcome kind and line of one encoder call: the frame's hex and
+    its decoded record, or the exception's class and message."""
+    try:
+        frame = build()
+    except ValueError as exc:
+        return type(exc).__name__, f"{type(exc).__name__}: {exc}"
+    return "frame", f"{to_hex(frame)} {json.dumps(record_to_obj(decode(frame)))}"
+
+
+def _lcw_inputs():
+    """Each LCW quantity's encoder inputs: for every code -1..1000 the value
+    the decoder gives for it, two off-grid values and a value that is not
+    positive; then NaN and both infinities."""
+    for quantity in LcwQuantity:
+        def physical(c):
+            return (c / 10 - 40, c / 10, c * 0.518, c / 10, c * 22.5)[quantity]
+        for code in range(-1, 1001):
+            on_grid = physical(code)
+            yield from ((quantity, v) for v in (on_grid, physical(code + 0.25),
+                                                physical(code + 0.5), -abs(on_grid)))
+        yield from ((quantity, float(v)) for v in ("nan", "inf", "-inf"))
+
+
+def _a5n1_inputs(records: int):
+    """Seeded A5N1 encoder inputs: (station, message type, keyword arguments),
+    each field drawn past both ends of its range, with a few non-finite
+    values, an unknown message type and an LCW station among them."""
+    rng = random.Random("encoder/a5n1")
+
+    def draw(lo: float, hi: float) -> float:
+        if rng.random() < 0.05:
+            return rng.choice((float("nan"), float("inf"), float("-inf"), -0.0))
+        return rng.uniform(lo, hi)
+
+    for _ in range(records):
+        station = (StationId(Protocol.A5N1, rng.randrange(0x4000), rng.randrange(4))
+                   if rng.random() < 0.99 else LCW_STATION)
+        message_type = (rng.choice((A5N1_MSG_WIND_DIR_RAIN, A5N1_MSG_TEMP_HUMIDITY))
+                        if rng.random() < 0.99 else 0x32)
+        wind_dir = rng.randrange(-2, 18) * 22.5 if rng.random() < 0.5 else draw(-10.0, 370.0)
+        yield station, message_type, dict(
+            battery_ok=rng.random() < 0.5, wind_kph=draw(-3.0, 110.0), wind_dir_deg=wind_dir,
+            rain_mm=draw(-2.0, 4200.0), temperature_c=draw(-45.0, 80.0),
+            humidity_pct=rng.randrange(-2, 103) if rng.random() < 0.5 else draw(-2.0, 103.0))
+
+
+def encoder_outcomes(a5n1_records: int = 20_000):
+    """(kind, line) per encoder call of the encoder pin: the LCW sweep, then
+    ``a5n1_records`` A5N1 inputs. Each line names its inputs."""
+    for quantity, value in _lcw_inputs():
+        kind, line = _encoded(lambda: build_lcw_frame(quantity, value, LCW_STATION),
+                              lambda n: decode_lcw(nibbles_to_bits(n)),
+                              lambda n: "".join(map("{:x}".format, n)))
+        yield f"lcw {kind}", f"lcw {quantity.name} {value!r} {line}"
+    for station, message_type, fields in _a5n1_inputs(a5n1_records):
+        kind, line = _encoded(lambda: build_a5n1_frame(station, message_type, **fields),
+                              lambda b: decode_a5n1(bytes_to_bits(b)), bytes.hex)
+        yield (f"a5n1 {kind}",
+               f"a5n1 {station.protocol.label} {station.id} {station.channel} "
+               f"{message_type:#04x} {fields!r} {line}")
+
+
+def test_encoders_pinned():
+    """Each encoder outcome, the frame and its decode or the exception's
+    class and message, is pinned: a codec rewrite must keep this hash."""
+    h = hashlib.sha256()
+    outcomes = Counter()
+    for kind, line in encoder_outcomes():
+        outcomes[kind] += 1
+        h.update(f"{line}\n".encode())
+    assert outcomes == {
+        "lcw frame": 12854, "lcw ValueRangeError": 7201,
+        "a5n1 frame": 14611, "a5n1 ValueRangeError": 4959,
+        "a5n1 UnknownMessageTypeError": 212, "a5n1 ValueError": 218,
+    }
+    assert h.hexdigest() == "7f05703f5d4813d213eca65305db7701e5ce6e8b664dfdde67fc8956d80230ef"
+
+
+# ---------------------------------------------------------------------------
 # corrupted frames that still decode
 
 def two_bit_flip_outcomes(protocol: Protocol) -> Counter:
