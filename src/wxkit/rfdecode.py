@@ -252,30 +252,24 @@ def decode_a5n1(bits: str) -> WeatherRecord:
     if message_type not in A5N1_MESSAGE_TYPES:
         raise UnknownMessageTypeError(f"message type {message_type:#04x}")
     station = StationId(Protocol.A5N1, (data[0] & 0x3F) << 8 | data[1], data[0] >> 6)
-    battery_ok = bool(data[2] & 0x40)
     wind_raw = data[3] & 0x7F
-    wind_kph = 0.0 if wind_raw == 0 else _WIND_SLOPE * wind_raw + 1.0
-
     if message_type == A5N1_MSG_WIND_DIR_RAIN:
-        dir_code = data[4] & 0x0F
         counter = (data[5] & 0x7F) << 7 | (data[6] & 0x7F)
-        return WeatherRecord(
-            station,
-            sensor_battery_ok=battery_ok,
-            wind_speed_kph=wind_kph,
-            wind_dir_deg=dir_code * DIR_STEP_DEG,
-            rain_mm=counter * RAIN_MM_PER_TIP,
+        fields = dict(wind_dir_deg=(data[4] & 0x0F) * DIR_STEP_DEG, rain_mm=counter * RAIN_MM_PER_TIP)
+    else:
+        temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
+        humidity = data[6] & 0x7F
+        if humidity > 100:
+            raise ValueRangeError(f"humidity {humidity} outside 0..100")
+        fields = dict(
+            temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,     # from Fahrenheit
+            humidity_pct=float(humidity),
         )
-    temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
-    humidity = data[6] & 0x7F
-    if humidity > 100:
-        raise ValueRangeError(f"humidity {humidity} outside 0..100")
     return WeatherRecord(
         station,
-        sensor_battery_ok=battery_ok,
-        wind_speed_kph=wind_kph,
-        temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,     # from Fahrenheit
-        humidity_pct=float(humidity),
+        sensor_battery_ok=bool(data[2] & 0x40),
+        wind_speed_kph=0.0 if wind_raw == 0 else _WIND_SLOPE * wind_raw + 1.0,
+        **fields,
     )
 
 
@@ -285,13 +279,17 @@ def _with_parity(byte: int) -> int:
     return byte | _odd_parity(byte) << 7
 
 
-def _round(value: float, what: str) -> int:
-    """``round(value)``; NaN and infinity, given or reached by scaling, raise
-    ValueRangeError instead of ValueError or OverflowError."""
+def _code(what: str, scaled: float, hi: int, out_of_range: str) -> int:
+    """The wire code ``round(scaled)``, which must lie in 0..hi. NaN and
+    infinity, given or reached by scaling, and a code out of range raise
+    ValueRangeError, its message starting with ``what``."""
     try:
-        return round(value)
+        code = round(scaled)
     except (OverflowError, ValueError):
         raise ValueRangeError(f"{what} cannot be encoded") from None
+    if not 0 <= code <= hi:
+        raise ValueRangeError(f"{what} {out_of_range}")
+    return code
 
 
 def _wind_raw(wind_kph: float) -> int:
@@ -302,10 +300,9 @@ def _wind_raw(wind_kph: float) -> int:
         raise ValueRangeError(f"wind speed {wind_kph} kph is negative")
     if wind_kph <= (_WIND_SLOPE + 1.0) / 2:
         return 0
-    raw = max(1, _round((wind_kph - 1.0) / _WIND_SLOPE, f"wind speed {wind_kph} kph"))
-    if raw > 127:
-        raise ValueRangeError(f"wind speed {wind_kph} kph exceeds the 7-bit range")
-    return raw
+    raw = _code(f"wind speed {wind_kph} kph", (wind_kph - 1.0) / _WIND_SLOPE, 127,
+                "exceeds the 7-bit range")
+    return max(1, raw)
 
 
 def _dir_code(wind_dir_deg: float) -> int:
@@ -343,19 +340,15 @@ def build_a5n1_frame(
         b[4] = _with_parity(_dir_code(wind_dir_deg))
         if rain_mm < 0:
             raise ValueRangeError("rain total is negative")
-        tips = _round(rain_mm / RAIN_MM_PER_TIP, f"rain total {rain_mm} mm")
-        if tips > 0x3FFF:
-            raise ValueRangeError(f"rain total {rain_mm} mm exceeds the 14-bit counter")
+        tips = _code(f"rain total {rain_mm} mm", rain_mm / RAIN_MM_PER_TIP, 0x3FFF,
+                     "exceeds the 14-bit counter")
         b[5] = _with_parity(tips >> 7)
         b[6] = _with_parity(tips & 0x7F)
     else:
         deg_f = temperature_c * 9.0 / 5.0 + 32.0
-        temp_raw = _round((deg_f + 40.0) * 10.0, f"temperature {temperature_c} C")
-        if not 0 <= temp_raw <= 0x7FF:
-            raise ValueRangeError(f"temperature {temperature_c} C outside the 11-bit range")
-        hum = _round(humidity_pct, f"humidity {humidity_pct}")
-        if not 0 <= hum <= 100:
-            raise ValueRangeError(f"humidity {humidity_pct} outside 0..100")
+        temp_raw = _code(f"temperature {temperature_c} C", (deg_f + 40.0) * 10.0, 0x7FF,
+                         "outside the 11-bit range")
+        hum = _code(f"humidity {humidity_pct}", humidity_pct, 100, "outside 0..100")
         b[4] = _with_parity(temp_raw >> 4)
         b[5] = _with_parity((temp_raw & 0x0F) << 3)
         b[6] = _with_parity(hum)
@@ -387,6 +380,19 @@ class LcwQuantity(enum.IntEnum):
     RAIN = 2
     WIND_SPEED = 3
     WIND_DIR = 4
+
+
+# One row per quantity: the record field, the decoder's wire value -> value,
+# and the encoder's value -> scaled wire value (a wind direction's is its code).
+_LCW_FIELDS = {
+    LcwQuantity.TEMP: ("temperature_c", lambda v: v / 10.0 - 40.0, lambda x: (x + 40.0) * 10.0),
+    LcwQuantity.HUMIDITY: ("humidity_pct", lambda v: v / 10.0, lambda x: x * 10.0),
+    LcwQuantity.RAIN: ("rain_mm", lambda v: v * LCW_RAIN_MM_PER_COUNT,
+                       lambda x: x / LCW_RAIN_MM_PER_COUNT),
+    # m/s * 10 on the wire; records store km/h
+    LcwQuantity.WIND_SPEED: ("wind_speed_kph", lambda v: v / 10.0 * 3.6, lambda x: x * 10.0),
+    LcwQuantity.WIND_DIR: ("wind_dir_deg", lambda v: v * DIR_STEP_DEG, _dir_code),
+}
 
 
 def bits_to_hex(bits: str) -> str:
@@ -431,20 +437,11 @@ def decode_lcw(bits: str) -> WeatherRecord:
     except ValueError:
         raise UnknownMessageTypeError(f"quantity type {n[1]:#x}") from None
     value = n[4] * 100 + n[5] * 10 + n[6]
-    station = StationId(Protocol.LCW, n[2] << 3 | n[3] >> 1, 0)
-    common = dict(sensor_battery_ok=bool(n[3] & 1))
-    if q is LcwQuantity.TEMP:
-        return WeatherRecord(station, temperature_c=value / 10.0 - 40.0, **common)
-    if q is LcwQuantity.HUMIDITY:
-        return WeatherRecord(station, humidity_pct=value / 10.0, **common)
-    if q is LcwQuantity.RAIN:
-        return WeatherRecord(station, rain_mm=value * LCW_RAIN_MM_PER_COUNT, **common)
-    if q is LcwQuantity.WIND_SPEED:
-        # value is m/s * 10 on the wire; records store km/h
-        return WeatherRecord(station, wind_speed_kph=value / 10.0 * 3.6, **common)
-    if value > 15:
+    if q is LcwQuantity.WIND_DIR and value > 15:
         raise ValueRangeError(f"wind direction code {value} outside 0..15")
-    return WeatherRecord(station, wind_dir_deg=value * DIR_STEP_DEG, **common)
+    field, to_value, _ = _LCW_FIELDS[q]
+    station = StationId(Protocol.LCW, n[2] << 3 | n[3] >> 1, 0)
+    return WeatherRecord(station, sensor_battery_ok=bool(n[3] & 1), **{field: to_value(value)})
 
 
 FRAME_BITS = {Protocol.A5N1: 64, Protocol.LCW: 52}
@@ -453,23 +450,6 @@ FRAME_BITS = {Protocol.A5N1: 64, Protocol.LCW: 52}
 def decoder(protocol: Protocol) -> Callable[[str], WeatherRecord]:
     """The frame decoder of ``protocol``."""
     return decode_a5n1 if protocol is Protocol.A5N1 else decode_lcw
-
-
-def _lcw_value(quantity: LcwQuantity, value: float) -> int:
-    if quantity is LcwQuantity.WIND_DIR:
-        return _dir_code(value)
-    if quantity is LcwQuantity.TEMP:
-        scaled = (value + 40.0) * 10.0
-    elif quantity is LcwQuantity.HUMIDITY:
-        scaled = value * 10.0
-    elif quantity is LcwQuantity.RAIN:
-        scaled = value / LCW_RAIN_MM_PER_COUNT
-    else:
-        scaled = value * 10.0   # wind speed, given in m/s
-    v = _round(scaled, f"{quantity.name.lower()} value {value}")
-    if not 0 <= v <= 999:
-        raise ValueRangeError(f"{quantity.name.lower()} value {value} is not encodable")
-    return v
 
 
 def build_lcw_frame(
@@ -486,7 +466,8 @@ def build_lcw_frame(
     """
     if station.protocol is not Protocol.LCW:
         raise ValueError("station protocol must be LCW")
-    v = _lcw_value(quantity, value)
+    v = _code(f"{quantity.name.lower()} value {value}", _LCW_FIELDS[quantity][2](value), 999,
+              "is not encodable")
     d = (v // 100, v // 10 % 10, v % 10)
     n = [
         LCW_SYNC_NIBBLE,
