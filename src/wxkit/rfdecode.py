@@ -466,8 +466,10 @@ def build_lcw_frame(
     """
     if station.protocol is not Protocol.LCW:
         raise ValueError("station protocol must be LCW")
-    v = _code(f"{quantity.name.lower()} value {value}", _LCW_FIELDS[quantity][2](value), 999,
-              "is not encodable")
+    what = f"{quantity.name.lower()} value {value}"
+    if value < 0 and quantity in (LcwQuantity.RAIN, LcwQuantity.WIND_SPEED):
+        raise ValueRangeError(f"{what} is not encodable")
+    v = _code(what, _LCW_FIELDS[quantity][2](value), 999, "is not encodable")
     d = (v // 100, v // 10 % 10, v % 10)
     n = [
         LCW_SYNC_NIBBLE,

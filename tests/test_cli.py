@@ -80,6 +80,7 @@ def test_encode_lcw_rejects_channel(capsys):
      "wind direction 400.0 outside [0, 360)"),
     (["--protocol", "lcw", "--quantity", "wind_dir", "--value=-22.5"],
      "wind direction -22.5 outside [0, 360)"),
+    (["--protocol", "lcw", "--quantity", "rain", "--value=-0.1"], "rain value -0.1 is not encodable"),
 ])
 def test_encode_out_of_range_value_exits_3(argv, message, capsys):
     code, out, err = run_cli(capsys, ["encode", "--id", "42", *argv])

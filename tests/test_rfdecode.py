@@ -473,6 +473,16 @@ def test_encode_lcw_value_range():
         assert decode_lcw(bits).wind_dir_deg == decoded
 
 
+def test_encode_lcw_negative_rain_and_wind_speed_rejected():
+    # A5N1's sign rule: a value below zero is out of range though it rounds to code 0
+    for quantity, value in ((LcwQuantity.RAIN, -0.1), (LcwQuantity.WIND_SPEED, -0.04)):
+        with pytest.raises(ValueRangeError, match=f"^{quantity.name.lower()} value {value} is not"):
+            build_lcw_frame(quantity, value, LCW_STATION)
+        assert build_lcw_frame(quantity, -0.0, LCW_STATION)[4:7] == (0, 0, 0)
+    # humidity keeps rounding, as in both codecs
+    assert build_lcw_frame(LcwQuantity.HUMIDITY, -0.04, LCW_STATION)[4:7] == (0, 0, 0)
+
+
 def test_lcw_single_nibble_substitutions_detected():
     nibbles = build_lcw_frame(LcwQuantity.TEMP, 25.3, LCW_STATION)
     for i in range(13):
@@ -689,11 +699,11 @@ def test_encoders_pinned():
         outcomes[kind] += 1
         h.update(f"{line}\n".encode())
     assert outcomes == {
-        "lcw frame": 12854, "lcw ValueRangeError": 7201,
+        "lcw frame": 12852, "lcw ValueRangeError": 7203,
         "a5n1 frame": 14611, "a5n1 ValueRangeError": 4959,
         "a5n1 UnknownMessageTypeError": 212, "a5n1 ValueError": 218,
     }
-    assert h.hexdigest() == "7f05703f5d4813d213eca65305db7701e5ce6e8b664dfdde67fc8956d80230ef"
+    assert h.hexdigest() == "f14978ebb9f9bbb7ae27835b02500c3fae7819202852e99ea76780fda8126e3e"
 
 
 # ---------------------------------------------------------------------------
