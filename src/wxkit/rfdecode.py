@@ -204,6 +204,7 @@ A5N1_MESSAGE_TYPES = (A5N1_MSG_WIND_DIR_RAIN, A5N1_MSG_TEMP_HUMIDITY)
 
 _WIND_SLOPE = 0.8278   # kph per raw count, +1.0 offset, 0 raw means calm
 RAIN_MM_PER_TIP = 0.254
+A5N1_RAIN_WRAP = 0x4000   # the 14-bit tip counter wraps to 0 here
 DIR_STEP_DEG = 22.5
 
 
@@ -340,7 +341,7 @@ def build_a5n1_frame(
         b[4] = _with_parity(_dir_code(wind_dir_deg))
         if rain_mm < 0:
             raise ValueRangeError("rain total is negative")
-        tips = _code(f"rain total {rain_mm} mm", rain_mm / RAIN_MM_PER_TIP, 0x3FFF,
+        tips = _code(f"rain total {rain_mm} mm", rain_mm / RAIN_MM_PER_TIP, A5N1_RAIN_WRAP - 1,
                      "exceeds the 14-bit counter")
         b[5] = _with_parity(tips >> 7)
         b[6] = _with_parity(tips & 0x7F)
@@ -368,6 +369,7 @@ def a5n1_to_pulses(data: bytes) -> PulseTrain:
 
 LCW_SYNC_NIBBLE = 0x9
 LCW_RAIN_MM_PER_COUNT = 0.518
+LCW_VALUE_WRAP = 1000   # three BCD digits hold less; the station's rain count wraps here
 
 
 def _lcw_checksum(nibbles: Sequence[int]) -> int:
@@ -469,7 +471,7 @@ def build_lcw_frame(
     what = f"{quantity.name.lower()} value {value}"
     if value < 0 and quantity in (LcwQuantity.RAIN, LcwQuantity.WIND_SPEED):
         raise ValueRangeError(f"{what} is not encodable")
-    v = _code(what, _LCW_FIELDS[quantity][2](value), 999, "is not encodable")
+    v = _code(what, _LCW_FIELDS[quantity][2](value), LCW_VALUE_WRAP - 1, "is not encodable")
     d = (v // 100, v // 10 % 10, v % 10)
     n = [
         LCW_SYNC_NIBBLE,

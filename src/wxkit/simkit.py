@@ -322,7 +322,7 @@ class _Emitter:
                 wind_kph=self.wind_kph,
                 wind_dir_deg=self.dir_code * DIR_STEP_DEG,
                 # the station's tip counter is 14 bits and wraps
-                rain_mm=(self.rain_tips % 0x4000) * RAIN_MM_PER_TIP,
+                rain_mm=(self.rain_tips % rfdecode.A5N1_RAIN_WRAP) * RAIN_MM_PER_TIP,
                 temperature_c=self.temp_c,
                 humidity_pct=self.humidity,
             ))
@@ -332,8 +332,8 @@ class _Emitter:
             value = {
                 LcwQuantity.TEMP: self.temp_c,
                 LcwQuantity.HUMIDITY: self.humidity,
-                # the station's three-digit rain count wraps at 1000
-                LcwQuantity.RAIN: round(self.rain_tips / 4) % 1000 * LCW_RAIN_MM_PER_COUNT,
+                # the station's three-digit rain count wraps too
+                LcwQuantity.RAIN: round(self.rain_tips / 4) % rfdecode.LCW_VALUE_WRAP * LCW_RAIN_MM_PER_COUNT,
                 LcwQuantity.WIND_SPEED: self.wind_kph / 3.6,
                 LcwQuantity.WIND_DIR: self.dir_code * DIR_STEP_DEG,
             }[quantity]
