@@ -14,11 +14,16 @@ one failure that is not a DecodeError. ``build_a5n1_frame``/
 ``build_lcw_frame`` with ``a5n1_to_pulses``/``lcw_to_pulses`` run the whole
 thing backwards for simulation and round-trip testing.
 
+Each codec rule is written once. ``_LCW_FIELDS`` holds every LCW quantity's
+record field and its formulas both ways, while A5N1's bit packing is spelled
+out in its two codecs. ``_code`` rounds and range-checks every encoder field.
+Each encoder checks, before rounding, the sign rule both share: a negative
+rain total or wind speed is out of range, though it would round to code 0.
+
 Bit layouts, timings and scale factors are normative for this toolkit (the
 device vendors publish none of it); they follow the publicly documented
-behaviour of the AcuRite 5-in-1 and La Crosse WS-2300 families.
-
-Codecs are pure functions and the framer holds no state between calls.
+behaviour of the AcuRite 5-in-1 and La Crosse WS-2300 families. Codecs are
+pure functions and the framer holds no state between calls.
 """
 
 from __future__ import annotations
@@ -262,10 +267,8 @@ def decode_a5n1(bits: str) -> WeatherRecord:
         humidity = data[6] & 0x7F
         if humidity > 100:
             raise ValueRangeError(f"humidity {humidity} outside 0..100")
-        fields = dict(
-            temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,     # from Fahrenheit
-            humidity_pct=float(humidity),
-        )
+        fields = dict(temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,   # from Fahrenheit
+                      humidity_pct=float(humidity))
     return WeatherRecord(
         station,
         sensor_battery_ok=bool(data[2] & 0x40),
@@ -301,9 +304,8 @@ def _wind_raw(wind_kph: float) -> int:
         raise ValueRangeError(f"wind speed {wind_kph} kph is negative")
     if wind_kph <= (_WIND_SLOPE + 1.0) / 2:
         return 0
-    raw = _code(f"wind speed {wind_kph} kph", (wind_kph - 1.0) / _WIND_SLOPE, 127,
-                "exceeds the 7-bit range")
-    return max(1, raw)
+    return max(1, _code(f"wind speed {wind_kph} kph", (wind_kph - 1.0) / _WIND_SLOPE, 127,
+                        "exceeds the 7-bit range"))
 
 
 def _dir_code(wind_dir_deg: float) -> int:
@@ -369,7 +371,7 @@ def a5n1_to_pulses(data: bytes) -> PulseTrain:
 
 LCW_SYNC_NIBBLE = 0x9
 LCW_RAIN_MM_PER_COUNT = 0.518
-LCW_VALUE_WRAP = 1000   # three BCD digits hold less; the station's rain count wraps here
+LCW_VALUE_WRAP = 1000   # every value is three BCD digits; the station's rain count wraps here
 
 
 def _lcw_checksum(nibbles: Sequence[int]) -> int:
@@ -389,8 +391,7 @@ class LcwQuantity(enum.IntEnum):
 _LCW_FIELDS = {
     LcwQuantity.TEMP: ("temperature_c", lambda v: v / 10.0 - 40.0, lambda x: (x + 40.0) * 10.0),
     LcwQuantity.HUMIDITY: ("humidity_pct", lambda v: v / 10.0, lambda x: x * 10.0),
-    LcwQuantity.RAIN: ("rain_mm", lambda v: v * LCW_RAIN_MM_PER_COUNT,
-                       lambda x: x / LCW_RAIN_MM_PER_COUNT),
+    LcwQuantity.RAIN: ("rain_mm", lambda v: v * LCW_RAIN_MM_PER_COUNT, lambda x: x / LCW_RAIN_MM_PER_COUNT),
     # m/s * 10 on the wire; records store km/h
     LcwQuantity.WIND_SPEED: ("wind_speed_kph", lambda v: v / 10.0 * 3.6, lambda x: x * 10.0),
     LcwQuantity.WIND_DIR: ("wind_dir_deg", lambda v: v * DIR_STEP_DEG, _dir_code),
