@@ -261,14 +261,14 @@ def decode_a5n1(bits: str) -> WeatherRecord:
     wind_raw = data[3] & 0x7F
     if message_type == A5N1_MSG_WIND_DIR_RAIN:
         counter = (data[5] & 0x7F) << 7 | (data[6] & 0x7F)
-        fields = dict(wind_dir_deg=(data[4] & 0x0F) * DIR_STEP_DEG, rain_mm=counter * RAIN_MM_PER_TIP)
+        fields = {"wind_dir_deg": (data[4] & 0x0F) * DIR_STEP_DEG, "rain_mm": counter * RAIN_MM_PER_TIP}
     else:
         temp_raw = (data[4] & 0x7F) << 4 | (data[5] >> 3) & 0x0F
         humidity = data[6] & 0x7F
         if humidity > 100:
             raise ValueRangeError(f"humidity {humidity} outside 0..100")
-        fields = dict(temperature_c=(temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,   # from Fahrenheit
-                      humidity_pct=float(humidity))
+        fields = {"temperature_c": (temp_raw / 10.0 - 40.0 - 32.0) * 5.0 / 9.0,   # from Fahrenheit
+                  "humidity_pct": float(humidity)}
     return WeatherRecord(
         station,
         sensor_battery_ok=bool(data[2] & 0x40),

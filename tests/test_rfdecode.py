@@ -471,15 +471,12 @@ def test_encode_lcw_value_range():
     for deg, decoded in ((0.0, 0.0), (337.5, 337.5), (349.0, 0.0), (359.9, 0.0)):
         bits = nibbles_to_bits(build_lcw_frame(LcwQuantity.WIND_DIR, deg, LCW_STATION))
         assert decode_lcw(bits).wind_dir_deg == decoded
-
-
-def test_encode_lcw_negative_rain_and_wind_speed_rejected():
-    # A5N1's sign rule: a value below zero is out of range though it rounds to code 0
+    # A5N1's sign rule: a rain total or wind speed below zero is out of range,
+    # though it would round to code 0; humidity rounds, as in both codecs
     for quantity, value in ((LcwQuantity.RAIN, -0.1), (LcwQuantity.WIND_SPEED, -0.04)):
         with pytest.raises(ValueRangeError, match=f"^{quantity.name.lower()} value {value} is not"):
             build_lcw_frame(quantity, value, LCW_STATION)
         assert build_lcw_frame(quantity, -0.0, LCW_STATION)[4:7] == (0, 0, 0)
-    # humidity keeps rounding, as in both codecs
     assert build_lcw_frame(LcwQuantity.HUMIDITY, -0.04, LCW_STATION)[4:7] == (0, 0, 0)
 
 
