@@ -246,11 +246,20 @@ def cmd_airtime(args) -> int:
     return EXIT_OK
 
 
-# Reference battery-life table (days) against which the model is printed.
-_REFERENCE_DAYS = {
-    ("bsf32", 5): 56, ("bsf32", 15): 123, ("bsf32", 30): 4204, ("bsf32", 60): 326,
-    ("lopy4", 5): 141, ("lopy4", 15): 414, ("lopy4", 30): 739, ("lopy4", 60): 1478,
-}
+# Reference battery life (days) against which the model is printed, one row
+# per (interval in minutes, platform) in print order, with its note.
+_REFERENCE_DAYS = (
+    (5, "bsf32", 56, "reference assumes a 323 s cycle; the model at 323 s gives {bsf323:.1f}"),
+    (5, "lopy4", 141, ""),
+    (15, "bsf32", 123, "reference derives from 622 uWh/cycle (implying ~495 uWh active); "
+                       "the model keeps the measured 449 uWh"),
+    (15, "lopy4", 414, ""),
+    (30, "bsf32", 4204, "reference value 4204 is a typo; the accompanying text says 204"),
+    (30, "lopy4", 739, "reference conflicts with its own 5/15/60-minute arithmetic; "
+                       "model value reported as-is"),
+    (60, "bsf32", 326, ""),
+    (60, "lopy4", 1478, ""),
+)
 
 # Reference daily energy (uWh/day) at the cycle (s) it is stated for, with its note.
 _REFERENCE_DAILY = {
@@ -259,59 +268,22 @@ _REFERENCE_DAILY = {
                              "consistent with its 141-day result is 339.8 mWh/day"),
 }
 
-_TABLE_NOTES = {
-    ("bsf32", 5): "reference assumes a 323 s cycle; the model at 323 s gives {bsf323:.1f}",
-    ("bsf32", 15): "reference derives from 622 uWh/cycle (implying ~495 uWh active); "
-                   "the model keeps the measured 449 uWh",
-    ("bsf32", 30): "reference value 4204 is a typo; the accompanying text says 204",
-    ("lopy4", 30): "reference conflicts with its own 5/15/60-minute arithmetic; "
-                   "model value reported as-is",
-}
-
-
-def _battery_table() -> dict:
-    bsf323 = energy.battery_life_days(energy.BSF32, 323)
-    rows = []
-    for minutes in (5, 15, 30, 60):
-        for name in ("bsf32", "lopy4"):
-            profile = energy.PROFILES[name]
-            model = energy.battery_life_days(profile, minutes * 60)
-            note = _TABLE_NOTES.get((name, minutes), "").format(bsf323=bsf323)
-            rows.append({
-                "interval_min": minutes,
-                "platform": name,
-                "model_days": round(model, 1),
-                "reference_days": _REFERENCE_DAYS[(name, minutes)],
-                "note": note,
-            })
-    daily = [{
-        "platform": name,
-        "interval_s": interval_s,
-        "model_uwh_per_day": round(energy.daily_energy(energy.PROFILES[name], interval_s), 1),
-        "reference_uwh_per_day": reference,
-        "note": note,
-    } for (name, interval_s), (reference, note) in _REFERENCE_DAILY.items()]
-    return {"rows": rows, "daily_energy": daily}
-
 
 def cmd_battery(args) -> int:
     if args.table:
-        table = _battery_table()
-        if args.json:
-            print(json.dumps(table, indent=2))
-            return EXIT_OK
+        bsf323 = energy.battery_life_days(energy.BSF32, 323)
         print(f"{'interval':>8}  {'platform':<8}  {'model d':>8}  {'reference d':>11}  note")
-        for row in table["rows"]:
-            print(f"{row['interval_min']:>5} min  {row['platform']:<8}  "
-                  f"{row['model_days']:>8.1f}  {row['reference_days']:>11}  {row['note']}")
+        for minutes, name, reference, note in _REFERENCE_DAYS:
+            model = energy.battery_life_days(energy.PROFILES[name], minutes * 60)
+            print(f"{minutes:>5} min  {name:<8}  {model:>8.1f}  {reference:>11}  "
+                  f"{note.format(bsf323=bsf323)}")
         print()
         print("daily energy:")
-        for d in table["daily_energy"]:
-            line = (f"  {d['platform']} @ {d['interval_s']} s: "
-                    f"{d['model_uwh_per_day']:.1f} uWh/day "
-                    f"(reference {d['reference_uwh_per_day']})")
-            if d["note"]:
-                line += f" -- {d['note']}"
+        for (name, interval_s), (reference, note) in _REFERENCE_DAILY.items():
+            model = energy.daily_energy(energy.PROFILES[name], interval_s)
+            line = f"  {name} @ {interval_s} s: {model:.1f} uWh/day (reference {reference})"
+            if note:
+                line += f" -- {note}"
             print(line)
         return EXIT_OK
 
@@ -437,7 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--daily", action="store_true", help="print uWh/day instead of days")
     p.add_argument("--table", action="store_true",
                    help="4-interval comparison table for both platforms")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_battery)
 
     p = sub.add_parser("simulate", help="run the transponder simulation")

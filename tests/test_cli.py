@@ -604,17 +604,6 @@ def test_battery_table_flags_typo(capsys):
     assert "339.8" in out
 
 
-def test_battery_table_json(capsys):
-    code, out, _ = run_cli(capsys, ["battery", "--table", "--json"])
-    assert code == 0
-    table = json.loads(out)
-    assert len(table["rows"]) == 8
-    row = next(r for r in table["rows"]
-               if r["platform"] == "bsf32" and r["interval_min"] == 30)
-    assert row["reference_days"] == 4204
-    assert "typo" in row["note"]
-
-
 LOPY4_DAILY_NOTE = ("reference prints 33.98 mWh per day, a 10x typo; the value "
                     "consistent with its 141-day result is 339.8 mWh/day")
 
@@ -640,21 +629,6 @@ def test_battery_table_text_is_pinned(capsys):
         "daily energy:\n"
         "  bsf32 @ 323 s: 131220.6 uWh/day (reference 130803)\n"
         f"  lopy4 @ 300 s: 339982.1 uWh/day (reference 339800) -- {LOPY4_DAILY_NOTE}\n")
-
-
-def test_battery_table_json_daily_energy_is_pinned(capsys):
-    code, out, _ = run_cli(capsys, ["battery", "--table", "--json"])
-    assert code == 0
-    daily = json.loads(out)["daily_energy"]
-    assert daily == [
-        {"platform": "bsf32", "interval_s": 323, "model_uwh_per_day": 131220.6,
-         "reference_uwh_per_day": 130803, "note": ""},
-        {"platform": "lopy4", "interval_s": 300, "model_uwh_per_day": 339982.1,
-         "reference_uwh_per_day": 339800, "note": LOPY4_DAILY_NOTE},
-    ]
-    # in this key order
-    assert all(list(row) == list(daily[0]) == ["platform", "interval_s", "model_uwh_per_day",
-                                               "reference_uwh_per_day", "note"] for row in daily)
 
 
 def test_battery_unknown_platform(capsys):
