@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print the sha256 of the JSON-lines trace of each of N seeded random valid
 simulator configs, one line each, then one digest over them all. Each trace
-is streamed through ``trace_line`` as ``wxkit simulate --out`` writes it, so
-two commits that print the same combined digest write the same trace bytes
-for every config.
+is hashed as ``simkit.write_trace`` hands it out, the writer behind ``wxkit
+simulate --out``, so two commits that print the same combined digest write
+the same trace bytes for every config.
 
     PYTHONPATH=src python3 scripts/trace_digest.py --configs 320 --seed 20261019
 
@@ -43,11 +43,7 @@ def random_config(rng: random.Random) -> simkit.SimConfig:
 def trace_sha256(config: simkit.SimConfig) -> str:
     """The sha256 of the trace file ``wxkit simulate --out`` writes."""
     digest = hashlib.sha256()
-    line = simkit.trace_line
-    digest.update(line({"config": config.to_dict()}).encode("ascii"))
-    trace = simkit.run(config, sink=lambda events: digest.update(
-        "".join(map(line, events)).encode("ascii")))
-    digest.update(line({"summary": trace.summary}).encode("ascii"))
+    simkit.write_trace(config, lambda text: digest.update(text.encode("ascii")))
     return digest.hexdigest()
 
 

@@ -323,17 +323,14 @@ def cmd_simulate(args) -> int:
     config = simkit.SimConfig.from_dict(obj)    # checked before --out is opened, so it is left alone
     if not args.out:
         # only the summary is printed: the events are dropped as they come
-        trace = simkit.run(config, sink=lambda events: None)
+        summary = simkit.run(config, sink=lambda events: None).summary
     else:
         # the lines are written as the run goes on, so memory does not grow with it
         with open(args.out, "w", encoding="ascii") as fh:
-            line = simkit.trace_line
-            fh.write(line({"config": config.to_dict()}))
-            trace = simkit.run(config, sink=lambda events: fh.write("".join(map(line, events))))
-            fh.write(line({"summary": trace.summary}))
-    print(json.dumps(trace.summary, sort_keys=True))
-    if not trace.summary["invariants_ok"]:
-        for v in trace.summary["violations"]:
+            summary = simkit.write_trace(config, fh.write)
+    print(json.dumps(summary, sort_keys=True))
+    if not summary["invariants_ok"]:
+        for v in summary["violations"]:
             print(f"invariant violated: {v}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

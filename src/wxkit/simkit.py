@@ -878,3 +878,13 @@ def run(config: SimConfig, sink: Callable[[list[dict]], object] | None = None) -
     With a ``sink``, the events are handed to it in lists as they happen
     and the returned trace keeps none, so memory does not grow with the run."""
     return Simulator(config, sink).run()
+
+
+def write_trace(config: SimConfig, write: Callable[[str], object]) -> dict:
+    """Run ``config`` and hand the trace file ``wxkit simulate --out`` writes
+    to ``write`` as it goes: the config line, the event lines a batch at a
+    time, then the summary line. Returns the summary."""
+    write(trace_line({"config": config.to_dict()}))
+    summary = run(config, sink=lambda events: write("".join(map(trace_line, events)))).summary
+    write(trace_line({"summary": summary}))
+    return summary

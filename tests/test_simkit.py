@@ -435,6 +435,11 @@ def test_golden_trace_streamed_by_cli(obj, sha256, tmp_path, capsys):
     assert actual == sha256, f"trace sha256 {actual} != pinned {sha256}"
     last = json.loads(out.read_bytes().splitlines()[-1])
     assert last == {"summary": json.loads(capsys.readouterr().out)}
+    # the writer the CLI and scripts/trace_digest.py share hands out those bytes
+    digest = hashlib.sha256()
+    summary = simkit.write_trace(SimConfig.from_dict(obj), lambda text: digest.update(text.encode("ascii")))
+    assert digest.hexdigest() == sha256
+    assert {"summary": summary} == last
 
 
 @pytest.mark.parametrize("obj", [obj for obj, _ in GOLDEN_TRACES] + [
