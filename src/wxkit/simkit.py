@@ -60,8 +60,19 @@ _DEFAULT_NWKSKEY = "2b7e151628aed2a6abf7158809cf4f3c"
 _DEFAULT_APPSKEY = "000102030405060708090a0b0c0d0e0f"
 
 
+class _Spec:
+    """A config object: an int in a float field is held as a float, however the
+    object is built. An int too large for a float is kept, for the check to report."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and type(value) is int and abs(value) <= sys.float_info.max:
+                object.__setattr__(self, f.name, float(value))
+
+
 @dataclass(frozen=True)
-class StationSpec:
+class StationSpec(_Spec):
     protocol: Protocol = Protocol.A5N1
     id: int = 0x2A7
     channel: int = 2
@@ -69,13 +80,13 @@ class StationSpec:
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Spec):
     frame_loss_p: float = 0.0
     bit_flip_q: float = 0.0
 
 
 @dataclass(frozen=True)
-class TransponderSpec:
+class TransponderSpec(_Spec):
     profile: str = "bsf32"
     t_cycle_s: float = 900.0
     rx_timeout_s: float = 60.0
@@ -84,12 +95,12 @@ class TransponderSpec:
 
 
 @dataclass(frozen=True)
-class GatewaySpec:
+class GatewaySpec(_Spec):
     uplink_loss_p: float = 0.0
 
 
 @dataclass(frozen=True)
-class BarometerSpec:
+class BarometerSpec(_Spec):
     pressure_pa: int = 101_325
     board_temp_c: float = 24.0
     pressure_noise_pa: float = 0.0
@@ -130,8 +141,8 @@ def _mistyped(prefix: str, spec) -> list[str]:
 
 def _from_obj(spec_cls, obj: dict, where: str):
     """``spec_cls`` from the JSON object ``obj``, checked for unknown options
-    first. A nested spec is built from its own object, a protocol label and a
-    float field's int are converted, and an absent option keeps its default."""
+    first. A nested spec is built from its own object, a protocol label is
+    converted, and an absent option keeps its default."""
     fields = dataclasses.fields(spec_cls)
     unknown = set(obj) - {f.name for f in fields}
     if unknown:
@@ -148,8 +159,6 @@ def _from_obj(spec_cls, obj: dict, where: str):
                 values[f.name] = Protocol.from_label(obj[f.name])
             except ValueError:
                 pass    # kept as it is, for the config's check to report
-        elif f.type == "float" and type(value := obj.get(f.name)) is int and abs(value) <= sys.float_info.max:
-            values[f.name] = float(value)
     return spec_cls(**values)
 
 
@@ -158,7 +167,7 @@ def _session() -> lorawan.AbpSession:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Spec):
     """The settings of one run, checked when they are built: ``SimConfig(...)``,
     ``from_dict`` and ``dataclasses.replace`` raise ``SimConfigError`` with
     every problem."""
@@ -171,6 +180,7 @@ class SimConfig:
     barometer: BarometerSpec = BarometerSpec()
 
     def __post_init__(self):
+        super().__post_init__()
         if problems := self._problems():
             raise SimConfigError(problems)
 

@@ -941,10 +941,14 @@ def test_float_field_takes_an_int_as_a_float(field):
     for key in field.split("."):
         default = default[key]
     value = int(default) or 1
-    # one config line, and so one trace, for 300 and 300.0
-    lines = [trace_line({"config": SimConfig.from_dict(_config_obj(field, v)).to_dict()})
-             for v in (value, float(value))]
-    assert lines[0] == lines[1] and f"{float(value)!r}" in lines[0], lines
+    # one config line, and so one trace, for 300 and 300.0, read or built directly
+    *spec, name = field.split(".")
+    built = (SimConfig(**{spec[0]: type(getattr(SimConfig(), spec[0]))(**{name: value})})
+             if spec else SimConfig(**{name: value}))
+    lines = [trace_line({"config": config.to_dict()}) for config in
+             (SimConfig.from_dict(_config_obj(field, value)),
+              SimConfig.from_dict(_config_obj(field, float(value))), built)]
+    assert len(set(lines)) == 1 and f"{float(value)!r}" in lines[0], lines
     # a rule that echoes its value echoes the float
     rule = NON_FINITE_RULES[field]
     assert _problems_with(field, -10 ** 6) == [rule.format(-1e6) if "{}" in rule else rule]
