@@ -228,8 +228,8 @@ class AbpSession:
     __slots__ = ("fcnt_up", "_dev_addr", "_nwk_skey", "_app_skey", "_fport",
                  "_mic_cmac", "_nwk_ecb", "_app_ecb")
 
-    def __init__(self, dev_addr: bytes | str, nwk_skey: bytes | str = bytes(16),
-                 app_skey: bytes | str = bytes(16), fcnt_up: int = 0, fport: int = 1):
+    def __init__(self, dev_addr: bytes | str, nwk_skey: bytes | str, app_skey: bytes | str,
+                 fcnt_up: int = 0, fport: int = 1):
         self._dev_addr = _parse_key(dev_addr, 4, "dev_addr")
         self._nwk_skey = _parse_key(nwk_skey, 16, "nwk_skey")
         self._app_skey = _parse_key(app_skey, 16, "app_skey")

@@ -456,6 +456,10 @@ def test_session_identity_fixed_at_construction():
     assert session == fresh_session()
     session.fcnt_up = 7                                 # the counter alone moves
     assert frame_parse(frame_build(fresh_session(fcnt_up=7), b"\x01"), session) == (b"\x01", 7)
+    # both keys are given there: no all-zero key stands in for one left out
+    for name in ("nwk_skey", "app_skey"):
+        with pytest.raises(TypeError):
+            AbpSession(**{k: v for k, v in KEYS.items() if k != name})
 
 
 @pytest.mark.parametrize("kw", [
