@@ -15,7 +15,7 @@ def one_run(profile: str, t_cycle_s: float, seed: int, loss_p: float) -> None:
     )
     trace = simkit.run(config, sink=lambda events: None)   # only the summary is read
     s = trace.summary
-    closed = 86_400 / t_cycle_s * energy.cycle_energy(energy.PROFILES[profile], t_cycle_s)
+    closed = energy.daily_energy(energy.PROFILES[profile], t_cycle_s)
     gap = (s["energy_uwh_total"] - closed) / closed * 100
     print(f"{profile:<6} @{t_cycle_s:>6.0f}s  p={loss_p:<4}  "
           f"uplinks {s['uplinks_delivered']:>3}/{s['uplinks_attempted']:<3}  "

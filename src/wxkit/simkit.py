@@ -41,7 +41,7 @@ from .core import (
     merge_partial,
     record_to_obj,
 )
-from .energy import HOUR_S
+from .energy import DAY_S, HOUR_S
 from .rfdecode import DIR_STEP_DEG, LCW_RAIN_MM_PER_COUNT, RAIN_MM_PER_TIP, LcwQuantity
 
 
@@ -112,7 +112,7 @@ BOARD_TEMP_C_RANGE = lorawan.PAYLOAD_RANGES["board_temp_c"]
 
 # The longest run a config may ask for, as a sanity bound: a streamed run
 # holds nothing that grows with its length.
-MAX_DURATION_S = 366 * 86_400.0
+MAX_DURATION_S = 366 * DAY_S
 
 
 # The values a config field accepts, by its annotation; a bool is not a number.
@@ -766,7 +766,7 @@ class Summary:
             # a transmission is a point at its written end time: short next to an hour
             self.last_hour.append((t, t_air))
             self.last_hour_airtime += t_air
-            while t - self.last_hour[0][0] > 3600.0:
+            while t - self.last_hour[0][0] > HOUR_S:
                 self.last_hour_airtime -= self.last_hour.popleft()[1]
             self.max_hour_airtime = max(self.max_hour_airtime, self.last_hour_airtime)
         elif kind == "record":
@@ -782,7 +782,7 @@ class Summary:
         violations = list(self.violations)
         # a wait-based governor bounds any window by limit*window plus at
         # most one transmission straddling the edge
-        if self.max_hour_airtime > config.transponder.duty_limit * 3600.0 + self.max_t_air + 1e-9:
+        if self.max_hour_airtime > config.transponder.duty_limit * HOUR_S + self.max_t_air + 1e-9:
             violations.append(
                 f"duty cycle exceeded: {self.max_hour_airtime:.3f} s airtime in one hour")
         return {
