@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import random
 import reprlib
 import sys
 import tracemalloc
@@ -419,6 +421,61 @@ TRANSCRIPT = [
     "payload", "payload_none", "payload_decode", "frame", "frame_parse", "frame_parse_none"])
 def test_line_command_transcript(argv, stdin, code, out, err, capsys, monkeypatch):
     assert run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch) == (code, out, err)
+
+
+# ---------------------------------------------------------------------------
+# the uplink chain's exact bytes on seeded records
+
+def _chain_record(rng: random.Random) -> str:
+    """One seeded record line: either protocol, measurements absent, in range
+    up to the ends of the wire range, or written as JSON ints."""
+    a5n1 = rng.random() < 0.6
+    ranges = {"temperature_c": (-327.68, 327.67), "humidity_pct": (0.0, 100.0),
+              "wind_speed_kph": (0.0, 6553.5), "wind_dir_deg": (0.0, 359.9),
+              "rain_mm": (0.0, 42949672.95), "pressure_pa": (0, 2**32 - 1)}
+    obj = {"station": {"protocol": "a5n1" if a5n1 else "lcw",
+                       "id": rng.randrange(0x4000 if a5n1 else 0x80),
+                       "channel": rng.randrange(4) if a5n1 else 0},
+           "seq": rng.randrange(0x10000), "sensor_battery_ok": rng.random() < 0.5}
+    for field, (lo, hi) in ranges.items():
+        kind = rng.randrange(5)
+        if field == "pressure_pa" or kind == 0:
+            value = rng.randint(int(lo) + 1, int(hi))
+        elif kind == 1:
+            value = rng.choice((lo, hi))
+        else:
+            value = round(rng.uniform(lo, hi), rng.choice((0, 1, 2, 3, 6)))
+        obj[field] = None if rng.random() < 0.3 else value
+    obj["board_temp_c"] = round(rng.uniform(-20.0, 60.0), 2) if a5n1 else 0.0
+    obj["battery_mv"] = rng.randrange(0x10000)
+    obj["frames_received"] = rng.randrange(0x100)
+    obj["cycle_time_s"] = rng.choice((300, 900, 0xFFFF))
+    return json.dumps(obj)
+
+
+def test_uplink_chain_pinned(tmp_path, capsys):
+    """300 seeded records, with a few invalid lines and comments, through
+    payload, frame, frame --parse and payload --decode: every output file,
+    stderr and exit code is pinned."""
+    rng = random.Random("uplink-chain")
+    lines = [_chain_record(rng) for _ in range(300)]
+    for at, bad in ((7, "{not json"), (50, "[1]"), (120, _record_with(humidity_pct=100.5)),
+                    (180, _record_with(wind_dir_deg=360)), (240, "# comment"), (260, "")):
+        lines.insert(at, bad)
+    (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n")
+    h = hashlib.sha256()
+    stages = [(["payload"], "records.jsonl", "payloads.hex"),
+              (["frame", *KEY_ARGS], "payloads.hex", "frames.hex"),
+              (["frame", "--parse", *KEY_ARGS], "frames.hex", "parsed.hex"),
+              (["payload", "--decode"], "parsed.hex", "decoded.jsonl")]
+    for argv, source, target in stages:
+        code = main([*argv, str(tmp_path / source), "-o", str(tmp_path / target)])
+        out, err = capsys.readouterr()
+        assert code == 0 and out == ""
+        h.update(f"{argv[0]} {code}\n{err}".encode() + (tmp_path / target).read_bytes())
+    decoded = (tmp_path / "decoded.jsonl").read_text().splitlines()
+    assert len(decoded) == 300 and len({json.loads(line)["seq"] for line in decoded}) > 280
+    assert h.hexdigest() == "3a17587a321d50091ed85ded8410a3c396e43f5c8e4186fcefae298a9dc4f169"
 
 
 @pytest.mark.parametrize("argv", [
