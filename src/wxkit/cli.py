@@ -82,14 +82,14 @@ def _data_lines(text: str) -> Iterator[tuple[str, str]]:
 def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str], str],
                    output: str) -> int:
     """Write ``convert(origin, item)`` of each (origin, item) to ``output``, one
-    line each. An item whose conversion raises a ValueError is reported on
-    stderr as ``origin: message`` and skipped, and no item at all as one
-    stderr line. Exit 0 if any item converted, else 2."""
+    line each. An item whose conversion raises a ValueError or RecursionError is
+    reported on stderr as ``origin: message`` and skipped, and no item at all as
+    one stderr line. Exit 0 if any item converted, else 2."""
     lines, origin = [], None
     for origin, item in items:
         try:
             lines.append(convert(origin, item))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:     # RecursionError: JSON nested too deeply
             print(f"{origin}: {exc}", file=sys.stderr)
     if origin is None:
         print("no data to convert", file=sys.stderr)
@@ -309,7 +309,7 @@ def cmd_simulate(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: nested too deeply
             raise ValueError(f"config is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise InputEncodingError(args.config, exc) from None

@@ -240,6 +240,19 @@ def test_payload_echoes_huge_values_shortened(bad, capsys, monkeypatch):
     assert err.startswith("line 1: ") and err.count("\n") == 1 and len(err) < 120
 
 
+@pytest.mark.parametrize("nested", ["[" * 200_000, '{"station": ' + '{"id": ' * 200_000],
+                         ids=["array", "object"])
+def test_payload_nested_json_reports_line(nested, capsys, monkeypatch):
+    # nesting deeper than the interpreter's stack is one line's error, not a traceback
+    code, out, err = run_cli(capsys, ["payload"], stdin=f"{nested}\n{RECORD_LINE}\n",
+                             monkeypatch=monkeypatch)
+    assert (code, len(out.split())) == (0, 1)
+    assert err.startswith("line 1: maximum recursion depth exceeded") and err.count("\n") == 1
+    code, out, err = run_cli(capsys, ["payload"], stdin=f"{nested}\n", monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err.startswith("line 1: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
 def test_payload_roundtrip(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["payload"], stdin=RECORD_LINE + "\n",
                            monkeypatch=monkeypatch)
@@ -808,6 +821,15 @@ def test_simulate_rejects_an_int_past_the_digit_limit(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
     assert (code, out) == (3, "")
     assert err == "config error: an integer in the config has too many digits\n"
+
+
+def test_simulate_nested_config_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"channel": ' + "[" * 200_000)
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(cfg)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: config is not valid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["[1]", "5", "null",
