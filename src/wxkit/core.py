@@ -222,14 +222,8 @@ def record_from_obj(obj: dict) -> WeatherRecord:
     battery_ok = obj.get("sensor_battery_ok", False)
     if not isinstance(battery_ok, bool):
         raise RecordError(f"sensor_battery_ok must be true or false, not {reprlib.repr(battery_ok)}")
-    return WeatherRecord(
-        station,
-        seq=obj.get("seq", 0),
-        sensor_battery_ok=battery_ok,
-        board_temp_c=obj.get("board_temp_c", 0.0),
-        battery_mv=obj.get("battery_mv", 0),
-        **{field: obj.get(field) for field in FIELD_FLAGS},
-    )
+    return WeatherRecord(station, obj.get("seq", 0), battery_ok, *map(obj.get, FIELD_FLAGS),
+                         obj.get("board_temp_c", 0.0), obj.get("battery_mv", 0))
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:
