@@ -24,9 +24,10 @@ from .core import (
     Protocol,
     SimConfigError,
     StationId,
+    WeatherRecord,
     data_lines,
     record_from_obj,
-    record_to_obj,
+    record_to_obj,   # unused here; perfbench's tracer patches it by name
 )
 
 EXIT_OK = 0
@@ -100,6 +101,31 @@ def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str
 # ---------------------------------------------------------------------------
 # decode / encode
 
+# The line ``json.dumps(record_to_obj(r) | vars(meta))`` writes, meta
+# optional. A decoder gives only plain, finite ints and floats, and the str of
+# one is the repr the encoder writes.
+_RECORD_LINE = ('{"station": {"protocol": "%s", "id": %s, "channel": %s}, "seq": %s, '
+                '"sensor_battery_ok": %s, "temperature_c": %s, "humidity_pct": %s, '
+                '"wind_speed_kph": %s, "wind_dir_deg": %s, "rain_mm": %s, "pressure_pa": %s, '
+                '"board_temp_c": %s, "battery_mv": %s')
+
+
+def _record_line(r: WeatherRecord, meta: lorawan.PayloadMeta | None = None) -> str:
+    st = r.station
+    line = _RECORD_LINE % (
+        st.protocol.label, st.id, st.channel, r.seq, "true" if r.sensor_battery_ok else "false",
+        "null" if (v := r.temperature_c) is None else v,
+        "null" if (v := r.humidity_pct) is None else v,
+        "null" if (v := r.wind_speed_kph) is None else v,
+        "null" if (v := r.wind_dir_deg) is None else v,
+        "null" if (v := r.rain_mm) is None else v,
+        "null" if (v := r.pressure_pa) is None else v,
+        r.board_temp_c, r.battery_mv)
+    if meta is None:
+        return line + "}"
+    return f'{line}, "frames_received": {meta.frames_received}, "cycle_time_s": {meta.cycle_time_s}}}'
+
+
 def _candidate_bits(text: str, fmt: str, protocol: Protocol) -> list[tuple[str, str]]:
     """(origin, bitstring) candidates from the given input format."""
     nbits = rfdecode.FRAME_BITS[protocol]
@@ -129,7 +155,7 @@ def cmd_decode(args) -> int:
     def convert(_, bits: str) -> str:
         if len(bits) != nbits:
             raise rfdecode.DecodeError(f"skipped, {len(bits)} bits (need {nbits})")
-        return json.dumps(record_to_obj(decode(bits)))
+        return _record_line(decode(bits))
 
     return _convert_lines(candidates, convert, args.output)
 
@@ -183,8 +209,7 @@ def _payload_of_json(_, line: str) -> str:
 
 
 def _json_of_payload(_, line: str) -> str:
-    record, meta = lorawan.payload_decode(bytes.fromhex(line))
-    return json.dumps(record_to_obj(record) | vars(meta))
+    return _record_line(*lorawan.payload_decode(bytes.fromhex(line)))
 
 
 def cmd_payload(args) -> int:

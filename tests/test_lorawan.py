@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 import struct
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from lorawan_oracle import aes_block, parse_uplink
 from lorawan_oracle import cmac as oracle_cmac
-from wxkit.core import FIELD_FLAGS, PAYLOAD_SCALE, Protocol, StationId, WeatherRecord
+from wxkit.cli import _record_line
+from wxkit.core import FIELD_FLAGS, PAYLOAD_SCALE, Protocol, StationId, WeatherRecord, record_to_obj
 from wxkit.lorawan import (
     _FIELDS,
     _HEADER,
@@ -292,6 +294,17 @@ def test_payload_decode_accepts_only_what_encode_gives_back(data):
     except PayloadError:
         return
     assert payload_encode(record, meta) == zero_clear_fields(data)
+
+
+@settings(max_examples=300)
+@given(st.one_of(candidate_payloads(), records_and_meta().map(lambda rm: payload_encode(*rm))))
+def test_record_line_is_what_the_json_encoder_writes(data):
+    # the proof that a decoded payload holds only plain, finite ints and floats
+    try:
+        record, meta = payload_decode(data)
+    except PayloadError:
+        return
+    assert _record_line(record, meta) == json.dumps(record_to_obj(record) | vars(meta))
 
 
 def _wire_int(text: str) -> int:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wxkit.cli import _record_line
 from wxkit.core import Protocol, StationId, record_to_obj
 from wxkit.rfdecode import (
     A5N1_ONE_US,
@@ -701,6 +703,22 @@ def test_encoders_pinned():
         "a5n1 UnknownMessageTypeError": 212, "a5n1 ValueError": 218,
     }
     assert h.hexdigest() == "f14978ebb9f9bbb7ae27835b02500c3fae7819202852e99ea76780fda8126e3e"
+
+
+def test_record_line_is_what_the_json_encoder_writes():
+    """Every record the decoders give on the encoder pin's grid holds only
+    plain, finite ints and floats: the CLI's line for it is the encoder's."""
+    frames = []     # (decoder, bits) of each frame the encoders build
+    for quantity, value in _lcw_inputs():
+        with contextlib.suppress(ValueError):
+            frames.append((decode_lcw, nibbles_to_bits(build_lcw_frame(quantity, value, LCW_STATION))))
+    for station, message_type, fields in _a5n1_inputs(20_000):
+        with contextlib.suppress(ValueError):
+            frames.append((decode_a5n1, bytes_to_bits(build_a5n1_frame(station, message_type, **fields))))
+    assert len(frames) == 12852 + 14611      # the frames test_encoders_pinned counts
+    for decode, bits in frames:
+        record = decode(bits)
+        assert _record_line(record) == json.dumps(record_to_obj(record)), record
 
 
 # ---------------------------------------------------------------------------
