@@ -94,7 +94,7 @@ def _convert_lines(items: Iterable[tuple[str, str]], convert: Callable[[str, str
             print(f"{origin}: {exc}", file=sys.stderr)
     if origin is None:
         print("no data to convert", file=sys.stderr)
-    _write_output(output, "".join(line + "\n" for line in lines))
+    _write_output(output, "\n".join([*lines, ""]))     # each line ends in a newline
     return EXIT_OK if lines else EXIT_NO_DATA
 
 

@@ -231,6 +231,6 @@ def data_lines(text: str) -> Iterator[tuple[int, str]]:
     its ``#`` comment and surrounding whitespace are stripped; lines count
     from 1. The one comment rule of every line-based input."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
